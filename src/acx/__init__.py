@@ -50,6 +50,7 @@ from .metrics import (
     riemannian_hessian,
 )
 from .psh import (
+    OperatorFamily,
     blaplacian,
     psh_margin,
     psh_via_blaplacians,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,19 +42,6 @@ from .suite import SuiteConfig, run_equivalence_suite
 
 class InputError(ValueError):
     pass
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("ACX_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError("ACX_THREADS must be an integer") from exc
-    if cap < 1:
-        raise InputError("ACX_THREADS must be >= 1")
-    return cap
 
 
 def _load_config(path) -> dict:
@@ -190,8 +176,7 @@ def cmd_solve(args) -> int:
     export_csv(u, out / "solution.csv")
     payload = {"schema": "acx/1", "command": "solve", **report.to_dict()}
     wall = payload.pop("wall_clock")
-    write_report(out / "report.json", payload,
-                 meta={"wall_clock": wall, "workers": _worker_cap()})
+    write_report(out / "report.json", payload, meta={"wall_clock": wall})
     if not args.quiet:
         print(f"converged={report.converged} iterations={report.iterations} "
               f"residual={report.residual:.3e}")
@@ -292,8 +277,7 @@ def cmd_equivalence_suite(args) -> int:
         cfg.get("inject_failure", False)), **sizes)
     report = run_equivalence_suite(config)
     out = _outdir(args)
-    write_report(out / "suite.json", report,
-                 meta={"workers": _worker_cap()})
+    write_report(out / "suite.json", report, meta={})
     if not args.quiet:
         print(f"equivalences {'hold' if report['all_pass'] else 'FAILED'}")
     return 0 if report["all_pass"] else 3
@@ -386,7 +370,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _worker_cap()
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

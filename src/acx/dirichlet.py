@@ -32,19 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import complexify_batch
-from .discretize import Policy, Stencil, snap_policy
-from .lattice import JetTable, LatticeDomain, ScalarField, fd_jets
-from .psh import (
-    _drift_for,
-    adapted_bstar,
-    default_b_family,
-    default_field_tol,
-    field_margins,
-    real_form,
-    real_form_batch,
-)
-from .subeq import Subequation, margins_for_jets, transformed_hermitian
+from .discretize import Policy, Stencil, snap_policy  # noqa: F401 (re-export)
+from .lattice import LatticeDomain, ScalarField, fd_jets
+from .psh import OperatorFamily, default_b_family, default_field_tol, field_margins
+from .subeq import Subequation, margins_for_jets
 
 
 class SolveError(RuntimeError):
@@ -124,67 +115,36 @@ class SolveReport:
 
 
 class BellmanOperator:
-    """Discrete Bellman residual with frozen fixed-net policies and a
-    refreshable adapted policy."""
+    """Discrete Bellman residual over the operator family of the problem:
+    frozen fixed-net policies and a refreshable adapted policy, less the
+    right-hand side."""
 
     def __init__(self, problem: DirichletProblem):
         self.problem = problem
         dom, sub = problem.domain, problem.sub
-        self.sub = sub
-        self.stencil = Stencil(dom, problem.scheme.stencil_radius)
-        self.nodes = self.stencil.nodes
-        self.pts = dom.node_coords[self.nodes]
-        self.flat = sub.acx.constant_identity
-        self.g = None if self.flat else sub.acx.g(self.pts)
-        fam = default_b_family(sub.n, problem.scheme.b_unitaries)
-        self.fixed_policies = []
-        for bmat in fam:
-            if self.flat:
-                s = real_form(bmat)[None]
-                drift = None
-            else:
-                s = np.matmul(np.matmul(self.g, real_form(bmat)),
-                              self.g.transpose(0, 2, 1))
-                drift = _drift_for(sub, self.pts, s)
-            self.fixed_policies.append(snap_policy(self.stencil, s, drift))
-        self.include_adapted = sub.n > 1
-        self._jets = JetTable(dom, self.nodes) if self.include_adapted else None
+        self.family = OperatorFamily(
+            sub, Stencil(dom, problem.scheme.stencil_radius),
+            default_b_family(sub.n, problem.scheme.b_unitaries),
+            include_adapted=sub.n > 1)
+        self.nodes = self.family.stencil.nodes
         if sub.homogeneous:
             self.rhs = np.zeros(self.nodes.size)
         else:
-            f = sub.f_at(self.pts)
-            beta = sub.beta_at(self.pts)
+            pts = self.family.pts
+            f = sub.f_at(pts)
+            beta = sub.beta_at(pts)
             self.rhs = sub.n * (beta * f) ** (1.0 / sub.n)
 
     def adapted_policy(self, values: np.ndarray) -> Policy | None:
-        if not self.include_adapted:
-            return None
-        p, a = self._jets.jets(values)
-        hp = transformed_hermitian(self.sub, self.pts, p, a)
-        bstar = adapted_bstar(complexify_batch(hp))
-        if self.flat:
-            s = real_form_batch(bstar)
-            drift = None
-        else:
-            s = np.matmul(np.matmul(self.g, real_form_batch(bstar)),
-                          self.g.transpose(0, 2, 1))
-            drift = _drift_for(self.sub, self.pts, s)
-        return snap_policy(self.stencil, s, drift)
+        return self.family.adapted_policy(values)
 
     def residual(self, values: np.ndarray, adapted: Policy | None = None):
         """(theta, tau): Bellman residual over interior nodes and the CFL
         damping bound of the active policies."""
-        policies = list(self.fixed_policies)
-        if adapted is not None:
-            policies.append(adapted)
-        stacked = np.stack([p.value(values) for p in policies], axis=0)
-        active = np.argmin(stacked, axis=0)
-        cols = np.arange(stacked.shape[1])
-        theta = stacked[active, cols] - self.rhs
-        coeffs = np.stack([p.ucoeff for p in policies], axis=0)
-        cmax = float(np.max(coeffs[active, cols]))
-        tau = self.problem.scheme.safety / cmax
-        return theta, tau
+        best, active = self.family.min_value(values, adapted)
+        coeffs = np.stack([p.ucoeff for p in self.family.policies(adapted)])
+        cmax = float(np.max(coeffs[active, np.arange(active.size)]))
+        return best - self.rhs, self.problem.scheme.safety / cmax
 
 
 def bellman_residual(u: ScalarField, problem: DirichletProblem, node: int) -> float:
@@ -259,14 +219,14 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     residual = np.inf
     it = 0
     while it < scheme.max_iterations:
-        if op.include_adapted and it % refresh == 0 and it > 0:
+        if op.family.include_adapted and it % refresh == 0 and it > 0:
             adapted = op.adapted_policy(values)
         theta, tau = op.residual(values, adapted)
         residual = float(np.max(np.abs(theta)))
         if not np.isfinite(residual):
             raise SolveError("iteration produced NaN or overflow")
         if residual <= tol_res:
-            if op.include_adapted:
+            if op.family.include_adapted:
                 adapted = op.adapted_policy(values)
                 theta, tau = op.residual(values, adapted)
                 residual = float(np.max(np.abs(theta)))

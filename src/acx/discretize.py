@@ -121,15 +121,3 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
         dir_idx[lo:hi] = np.argmax(scores, axis=2)
     return Policy(st, dir_idx, weights, drift)
 
-
-def jacobi_step(policies: list[Policy], rhs: np.ndarray,
-                values: np.ndarray, safety: float = 0.9):
-    """One damped Jacobi sweep of the Bellman residual
-    Theta = min_policies(value) - rhs.  Returns (theta, tau)."""
-    stacked = np.stack([p.value(values) for p in policies], axis=0)
-    active = np.argmin(stacked, axis=0)
-    theta = stacked[active, np.arange(stacked.shape[1])] - rhs
-    coeffs = np.stack([p.ucoeff for p in policies], axis=0)
-    cmax = float(np.max(coeffs[active, np.arange(stacked.shape[1])]))
-    tau = safety / cmax if cmax > 0 else safety
-    return theta, tau

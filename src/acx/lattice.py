@@ -263,11 +263,6 @@ class ScalarField:
             raise LatticeError("non-finite values on unmasked nodes")
 
     @staticmethod
-    def from_function(domain: LatticeDomain, fn: Callable) -> "ScalarField":
-        return ScalarField(domain, np.asarray(
-            [fn(x) for x in domain.node_coords], dtype=float))
-
-    @staticmethod
     def from_vectorized(domain: LatticeDomain, fn: Callable) -> "ScalarField":
         return ScalarField(domain, np.asarray(fn(domain.node_coords), dtype=float))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretize import Stencil, snap_policy
 from .lattice import INTERIOR, LatticeDomain, ScalarField, fd_jets
-from .psh import _drift_for, check_b_matrix, real_form
+from .psh import OperatorFamily, check_b_matrix, real_form
 from .subeq import Subequation
 
 
@@ -73,21 +73,20 @@ def diagonal_operator(diag) -> LinearOperator:
 def operator_from_structure(sub: Subequation, b) -> LinearOperator:
     """The linear operator attached to a positive unit-determinant hermitian
     form through the structure: a(x) = g B_r g^T, drift the adjoint pairing
-    of the first-order term.  Matches the psh module's B-Laplacian on
-    identical inputs exactly (shared coefficient construction)."""
-    bmat = check_b_matrix(b)
-    br = real_form(bmat)
+    of the first-order term.  Both come from the operator family's
+    coefficient function, as in the psh module's family test."""
+    br = real_form(check_b_matrix(b))
+    acx = sub.acx
 
     def a(pts):
-        if sub.acx.constant_identity:
-            return np.broadcast_to(br, (pts.shape[0],) + br.shape)
-        g = sub.acx.g(pts)
-        return np.matmul(np.matmul(g, br), g.transpose(0, 2, 1))
+        g = None if acx.constant_identity else acx.g(pts)
+        s, _ = OperatorFamily.coefficients(g, None, br)
+        return np.broadcast_to(s, (pts.shape[0],) + br.shape)
 
     drift = None
-    if not sub.acx.constant_identity:
+    if not acx.constant_identity:
         def drift(pts):
-            return _drift_for(sub, pts, a(pts))
+            return OperatorFamily.coefficients(acx.g(pts), acx.e_tensor(pts), br)[1]
 
     return LinearOperator(sub.d, a, drift, "derived-from-structure")
 

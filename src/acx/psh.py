@@ -23,7 +23,7 @@ from .algebra import (
     standard_j,
 )
 from .discretize import Stencil, snap_policy
-from .lattice import INTERIOR, ScalarField, fd_jets, restrict_to_slice
+from .lattice import INTERIOR, JetTable, ScalarField, fd_jets, restrict_to_slice
 from .subeq import Subequation, margins_for_jets, transformed_hermitian
 
 
@@ -290,13 +290,63 @@ def restriction_check(u: ScalarField, sub: Subequation, m: int,
 # B-Laplacians
 # ---------------------------------------------------------------------------
 
-def _drift_for(sub: Subequation, pts: np.ndarray, s: np.ndarray) -> np.ndarray | None:
-    """Adjoint pairing of the first-order term with the coefficient field:
-    b_k = <S, E(e_k)>."""
-    if sub.acx.constant_identity:
-        return None
-    et = sub.acx.e_tensor(pts)
-    return np.einsum("nkab,nab->nk", et, s)
+class OperatorFamily:
+    """Monotone discretizations of the linear operators L_B on a stencil's
+    interior nodes: one per fixed member B of ``family`` plus, when
+    ``include_adapted``, the per-node adapted witness of a field.  L_B has
+    the coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>;
+    g and E are evaluated once for the node set."""
+
+    def __init__(self, sub: Subequation, stencil: Stencil,
+                 family: list[np.ndarray], include_adapted: bool = True):
+        self.sub = sub
+        self.stencil = stencil
+        self.members = family
+        self.include_adapted = include_adapted
+        self.pts = stencil.domain.node_coords[stencil.nodes]
+        flat = sub.acx.constant_identity
+        self.g = None if flat else sub.acx.g(self.pts)
+        self.et = None if flat else sub.acx.e_tensor(self.pts)
+        self.fixed = [self._snap(real_form(b)) for b in family]
+        self.bstar = None       # adapted witness of the last adapted_policy
+        self._jets = None
+
+    @staticmethod
+    def coefficients(g, et, br):
+        """(S, drift) for a real form B_r, constant (d, d) or per node
+        (N, d, d).  On the flat structure (g None) S = B_r; the drift is
+        None there and whenever E is not supplied."""
+        if g is None:
+            return (br[None] if br.ndim == 2 else br), None
+        s = np.matmul(np.matmul(g, br), g.transpose(0, 2, 1))
+        return s, None if et is None else np.einsum("nkab,nab->nk", et, s)
+
+    def _snap(self, br):
+        return snap_policy(self.stencil, *self.coefficients(self.g, self.et, br))
+
+    def adapted_policy(self, values: np.ndarray, jets=None):
+        """Policy of the adapted witness B* of ``values`` (None when the
+        family has no adapted member).  ``jets`` is (p, A) at the nodes;
+        by default it is gathered through a JetTable built on first use."""
+        if not self.include_adapted:
+            return None
+        if jets is None:
+            if self._jets is None:
+                self._jets = JetTable(self.stencil.domain, self.stencil.nodes)
+            jets = self._jets.jets(values)
+        hp = transformed_hermitian(self.sub, self.pts, *jets)
+        self.bstar = adapted_bstar(complexify_batch(hp))
+        return self._snap(real_form_batch(self.bstar))
+
+    def policies(self, adapted=None) -> list:
+        return self.fixed if adapted is None else self.fixed + [adapted]
+
+    def min_value(self, values: np.ndarray, adapted=None):
+        """Per-node minimum of the member operators on ``values`` and the
+        index of the active member (the adapted one comes last)."""
+        stacked = np.stack([p.value(values) for p in self.policies(adapted)])
+        active = np.argmin(stacked, axis=0)
+        return stacked[active, np.arange(stacked.shape[1])], active
 
 
 def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
@@ -323,8 +373,8 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
         scores[~st.allowed[row]] = -1.0
         t = int(np.argmax(scores))
         total += max(vals[k], 0.0) * directional_second(u, node, st.dirs[t])
-    drift = _drift_for(sub, x[None], s[None])
-    if drift is not None:
+    if not sub.acx.constant_identity:
+        drift = np.einsum("nkab,nab->nk", sub.acx.e_tensor(x[None]), s[None])
         total += upwind_first(u, node, drift[0])
     return float(total)
 
@@ -334,45 +384,18 @@ def blap_min_field(u: ScalarField, sub: Subequation,
                    include_adapted: bool = True):
     """Minimum of the discretized family operators over interior nodes.
 
-    Returns (values, witness_index, family_used) where witness_index < 0
-    flags the per-node adapted witness as the minimizer.
+    Returns (values, witness_index, ops): witness_index < 0 flags the
+    per-node adapted witness ``ops.bstar`` as the minimizer, otherwise it
+    indexes ``ops.members``.
     """
-    dom = u.domain
-    st = Stencil(dom)
-    pts = dom.node_coords[st.nodes]
+    st = Stencil(u.domain)
     fam = default_b_family(sub.n) if family is None else [
         check_b_matrix(b) for b in family]
-    flat = sub.acx.constant_identity
-    g = None if flat else sub.acx.g(pts)
-
-    def sandwich(br):
-        if flat:
-            return br[None] if br.ndim == 2 else br
-        br_stack = br if br.ndim == 3 else np.broadcast_to(
-            br, (pts.shape[0],) + br.shape)
-        return np.matmul(np.matmul(g, br_stack), g.transpose(0, 2, 1))
-
-    best = np.full(st.nodes.size, np.inf)
-    witness = np.full(st.nodes.size, -2, dtype=np.int64)
-    for i, bmat in enumerate(fam):
-        s = sandwich(real_form(bmat))
-        pol = snap_policy(st, s, None if flat else _drift_for(sub, pts, s))
-        vals = pol.value(u.values)
-        better = vals < best
-        best = np.where(better, vals, best)
-        witness[better] = i
-    if include_adapted:
-        p, a = fd_jets(u, st.nodes)
-        hp = transformed_hermitian(sub, pts, p, a)
-        ac = complexify_batch(hp)
-        bstar = adapted_bstar(ac)
-        s = sandwich(real_form_batch(bstar))
-        pol = snap_policy(st, s, None if flat else _drift_for(sub, pts, s))
-        vals = pol.value(u.values)
-        better = vals < best
-        best = np.where(better, vals, best)
-        witness[better] = -1
-    return best, witness, fam
+    ops = OperatorFamily(sub, st, fam, include_adapted)
+    adapted = (ops.adapted_policy(u.values, fd_jets(u, st.nodes))
+               if include_adapted else None)
+    best, active = ops.min_value(u.values, adapted)
+    return best, np.where(active == len(fam), -1, active), ops
 
 
 def psh_via_blaplacians(u: ScalarField, sub: Subequation,
@@ -390,7 +413,7 @@ def psh_via_blaplacians(u: ScalarField, sub: Subequation,
                  for b in fam)
     if not has_id:
         raise PshError("B-family must contain the identity")
-    best, witness, fam = blap_min_field(u, sub, fam)
+    best, witness, ops = blap_min_field(u, sub, fam)
     st_nodes = u.domain.interior_ids
     tols = default_field_tol(u, st_nodes) if tol is None else np.broadcast_to(
         np.asarray(tol, dtype=float), best.shape)
@@ -398,12 +421,8 @@ def psh_via_blaplacians(u: ScalarField, sub: Subequation,
     verdict = bool(np.all(best >= -tols))
     wit = None
     if not verdict:
-        wit = (fam[witness[worst]] if witness[worst] >= 0 else None)
-        if wit is None:
-            p, a = fd_jets(u, st_nodes[worst: worst + 1])
-            hp = transformed_hermitian(
-                sub, u.domain.node_coords[st_nodes[worst: worst + 1]], p, a)
-            wit = adapted_bstar(complexify_batch(hp))[0]
+        wit = (ops.members[witness[worst]] if witness[worst] >= 0
+               else ops.bstar[worst])
     return PshReport(verdict, float(best[worst]),
                      u.domain.node_coords[st_nodes[worst]],
                      float(tols[worst]), wit)

@@ -92,13 +92,14 @@ def test_check_psh_exit_codes(tmp_path):
                           dict(base, field_csv=str(tmp_path / "good.csv")))
     cfg_bad = write_json(tmp_path / "cb.json",
                          dict(base, field_csv=str(tmp_path / "bad.csv")))
-    assert main(["check-psh", "--config", cfg_good, "--quiet"]) == 0
-    assert main(["check-psh", "--config", cfg_bad, "--quiet"]) == 3
+    out = ["--out", str(tmp_path / "out"), "--quiet"]
+    assert main(["check-psh", "--config", cfg_good, *out]) == 0
+    assert main(["check-psh", "--config", cfg_bad, *out]) == 3
     cfg_blap = write_json(tmp_path / "cb2.json", dict(
         base, field_csv=str(tmp_path / "good.csv"), mode="blaplacian"))
-    assert main(["check-psh", "--config", cfg_blap, "--quiet"]) == 0
+    assert main(["check-psh", "--config", cfg_blap, *out]) == 0
     cfg_miss = write_json(tmp_path / "cm.json", base)
-    assert main(["check-psh", "--config", cfg_miss, "--quiet"]) == 1
+    assert main(["check-psh", "--config", cfg_miss, *out]) == 1
 
 
 def test_restrict_check_exit_codes(tmp_path):
@@ -112,13 +113,14 @@ def test_restrict_check_exit_codes(tmp_path):
         "structure": {"preset": "antilinear-slice-compatible", "n": 2,
                       "m": 1, "eps": 0.1},
         "slice_m": 1})
-    assert main(["restrict-check", "--config", ok, "--quiet"]) == 0
+    out = ["--out", str(tmp_path / "out"), "--quiet"]
+    assert main(["restrict-check", "--config", ok, *out]) == 0
     incompatible = write_json(tmp_path / "r2.json", {
         "field_csv": str(tmp_path / "amb.csv"), "domain": dom_cfg,
         "structure": {"preset": "antilinear-linear-eps", "n": 2,
                       "eps": 0.1, "generator": 4},
         "slice_m": 1})
-    assert main(["restrict-check", "--config", incompatible, "--quiet"]) == 1
+    assert main(["restrict-check", "--config", incompatible, *out]) == 1
 
 
 def test_dual_check(tmp_path):
@@ -127,7 +129,8 @@ def test_dual_check(tmp_path):
         "point": [0.0, 0.0],
         "jet": [0.0, 0.0, 2.0, 0.0, 2.0],
     })
-    assert main(["dual-check", "--config", cfg, "--quiet"]) == 0
+    assert main(["dual-check", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
 
 
 def test_equivalence_suite_determinism_and_exits(tmp_path):
@@ -221,11 +224,3 @@ def test_solve_box_with_harmonic_poly_boundary(tmp_path):
     exact = np.real(z ** 2) + 0.5 * np.imag(z)
     assert np.max(np.abs(u.values - exact)) <= 1e-2
 
-
-def test_worker_cap_validation(tmp_path, solve_cfg, monkeypatch):
-    monkeypatch.setenv("ACX_THREADS", "0")
-    assert main(["solve", "--config", solve_cfg,
-                 "--out", str(tmp_path / "w"), "--quiet"]) == 1
-    monkeypatch.setenv("ACX_THREADS", "2")
-    assert main(["solve", "--config", solve_cfg,
-                 "--out", str(tmp_path / "w"), "--quiet"]) == 0

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from acx.algebra import make_structure, realify
-from acx.lattice import LatticeDomain, ScalarField
+from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.psh import (
     PshError,
     adapted_bstar,
+    blap_min_field,
     blaplacian,
     check_b_matrix,
     default_b_family,
@@ -213,6 +214,34 @@ def test_via_blaplacians_verdicts(disc, flat1):
     # the reported witness certifies the failure through its own operator
     node = disc.node_at(rep.worst_node)
     assert blaplacian(un, flat1, node, rep.witness_b) < 0
+
+
+def test_blap_min_field_matches_per_node_blaplacian_with_drift():
+    # the batched family against the independent per-node reference, on a
+    # non-flat structure where every member carries a drift
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    sub = Subequation(make_structure("antilinear-linear-eps", n=2, eps=0.1,
+                                     generator=3))
+    u = ScalarField.from_vectorized(
+        dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
+    best, witness, ops = blap_min_field(u, sub, include_adapted=False)
+    assert np.any(ops.et != 0.0)
+    rng = CounterRng(12)
+    for _ in range(8):
+        row = int(rng.uniform(0, best.size - 1e-9))
+        node = int(dom.interior_ids[row])
+        ref = [blaplacian(u, sub, node, b) for b in ops.members]
+        assert abs(best[row] - min(ref)) <= 1e-12
+        assert witness[row] == int(np.argmin(ref))
+
+
+def test_via_blaplacians_rejects_masked_stencil(disc, flat1):
+    mask = np.zeros(disc.n_nodes, dtype=bool)
+    center = disc.node_at(np.zeros(2))
+    mask[disc.neighbor_ids(np.array([center]), np.array([1, 1]))[0]] = True
+    u = ScalarField(disc, abs2(disc.node_coords), mask)
+    with pytest.raises(LatticeError):
+        psh_via_blaplacians(u, flat1)
 
 
 def test_via_blaplacians_requires_identity_and_rejects_empty(disc, flat1):
