@@ -22,6 +22,7 @@ pure function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -229,21 +230,39 @@ class AlmostComplexField:
 
     # -- batched evaluation -------------------------------------------------
 
-    def g(self, x) -> np.ndarray:
+    def at(self, x, full: bool = True) -> StructureFrame:
+        """The one evaluation of the structure at a batch of points (a single
+        point counts as a batch of one).  ``full=False`` evaluates only the
+        generator, enough for ``g`` and ``beta``; so does the flat preset,
+        whose J = J0 and dJ = 0 are implicit."""
+        pts, _ = _as_points(x, self.d)
+        g = np.asarray(self.generator(pts), dtype=float)
+        if self.constant_identity or not full:
+            return StructureFrame(self, pts, g)
+        ginv = np.linalg.inv(g)
+        dg = self.dg(pts)
+        j = np.einsum("nab,bc,ncd->nad", g, self.j0, ginv)
+        # dJ = dg J0 g^{-1} - J dg g^{-1}
+        t1 = np.einsum("nlab,bc,ncd->nlad", dg, self.j0, ginv)
+        t2 = np.einsum("nab,nlbc,ncd->nlad", j, dg, ginv)
+        return StructureFrame(self, pts, g, j, t1 - t2)
+
+    def _read(self, x, name: str, flat_value: np.ndarray | None = None,
+              full: bool = True):
+        """Attribute ``name`` of one frame at x; ``flat_value`` stands in
+        for it on the flat preset."""
         pts, single = _as_points(x, self.d)
-        out = np.asarray(self.generator(pts), dtype=float)
+        frame = self.at(pts, full)
+        out = getattr(frame, name)
+        if flat_value is not None and frame.flat:
+            out = np.broadcast_to(flat_value, (pts.shape[0],) + flat_value.shape).copy()
         return out[0] if single else out
 
-    def g_inv(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.d)
-        out = np.linalg.inv(self.generator(pts))
-        return out[0] if single else out
+    def g(self, x) -> np.ndarray:
+        return self._read(x, "g", full=False)
 
     def j(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.d)
-        g = np.asarray(self.generator(pts), dtype=float)
-        out = np.einsum("nab,bc,ncd->nad", g, self.j0, np.linalg.inv(g))
-        return out[0] if single else out
+        return self._read(x, "j", self.j0)
 
     def dg(self, x) -> np.ndarray:
         pts, single = _as_points(x, self.d)
@@ -260,66 +279,82 @@ class AlmostComplexField:
 
     def dj(self, x) -> np.ndarray:
         """Coordinate derivatives of J, indexed [node, direction, row, col]."""
-        pts, single = _as_points(x, self.d)
-        g = np.asarray(self.generator(pts), dtype=float)
-        ginv = np.linalg.inv(g)
-        dg = self.dg(pts)
-        j = np.einsum("nab,bc,ncd->nad", g, self.j0, ginv)
-        # dJ = dg J0 g^{-1} - J dg g^{-1}
-        t1 = np.einsum("nlab,bc,ncd->nlad", dg, self.j0, ginv)
-        t2 = np.einsum("nab,nlbc,ncd->nlad", j, dg, ginv)
-        out = t1 - t2
-        return out[0] if single else out
+        return self._read(x, "dj", np.zeros((self.d,) * 3))
 
     def e_form(self, x, p) -> np.ndarray:
         """Symmetric form of the first-order term, polarized from
         q(v) = <(grad_{Jv} J) v, p>; returns (N, 2n, 2n) or a single matrix."""
         pts, single = _as_points(x, self.d)
-        pvec = np.asarray(p, dtype=float)
-        if pvec.ndim == 1:
-            pvec = np.broadcast_to(pvec, (pts.shape[0], self.d))
-        if not np.all(np.isfinite(pvec)):
-            raise AlgebraError("covector p must be finite")
-        if self.constant_identity:
-            out = np.zeros((pts.shape[0], self.d, self.d))
-            return out[0] if single else out
-        dj = self.dj(pts)
-        j = self.j(pts)
-        # D[l, m] = sum_k p_k dJ[l][k, m];  q(v) = v^T (J^T D) v
-        dmat = np.einsum("nk,nlkm->nlm", pvec, dj)
-        nmat = np.einsum("nsl,nlm->nsm", np.transpose(j, (0, 2, 1)), dmat)
-        out = 0.5 * (nmat + np.transpose(nmat, (0, 2, 1)))
+        out = self.at(pts).e(p)
         return out[0] if single else out
 
     def e_tensor(self, x) -> np.ndarray:
         """E evaluated on the covector basis, indexed [node, k, row, col]."""
-        pts, _ = _as_points(x, self.d)
-        if self.constant_identity:
-            return np.zeros((pts.shape[0], self.d, self.d, self.d))
-        dj = self.dj(pts)
-        j = self.j(pts)
-        nmat = np.einsum("nsl,nlkm->nksm", np.transpose(j, (0, 2, 1)), dj)
-        return 0.5 * (nmat + np.transpose(nmat, (0, 1, 3, 2)))
+        return self.at(x).e_tensor
 
     def beta(self, x) -> np.ndarray:
         """Volume density det g(x) of the pulled-back reference volume."""
-        pts, single = _as_points(x, self.d)
-        out = np.linalg.det(self.generator(pts))
-        return out[0] if single else out
+        return self._read(x, "beta", full=False)
 
     def validate(self, points, tol: float = TOL_ALG) -> float:
         """Largest residual of J^2 + I and det-positivity over the batch."""
-        pts, _ = _as_points(points, self.d)
-        g = np.asarray(self.generator(pts), dtype=float)
-        det = np.linalg.det(g)
-        if np.any(det <= 0):
+        frame = self.at(points)
+        if np.any(frame.beta <= 0):
             raise AlgebraError("generator must have positive determinant")
-        j = np.einsum("nab,bc,ncd->nad", g, self.j0, np.linalg.inv(g))
-        res = np.einsum("nab,nbc->nac", j, j) + np.eye(self.d)
+        j = self.j0 if frame.flat else frame.j
+        res = np.einsum("...ab,...bc->...ac", j, j) + np.eye(self.d)
         worst = float(np.max(np.abs(res)))
         if worst > tol:
             raise AlgebraError(f"J^2 + I residual {worst:.3e} exceeds {tol:.3e}")
         return worst
+
+
+@dataclass(eq=False)
+class StructureFrame:
+    """One evaluation of a structure at the points ``pts``: g, J = g J0 g^{-1}
+    and dJ (indexed [node, direction, row, col]); J and dJ are None on the
+    flat preset and in a generator-only frame.  The first-order term E(p)
+    has one formula, :meth:`e`; the tensor E(e_k) is built on first use,
+    by drift consumers only."""
+
+    acx: AlmostComplexField
+    pts: np.ndarray
+    g: np.ndarray
+    j: np.ndarray | None = None
+    dj: np.ndarray | None = None
+
+    @property
+    def flat(self) -> bool:
+        return self.acx.constant_identity
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Volume density det g."""
+        return np.linalg.det(self.g)
+
+    def e(self, p) -> np.ndarray:
+        """E(p) at every point for a covector p, shared (d,) or per point
+        (N, d): p is contracted into dJ, multiplied by J^T, symmetrized."""
+        n, d = self.pts.shape
+        pvec = np.asarray(p, dtype=float)
+        if pvec.ndim == 1:
+            pvec = np.broadcast_to(pvec, (n, d))
+        if not np.all(np.isfinite(pvec)):
+            raise AlgebraError("covector p must be finite")
+        if self.flat:
+            return np.zeros((n, d, d))
+        # D[l, m] = sum_k p_k dJ[l][k, m];  q(v) = v^T (J^T D) v
+        dmat = np.einsum("nk,nlkm->nlm", pvec, self.dj)
+        nmat = np.einsum("nsl,nlm->nsm", np.transpose(self.j, (0, 2, 1)), dmat)
+        return 0.5 * (nmat + np.transpose(nmat, (0, 2, 1)))
+
+    @cached_property
+    def e_tensor(self) -> np.ndarray:
+        """E on the covector basis, indexed [node, k, row, col]."""
+        n, d = self.pts.shape
+        if self.flat:
+            return np.zeros((n, d, d, d))
+        return np.stack([self.e(ek) for ek in np.eye(d)], axis=1)
 
 
 def lower_order_E(acx: AlmostComplexField, x, p) -> np.ndarray:

@@ -124,26 +124,26 @@ def _boundary_from(cfg: dict, domain: LatticeDomain):
     if kind == "csv":
         table = read_boundary_csv(cfg["path"], domain)
 
-        def phi(pts):
-            pts = np.atleast_2d(pts)
-            return np.array([table[domain.node_at(x)] for x in pts])
-
-        return phi
+        return lambda pts: table[domain.nodes_at(np.atleast_2d(pts))]
     raise InputError(f"unknown boundary kind {kind!r}")
 
 
+_SCHEME_KEYS = {"max_iterations": int, "b_unitaries": int, "policy_refresh": int,
+                "init_doubling_cap": int, "tol_res": float, "init_c0": float,
+                "safety": float}
+
+
 def _scheme_from(cfg: dict | None) -> SchemeOptions:
-    if not cfg:
-        return SchemeOptions()
-    opts = SchemeOptions()
-    for key in ("stencil_radius", "max_iterations", "b_unitaries",
-                "policy_refresh", "init_doubling_cap"):
-        if key in cfg:
-            setattr(opts, key, int(cfg[key]))
-    for key in ("tol_res", "init_c0", "safety"):
-        if key in cfg:
-            setattr(opts, key, float(cfg[key]))
-    return opts
+    cfg = cfg or {}
+    if "stencil_radius" in cfg:
+        raise InputError("scheme.stencil_radius is not a scheme option; the "
+                         "stencil radius is the domain field "
+                         "domain.stencil_radius")
+    unknown = sorted(set(cfg) - set(_SCHEME_KEYS))
+    if unknown:
+        raise InputError(f"unknown scheme option(s) {unknown}; known: "
+                         f"{sorted(_SCHEME_KEYS)}")
+    return SchemeOptions(**{k: _SCHEME_KEYS[k](v) for k, v in cfg.items()})
 
 
 def _problem_from(cfg: dict) -> DirichletProblem:

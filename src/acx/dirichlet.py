@@ -44,7 +44,6 @@ class SolveError(RuntimeError):
 
 @dataclass
 class SchemeOptions:
-    stencil_radius: int = 2
     tol_res: float | None = None        # None: consistency-matched default
     max_iterations: int = 400000
     b_unitaries: int = 2                # unitaries per diagonal profile
@@ -123,17 +122,15 @@ class BellmanOperator:
         self.problem = problem
         dom, sub = problem.domain, problem.sub
         self.family = OperatorFamily(
-            sub, Stencil(dom, problem.scheme.stencil_radius),
-            default_b_family(sub.n, problem.scheme.b_unitaries),
+            sub, Stencil(dom), default_b_family(sub.n, problem.scheme.b_unitaries),
             include_adapted=sub.n > 1)
         self.nodes = self.family.stencil.nodes
         if sub.homogeneous:
             self.rhs = np.zeros(self.nodes.size)
         else:
-            pts = self.family.pts
-            f = sub.f_at(pts)
-            beta = sub.beta_at(pts)
-            self.rhs = sub.n * (beta * f) ** (1.0 / sub.n)
+            frame = self.family.frame
+            f = sub.f_at(frame.pts)
+            self.rhs = sub.n * (sub.beta_of(frame) * f) ** (1.0 / sub.n)
 
     def adapted_policy(self, values: np.ndarray) -> Policy | None:
         return self.family.adapted_policy(values)

@@ -59,8 +59,8 @@ class Policy:
         self.minus = np.empty((ni, d), dtype=np.int64)
         for k in range(d):
             offs = st.dirs[self.dir_idx[:, k]]
-            self.plus[:, k] = st.domain.offset_neighbors(st.nodes, offs)
-            self.minus[:, k] = st.domain.offset_neighbors(st.nodes, -offs)
+            self.plus[:, k] = st.domain.neighbor_ids(st.nodes, offs)
+            self.minus[:, k] = st.domain.neighbor_ids(st.nodes, -offs)
         if np.any(self.plus < 0) or np.any(self.minus < 0):
             raise ValueError("policy selected an unavailable direction")
         self.norms2 = st.norms2[self.dir_idx]

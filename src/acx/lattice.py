@@ -157,21 +157,28 @@ class LatticeDomain:
         return self.node_class.size
 
     def node_at(self, coords) -> int:
+        return int(self.nodes_at(np.asarray(coords, dtype=float)[None])[0])
+
+    def nodes_at(self, coords) -> np.ndarray:
+        """Region ordinals of a batch of lattice points (M, dim); any point
+        off the grid, off the lattice or exterior to the region is an error."""
         coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise LatticeError(f"coordinates must have shape (M, {self.dim})")
         idx = np.rint((coords - self.origin) / self.h).astype(np.int64)
         if np.any(idx < 0) or np.any(idx >= np.array(self.shape)):
             raise LatticeError("coordinates outside the grid")
-        if np.max(np.abs(self.origin + self.h * idx - coords)) > 1e-9 * self.h:
+        if np.any(np.abs(self.origin + self.h * idx - coords) > 1e-9 * self.h):
             raise LatticeError("coordinates are not a lattice node")
-        flat = int(np.ravel_multi_index(tuple(idx), self.shape))
-        node = int(self.flat_of_grid[flat])
-        if node < 0:
+        nodes = self.flat_of_grid[np.ravel_multi_index(tuple(idx.T), self.shape)]
+        if np.any(nodes < 0):
             raise LatticeError("node is exterior to the domain")
-        return node
+        return nodes
 
     def neighbor_ids(self, nodes: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """Region ordinals of nodes + offset (integer grid steps); -1 when the
-        target leaves the grid or the region."""
+        """Region ordinals of nodes + offset (integer grid steps, one offset
+        for all nodes or one per node); -1 when the target leaves the grid
+        or the region."""
         multi = self.node_multi[nodes] + np.asarray(offset, dtype=np.int64)
         ok = np.all((multi >= 0) & (multi < np.array(self.shape)), axis=-1)
         flat = np.zeros(multi.shape[:-1], dtype=np.int64)
@@ -200,14 +207,6 @@ class LatticeDomain:
         out = (dirs, allowed)
         self._nb_cache[rho] = out
         return out
-
-    def offset_neighbors(self, nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Region ordinals of nodes[i] + offsets[i] (per-node integer steps)."""
-        multi = self.node_multi[nodes] + np.asarray(offsets, dtype=np.int64)
-        ok = np.all((multi >= 0) & (multi < np.array(self.shape)), axis=-1)
-        flat = np.zeros(multi.shape[0], dtype=np.int64)
-        flat[ok] = np.ravel_multi_index(tuple(multi[ok].T), self.shape)
-        return np.where(ok, self.flat_of_grid[flat], -1)
 
     def axis_tables(self):
         """Unit axis neighbor ordinals over interior nodes (always valid)."""
@@ -291,46 +290,21 @@ def fd_jet(u: ScalarField, node: int):
 def fd_jets(u: ScalarField, nodes: np.ndarray | None = None):
     """Batched jets over interior nodes: arrays (N, d) and (N, d, d)."""
     dom = u.domain
-    d = dom.dim
-    h = dom.h
     if nodes is None:
         nodes = dom.interior_ids
-    else:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if np.any(dom.node_class[nodes] != INTERIOR):
-            raise LatticeError("jets require interior nodes")
-    vals = u.values
-    n = nodes.size
-    p = np.empty((n, d))
-    a = np.empty((n, d, d))
-    used = [nodes]
-    for i in range(d):
-        ei = np.zeros(d, dtype=np.int64)
-        ei[i] = 1
-        ip = dom.neighbor_ids(nodes, ei)
-        im = dom.neighbor_ids(nodes, -ei)
-        used += [ip, im]
-        p[:, i] = (vals[ip] - vals[im]) / (2 * h)
-        a[:, i, i] = (vals[ip] + vals[im] - 2 * vals[nodes]) / h ** 2
-        for jj in range(i + 1, d):
-            ej = np.zeros(d, dtype=np.int64)
-            ej[jj] = 1
-            pp = dom.neighbor_ids(nodes, ei + ej)
-            pm = dom.neighbor_ids(nodes, ei - ej)
-            mp = dom.neighbor_ids(nodes, -ei + ej)
-            mm = dom.neighbor_ids(nodes, -(ei + ej))
-            used += [pp, pm, mp, mm]
-            a[:, i, jj] = a[:, jj, i] = (
-                vals[pp] - vals[pm] - vals[mp] + vals[mm]) / (4 * h ** 2)
+    elif np.any(dom.node_class[np.asarray(nodes, dtype=np.int64)] != INTERIOR):
+        raise LatticeError("jets require interior nodes")
+    table = JetTable(dom, nodes)
     if u.mask is not None:
-        for ids in used:
-            u._require_unmasked(ids)
-    return p, a
+        u._require_unmasked(table.used())
+    return table.jets(u.values)
 
 
 class JetTable:
-    """Precomputed gather indices for repeated jet evaluation on a fixed
-    node set (the solver refresh path)."""
+    """Gather indices of the centered jet formulas on a fixed node set: unit
+    axis neighbors and, per axis pair (i, j), the four diagonal neighbors.
+    Mixed second derivatives use the 4-point cross formula; the jets are
+    O(h^2) and exact on quadratics."""
 
     def __init__(self, domain: LatticeDomain, nodes: np.ndarray):
         self.domain = domain
@@ -351,12 +325,13 @@ class JetTable:
                     domain.neighbor_ids(self.nodes, eye[i] - eye[j]),
                     domain.neighbor_ids(self.nodes, -eye[i] + eye[j]),
                     domain.neighbor_ids(self.nodes, -(eye[i] + eye[j]))))
-        ok = not (np.any(self.ip < 0) or np.any(self.im < 0))
-        for _, _, pp, pm, mp, mm in self.pairs:
-            ok &= not (np.any(pp < 0) or np.any(pm < 0)
-                       or np.any(mp < 0) or np.any(mm < 0))
-        if not ok:
+        if np.any(self.used() < 0):
             raise LatticeError("jet table requires interior nodes")
+
+    def used(self) -> np.ndarray:
+        """Every node the jets read."""
+        return np.concatenate([self.nodes, self.ip.ravel(), self.im.ravel()]
+                              + [ids for pair in self.pairs for ids in pair[2:]])
 
     def jets(self, values: np.ndarray):
         d = self.domain.dim
@@ -484,6 +459,11 @@ def export_csv(field: ScalarField, path) -> None:
             w.writerow(row)
 
 
+def _coords_of(rows: list, d: int) -> np.ndarray:
+    return np.array([[float(v) for v in row[:d]] for row in rows],
+                    dtype=float).reshape(len(rows), d)
+
+
 def import_csv(path, domain: LatticeDomain) -> ScalarField:
     """Read a node CSV back onto a matching domain (row order free)."""
     values = np.full(domain.n_nodes, np.nan)
@@ -495,15 +475,12 @@ def import_csv(path, domain: LatticeDomain) -> ScalarField:
                 if c.startswith("c") and c[1:].isdigit())
         if d != domain.dim:
             raise LatticeError("CSV dimension does not match the domain")
-        has_mask = "masked" in header
-        if has_mask:
-            mask = np.zeros(domain.n_nodes, dtype=bool)
-        for row in r:
-            coords = np.array([float(v) for v in row[:d]])
-            node = domain.node_at(coords)
-            values[node] = float(row[d])
-            if has_mask:
-                mask[node] = bool(int(row[d + 2]))
+        rows = list(r)
+    nodes = domain.nodes_at(_coords_of(rows, d))
+    values[nodes] = [float(row[d]) for row in rows]
+    if "masked" in header:
+        mask = np.zeros(domain.n_nodes, dtype=bool)
+        mask[nodes] = [bool(int(row[d + 2])) for row in rows]
     if np.any(np.isnan(values)):
         raise LatticeError("CSV does not cover every region node")
     return ScalarField(domain, values, mask)
@@ -515,9 +492,9 @@ def read_boundary_csv(path, domain: LatticeDomain) -> np.ndarray:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         next(r)
-        for row in r:
-            coords = np.array([float(v) for v in row[:domain.dim]])
-            out[domain.node_at(coords)] = float(row[domain.dim])
+        rows = list(r)
+    out[domain.nodes_at(_coords_of(rows, domain.dim))] = [
+        float(row[domain.dim]) for row in rows]
     bvals = out[domain.boundary_ids]
     if np.any(np.isnan(bvals)):
         raise LatticeError("boundary CSV does not cover every boundary node")

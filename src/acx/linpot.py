@@ -79,14 +79,13 @@ def operator_from_structure(sub: Subequation, b) -> LinearOperator:
     acx = sub.acx
 
     def a(pts):
-        g = None if acx.constant_identity else acx.g(pts)
-        s, _ = OperatorFamily.coefficients(g, None, br)
+        s, _ = OperatorFamily.coefficients(acx.at(pts, full=False), br, drift=False)
         return np.broadcast_to(s, (pts.shape[0],) + br.shape)
 
     drift = None
     if not acx.constant_identity:
         def drift(pts):
-            return OperatorFamily.coefficients(acx.g(pts), acx.e_tensor(pts), br)[1]
+            return OperatorFamily.coefficients(acx.at(pts), br)[1]
 
     return LinearOperator(sub.d, a, drift, "derived-from-structure")
 
@@ -146,14 +145,9 @@ def lattice_ball(domain: LatticeDomain, center, radius: float) -> LatticeDomain:
 
 
 def subfield_on(u: ScalarField, sub_domain: LatticeDomain) -> ScalarField:
-    vals = np.empty(sub_domain.n_nodes)
-    mask = None if u.mask is None else np.zeros(sub_domain.n_nodes, dtype=bool)
-    for i in range(sub_domain.n_nodes):
-        j = u.domain.node_at(sub_domain.node_coords[i])
-        vals[i] = u.values[j]
-        if mask is not None:
-            mask[i] = u.mask[j]
-    return ScalarField(sub_domain, vals, mask)
+    ids = u.domain.nodes_at(sub_domain.node_coords)
+    return ScalarField(sub_domain, u.values[ids],
+                       None if u.mask is None else u.mask[ids])
 
 
 def harmonic_replacement(u: ScalarField, op: LinearOperator,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import (
     AlmostComplexField,
+    StructureFrame,
     antilinear_normalize_matrix,
     complexify_batch,
     realify_batch,
@@ -222,18 +223,14 @@ def slice_compatible(acx: AlmostComplexField, m: int,
         ax = np.linspace(-1.0, 1.0, 5)
         mesh = np.meshgrid(*([ax] * ds), indexing="ij")
         points = np.stack([q.ravel() for q in mesh], axis=1)
-    amb = _embed(points, acx.d)
-    g = acx.g(amb)
+    frame = acx.at(_embed(points, acx.d))
     worst_f21 = 0.0
-    for gk in g:
+    for gk in frame.g:
         _, f = antilinear_normalize_matrix(gk, acx.j0)
         worst_f21 = max(worst_f21, float(np.max(np.abs(f[ds:, :ds]))))
     worst_e = 0.0
-    for t in range(ds, acx.d):
-        p = np.zeros(acx.d)
-        p[t] = 1.0
-        e = acx.e_form(amb, p)
-        worst_e = max(worst_e, float(np.max(np.abs(e[:, :ds, :ds]))))
+    for p in np.eye(acx.d)[ds:]:
+        worst_e = max(worst_e, float(np.max(np.abs(frame.e(p)[:, :ds, :ds]))))
     return SliceCompatibility(worst_f21 <= tol and worst_e <= tol,
                               worst_f21, worst_e)
 
@@ -295,7 +292,7 @@ class OperatorFamily:
     interior nodes: one per fixed member B of ``family`` plus, when
     ``include_adapted``, the per-node adapted witness of a field.  L_B has
     the coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>;
-    g and E are evaluated once for the node set."""
+    the structure is evaluated once for the node set, in ``frame``."""
 
     def __init__(self, sub: Subequation, stencil: Stencil,
                  family: list[np.ndarray], include_adapted: bool = True):
@@ -303,26 +300,24 @@ class OperatorFamily:
         self.stencil = stencil
         self.members = family
         self.include_adapted = include_adapted
-        self.pts = stencil.domain.node_coords[stencil.nodes]
-        flat = sub.acx.constant_identity
-        self.g = None if flat else sub.acx.g(self.pts)
-        self.et = None if flat else sub.acx.e_tensor(self.pts)
+        self.frame = sub.acx.at(stencil.domain.node_coords[stencil.nodes])
         self.fixed = [self._snap(real_form(b)) for b in family]
         self.bstar = None       # adapted witness of the last adapted_policy
         self._jets = None
 
     @staticmethod
-    def coefficients(g, et, br):
+    def coefficients(frame: StructureFrame, br, drift: bool = True):
         """(S, drift) for a real form B_r, constant (d, d) or per node
-        (N, d, d).  On the flat structure (g None) S = B_r; the drift is
-        None there and whenever E is not supplied."""
-        if g is None:
+        (N, d, d).  On the flat structure S = B_r; the drift is None there
+        and when not asked for."""
+        if frame.flat:
             return (br[None] if br.ndim == 2 else br), None
+        g = frame.g
         s = np.matmul(np.matmul(g, br), g.transpose(0, 2, 1))
-        return s, None if et is None else np.einsum("nkab,nab->nk", et, s)
+        return s, np.einsum("nkab,nab->nk", frame.e_tensor, s) if drift else None
 
     def _snap(self, br):
-        return snap_policy(self.stencil, *self.coefficients(self.g, self.et, br))
+        return snap_policy(self.stencil, *self.coefficients(self.frame, br))
 
     def adapted_policy(self, values: np.ndarray, jets=None):
         """Policy of the adapted witness B* of ``values`` (None when the
@@ -334,7 +329,7 @@ class OperatorFamily:
             if self._jets is None:
                 self._jets = JetTable(self.stencil.domain, self.stencil.nodes)
             jets = self._jets.jets(values)
-        hp = transformed_hermitian(self.sub, self.pts, *jets)
+        hp = transformed_hermitian(self.frame, *jets)
         self.bstar = adapted_bstar(complexify_batch(hp))
         return self._snap(real_form_batch(self.bstar))
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .algebra import (
     AlmostComplexField,
+    StructureFrame,
     check_symmetric,
     complexify,
     complexify_batch,
@@ -112,9 +113,9 @@ class Subequation:
             raise SubequationError("right-hand side f must be >= 0")
         return out
 
-    def beta_at(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        beta = np.atleast_1d(self.acx.beta(pts))
+    def beta_of(self, frame: StructureFrame) -> np.ndarray:
+        """beta = det g at the frame's points."""
+        beta = frame.beta
         if np.any(beta <= 0):
             raise SubequationError("volume density beta must be positive")
         return beta
@@ -149,20 +150,17 @@ def _signed_root(x: np.ndarray, n: int) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** (1.0 / n)
 
 
-def transformed_hermitian(sub: Subequation, points, ps, as_) -> np.ndarray:
-    """Batched H' for jets (ps, as_) at points; shape (N, 2n, 2n)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ps = np.atleast_2d(np.asarray(ps, dtype=float))
+def transformed_hermitian(frame: StructureFrame, ps, as_) -> np.ndarray:
+    """Batched H' for jets (ps, as_) at the frame's points; shape (N, 2n, 2n)."""
     as_ = np.asarray(as_, dtype=float)
     if as_.ndim == 2:
         as_ = as_[None]
-    if sub.acx.constant_identity:
+    if frame.flat:
         m = as_
     else:
-        g = sub.acx.g(pts)
-        e = sub.acx.e_form(pts, ps)
-        m = np.matmul(np.matmul(g.transpose(0, 2, 1), as_ + e), g)
-    j0 = sub.j0
+        e = frame.e(np.atleast_2d(ps))
+        m = np.matmul(np.matmul(frame.g.transpose(0, 2, 1), as_ + e), frame.g)
+    j0 = frame.acx.j0
     return m + np.matmul(np.matmul(j0.T, m), j0)
 
 
@@ -172,13 +170,13 @@ def margins_for_jets(sub: Subequation, points, ps, as_):
     Returns (margin, eig_margin, det_margin); det entries are +inf where the
     equation is homogeneous or f vanishes.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    hp = transformed_hermitian(sub, pts, ps, as_)
+    frame = sub.acx.at(points)
+    hp = transformed_hermitian(frame, ps, as_)
     eig = 0.5 * np.linalg.eigvalsh(hp)[:, 0]
-    det_margin = np.full(pts.shape[0], np.inf)
+    det_margin = np.full(frame.pts.shape[0], np.inf)
     if not sub.homogeneous:
-        f = sub.f_at(pts)
-        beta = sub.beta_at(pts)
+        f = sub.f_at(frame.pts)
+        beta = sub.beta_of(frame)
         active = f > 0
         if np.any(active):
             n = sub.n
@@ -231,16 +229,15 @@ def strict_contains(sub: Subequation, x, jet: ReducedJet, c: float) -> bool:
     Conservative by construction (the amplification is an upper bound)."""
     if c <= 0:
         raise SubequationError("strictness level c must be positive")
-    x = np.asarray(x, dtype=float)
-    g = sub.acx.g(x)
-    nu = 2.0 * np.linalg.norm(g, 2) ** 2
-    hp = transformed_hermitian(sub, x[None], jet.p[None], jet.a[None])[0]
+    frame = sub.acx.at(x)
+    nu = 2.0 * np.linalg.norm(frame.g[0], 2) ** 2
+    hp = transformed_hermitian(frame, jet.p[None], jet.a[None])[0]
     lam_min = float(np.linalg.eigvalsh(hp)[0])
     if lam_min < c * nu:
         return False
     if not sub.homogeneous:
-        f = float(sub.f_at(x[None])[0])
-        beta = float(sub.beta_at(x[None])[0])
+        f = float(sub.f_at(frame.pts)[0])
+        beta = float(sub.beta_of(frame)[0])
         detc = float(np.linalg.det(complexify(hp)).real)
         if detc < beta * f + (c / np.sqrt(sub.n)) ** sub.n:
             return False

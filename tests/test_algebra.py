@@ -105,13 +105,21 @@ def test_e_linear_in_covector(seed, alpha, beta):
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1 + abs(alpha) + abs(beta))
 
 
-def test_e_matches_finite_difference_oracle_on_j():
+@pytest.mark.parametrize("preset,kwargs,x,p", [
+    ("antilinear-linear-eps", {"n": 1, "eps": 0.1, "generator": 0},
+     [0.4, 0.2], [0.7, -0.3]),
+    ("antilinear-linear-eps", {"n": 2, "eps": 0.1, "generator": 3},
+     [0.4, 0.2, -0.3, 0.1], [0.7, -0.3, 0.5, 0.2]),
+    ("antilinear-slice-compatible", {"n": 3, "m": 1, "eps": 0.05},
+     [0.4, 0.2, -0.3, 0.1, 0.25, -0.15], [0.7, -0.3, 0.5, 0.2, -0.4, 0.6]),
+], ids=["n1", "n2", "n3"])
+def test_e_matches_finite_difference_oracle_on_j(preset, kwargs, x, p):
     # oracle: polarize q(v) = <(grad_{Jv} J) v, p> with centered differences
     # applied directly to the structure field J, independent of the
     # generator-derivative route
-    acx = make_structure("antilinear-linear-eps", n=1, eps=0.1, generator=0)
-    x = np.array([0.4, 0.2])
-    p = np.array([0.7, -0.3])
+    acx = make_structure(preset, **kwargs)
+    x, p = np.array(x), np.array(p)
+    d = acx.d
     e = lower_order_E(acx, x, p)
     step = 1e-5
 
@@ -120,10 +128,10 @@ def test_e_matches_finite_difference_oracle_on_j():
         dj = (acx.j(x + step * jv) - acx.j(x - step * jv)) / (2 * step)
         return (dj @ v) @ p
 
-    oracle = np.zeros((2, 2))
-    basis = np.eye(2)
-    for i in range(2):
-        for k in range(2):
+    oracle = np.zeros((d, d))
+    basis = np.eye(d)
+    for i in range(d):
+        for k in range(d):
             oracle[i, k] = 0.5 * (q(basis[i] + basis[k]) - q(basis[i])
                                   - q(basis[k]))
     assert np.max(np.abs(e - oracle)) < 1e-9

@@ -65,6 +65,17 @@ def test_solve_input_errors_exit_one(tmp_path):
                  "--out", str(tmp_path / "x"), "--quiet"]) == 1
 
 
+def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
+    cfg = json.loads(open(solve_cfg).read())
+    out = ["--out", str(tmp_path / "x"), "--quiet"]
+    for scheme, hint in (({"tol_ress": 1e-3}, "tol_ress"),
+                         ({"stencil_radius": 1}, "domain.stencil_radius")):
+        path = write_json(tmp_path / "p.json", dict(cfg, scheme=scheme))
+        assert main(["solve", "--config", path, *out]) == 1
+        assert hint in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_check_psh_round_trip_margins(tmp_path, solve_cfg):
     out = tmp_path / "run"
     assert main(["solve", "--config", solve_cfg, "--out", str(out),

@@ -116,6 +116,25 @@ def test_solve_nonconvergence_flag():
     assert not rep.converged and rep.iterations == 1
 
 
+def test_solve_evaluates_the_structure_a_fixed_number_of_times():
+    # the operator family evaluates the structure once for its node set and
+    # every adapted refresh reads that evaluation, so the generator call
+    # count does not grow with the sweep count
+    def generator_calls(max_iterations):
+        acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
+        calls = []
+        generator = acx.generator
+        acx.generator = lambda pts: calls.append(1) or generator(pts)
+        dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+        scheme = SchemeOptions(max_iterations=max_iterations, policy_refresh=1)
+        _, rep = solve(DirichletProblem(
+            dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2, scheme))
+        assert rep.iterations == max_iterations
+        return len(calls)
+
+    assert generator_calls(5) == generator_calls(20)
+
+
 def test_solve_rejects_bad_boundary():
     prob = disc_problem(f=1.0, phi=lambda X: np.full(X.shape[0], np.inf))
     with pytest.raises(SolveError):

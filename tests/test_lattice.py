@@ -63,6 +63,20 @@ def test_classification_partition_and_closure(make):
         assert np.all(nb >= 0)
 
 
+def test_nodes_at_inverts_node_coords_and_rejects_bad_points(disc):
+    order = np.argsort(CounterRng(4).uniforms((disc.n_nodes,)))
+    assert np.array_equal(disc.nodes_at(disc.node_coords[order]), order)
+    assert disc.node_at(disc.node_coords[7]) == 7
+    good = disc.node_coords[:3]
+    for bad, message in (([2.0, 0.0], "outside the grid"),
+                         ([0.03, 0.0], "not a lattice node"),
+                         ([-1.0, -1.0], "exterior")):
+        with pytest.raises(LatticeError, match=message):
+            disc.nodes_at(np.vstack([good, bad]))
+        with pytest.raises(LatticeError, match=message):
+            disc.node_at(np.array(bad))
+
+
 def test_too_coarse_domain_rejected():
     with pytest.raises(LatticeError):
         LatticeDomain.ball(np.zeros(2), 1.0, 4)
@@ -122,13 +136,22 @@ def test_jet_rejects_masked_neighbor(disc):
         fd_jet(u, center)
 
 
-def test_jet_table_matches_fd_jets(disc):
+def test_jet_table_matches_fd_jets(box2):
+    # both against the centered formulas written as grid slices
     u = ScalarField.from_vectorized(
-        disc, lambda X: np.sin(X[:, 0]) * np.cos(1.3 * X[:, 1]))
-    table = JetTable(disc, disc.interior_ids)
+        box2, lambda X: np.sin(X[:, 0]) * np.cos(1.3 * X[:, 1]))
+    table = JetTable(box2, box2.interior_ids)
     p1, a1 = table.jets(u.values)
     p2, a2 = fd_jets(u)
     assert np.array_equal(p1, p2) and np.array_equal(a1, a2)
+    v, h = u.values.reshape(box2.shape), box2.h
+    mid = slice(1, -1)
+    p0 = (v[2:, mid] - v[:-2, mid]) / (2 * h)
+    a00 = (v[2:, mid] + v[:-2, mid] - 2 * v[mid, mid]) / h ** 2
+    a01 = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * h ** 2)
+    assert np.array_equal(p1[:, 0], p0.ravel())
+    assert np.array_equal(a1[:, 0, 0], a00.ravel())
+    assert np.array_equal(a1[:, 0, 1], a01.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_blap_min_field_matches_per_node_blaplacian_with_drift():
     u = ScalarField.from_vectorized(
         dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
     best, witness, ops = blap_min_field(u, sub, include_adapted=False)
-    assert np.any(ops.et != 0.0)
+    assert np.any(ops.frame.e_tensor != 0.0)
     rng = CounterRng(12)
     for _ in range(8):
         row = int(rng.uniform(0, best.size - 1e-9))
@@ -275,6 +275,19 @@ def test_verdict_agreement_on_constructed_quadratics(n):
         direct = psh_margin(u, sub, tol=1e-9)
         family = psh_via_blaplacians(u, sub, tol=1e-9)
         assert direct.psh == family.psh == (target > 0)
+
+
+def test_n3_verdicts_on_a_lattice():
+    # the smallest n = 3 lattice: a 5^6 box with the unit-box stencil and a
+    # non-flat structure; both routes see |x|^2 as psh and -|x|^2 as not
+    dom = LatticeDomain.box([-0.5, 0.5], 5, dim=6, stencil_radius=1)
+    sub = Subequation(make_structure("antilinear-slice-compatible", n=3, m=1,
+                                     eps=0.05))
+    u = ScalarField.from_vectorized(dom, abs2)
+    for check in (psh_margin, psh_via_blaplacians):
+        good, bad = check(u, sub), check(ScalarField(dom, -u.values), sub)
+        assert good.psh and good.worst_margin > 1.5
+        assert not bad.psh and bad.worst_margin < -1.5
 
 
 def test_report_serialization(disc, flat1):
