@@ -234,7 +234,9 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
         it += 1
 
     out = ScalarField(dom, values)
-    margins, _, _, _ = field_margins(out, problem.sub)
+    # the family's frame holds the structure at exactly these nodes
+    margins, _, _ = margins_for_jets(problem.sub, op.family.frame,
+                                     *fd_jets(out, interior))
     sub_margin = float(np.min(margins))
     dual_margin = float(-np.max(margins))
     report = SolveReport(
@@ -295,8 +297,8 @@ def comparison_check(u: ScalarField, w: ScalarField,
     # i.e. at every node either the psh slack or the determinant slack is
     # non-positive (within tolerance)
     p, a = fd_jets(w, interior)
-    margins, _, _ = margins_for_jets(problem.sub, dom.node_coords[interior],
-                                     p, a)
+    margins, _, _ = margins_for_jets(
+        problem.sub, problem.sub.acx.at(dom.node_coords[interior]), p, a)
     if float(np.max(margins)) > tol_cmp:
         return ComparisonVerdict(
             "inconclusive", float(np.max(margins)),

@@ -175,11 +175,33 @@ class LatticeDomain:
             raise LatticeError("node is exterior to the domain")
         return nodes
 
+    def _padded_ordinals(self):
+        """(table, pos, strides): region ordinals on the grid padded by the
+        stencil radius (-1 off the region), each node's flat position in
+        it, and the strides of an integer offset; built on first use."""
+        if "pad" not in self._nb_cache:
+            pad = self.stencil_radius
+            shape = tuple(s + 2 * pad for s in self.shape)
+            dtype = np.int32 if self.n_nodes < 2 ** 31 else np.int64
+            table = np.full(shape, -1, dtype=dtype)
+            table[(slice(pad, -pad),) * self.dim] = (
+                self.flat_of_grid.reshape(self.shape))
+            strides = np.array([int(np.prod(shape[k + 1:]))
+                                for k in range(self.dim)], dtype=np.int64)
+            pos = (self.node_multi + pad) @ strides
+            self._nb_cache["pad"] = (table.ravel(), pos, strides)
+        return self._nb_cache["pad"]
+
     def neighbor_ids(self, nodes: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """Region ordinals of nodes + offset (integer grid steps, one offset
         for all nodes or one per node); -1 when the target leaves the grid
         or the region."""
-        multi = self.node_multi[nodes] + np.asarray(offset, dtype=np.int64)
+        offset = np.asarray(offset, dtype=np.int64)
+        if np.all(np.abs(offset) <= self.stencil_radius):
+            # within the pad every target is a cell of the padded table
+            table, pos, strides = self._padded_ordinals()
+            return table[pos[nodes] + offset @ strides].astype(np.int64)
+        multi = self.node_multi[nodes] + offset
         ok = np.all((multi >= 0) & (multi < np.array(self.shape)), axis=-1)
         flat = np.zeros(multi.shape[:-1], dtype=np.int64)
         if multi.ndim == 2:

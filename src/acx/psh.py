@@ -113,8 +113,8 @@ def field_margins(u: ScalarField, sub: Subequation,
         raise PshError("field dimension does not match the structure")
     nodes = dom.interior_ids if nodes is None else np.asarray(nodes)
     p, a = fd_jets(u, nodes)
-    pts = dom.node_coords[nodes]
-    return margins_for_jets(sub, pts, p, a) + (nodes,)
+    frame = sub.acx.at(dom.node_coords[nodes])
+    return margins_for_jets(sub, frame, p, a) + (nodes,)
 
 
 def default_field_tol(u: ScalarField, nodes: np.ndarray) -> np.ndarray:

@@ -164,13 +164,13 @@ def transformed_hermitian(frame: StructureFrame, ps, as_) -> np.ndarray:
     return m + np.matmul(np.matmul(j0.T, m), j0)
 
 
-def margins_for_jets(sub: Subequation, points, ps, as_):
-    """Eigenvalue and determinant slacks for a batch of jets.
+def margins_for_jets(sub: Subequation, frame: StructureFrame, ps, as_):
+    """Eigenvalue and determinant slacks for a batch of jets at the frame's
+    points.
 
     Returns (margin, eig_margin, det_margin); det entries are +inf where the
     equation is homogeneous or f vanishes.
     """
-    frame = sub.acx.at(points)
     hp = transformed_hermitian(frame, ps, as_)
     eig = 0.5 * np.linalg.eigvalsh(hp)[:, 0]
     det_margin = np.full(frame.pts.shape[0], np.inf)
@@ -199,15 +199,15 @@ class Membership:
 def contains(sub: Subequation, x, jet: ReducedJet, tol: float = 1e-9) -> Membership:
     """Fibre membership with margin; the margin is the binding slack
     (eigenvalue slack, and determinant slack where f > 0)."""
-    margin, eig, det = margins_for_jets(sub, np.asarray(x, dtype=float)[None],
-                                        jet.p[None], jet.a[None])
+    margin, eig, det = margins_for_jets(sub, sub.acx.at(x), jet.p[None],
+                                        jet.a[None])
     return Membership(bool(margin[0] >= -tol), float(margin[0]),
                       float(eig[0]), float(det[0]))
 
 
 def _strict_interior(sub: Subequation, x, jet: ReducedJet, tol: float) -> bool:
-    margin, _, _ = margins_for_jets(sub, np.asarray(x, dtype=float)[None],
-                                    jet.p[None], jet.a[None])
+    margin, _, _ = margins_for_jets(sub, sub.acx.at(x), jet.p[None],
+                                    jet.a[None])
     return bool(margin[0] > tol)
 
 
@@ -215,8 +215,8 @@ def dual_contains(sub: Subequation, x, jet: ReducedJet, tol: float = 1e-9) -> Me
     """Dirichlet dual membership, implemented from the definition as the
     complement of the negated strict interior: jet is dual-admissible iff
     -jet fails strict interior membership."""
-    margin, eig, det = margins_for_jets(sub, np.asarray(x, dtype=float)[None],
-                                        (-jet.p)[None], (-jet.a)[None])
+    margin, eig, det = margins_for_jets(sub, sub.acx.at(x), (-jet.p)[None],
+                                        (-jet.a)[None])
     dual_margin = -float(margin[0])
     return Membership(dual_margin >= -tol, dual_margin, -float(eig[0]),
                       -float(det[0]) if np.isfinite(det[0]) else -np.inf)

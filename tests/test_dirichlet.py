@@ -117,9 +117,9 @@ def test_solve_nonconvergence_flag():
 
 
 def test_solve_evaluates_the_structure_a_fixed_number_of_times():
-    # the operator family evaluates the structure once for its node set and
-    # every adapted refresh reads that evaluation, so the generator call
-    # count does not grow with the sweep count
+    # the operator family evaluates the structure once for its node set;
+    # every adapted refresh and the certificate margins read that
+    # evaluation, so the generator runs once whatever the sweep count
     def generator_calls(max_iterations):
         acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
         calls = []
@@ -132,7 +132,22 @@ def test_solve_evaluates_the_structure_a_fixed_number_of_times():
         assert rep.iterations == max_iterations
         return len(calls)
 
-    assert generator_calls(5) == generator_calls(20)
+    assert generator_calls(5) == generator_calls(20) == 1
+
+
+def test_solve_n3_on_a_ball():
+    # the smallest n = 3 solve: a 9^6 ball (245 interior nodes, none with
+    # the whole radius-2 stencil) and a non-flat structure
+    dom = LatticeDomain.ball(np.zeros(6), 1.0, 9)
+    acx = make_structure("antilinear-slice-compatible", n=3, m=1, eps=0.05)
+    prob = DirichletProblem(dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2)
+    u, rep = solve(prob)
+    assert rep.converged and rep.init_certified
+    band = 10 * prob.tol_res()
+    assert rep.subsolution_margin >= -band
+    assert rep.dual_margin >= -band
+    bnd = dom.boundary_ids
+    assert np.array_equal(u.values[bnd], abs2(dom.node_coords[bnd]))
 
 
 def test_solve_rejects_bad_boundary():

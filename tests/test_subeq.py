@@ -250,7 +250,7 @@ def test_margins_batch_matches_single():
     pts = np.tile(np.linspace(0.1, 0.2, 6)[:, None], (1, 4))
     ps = np.stack([j.p for j in jets])
     as_ = np.stack([j.a for j in jets])
-    batch, _, _ = margins_for_jets(sub, pts, ps, as_)
+    batch, _, _ = margins_for_jets(sub, sub.acx.at(pts), ps, as_)
     for k, jet in enumerate(jets):
         single = contains(sub, pts[k], jet)
         assert batch[k] == pytest.approx(single.margin)
