@@ -379,13 +379,14 @@ def antilinear_normalize(acx: AlmostComplexField, x) -> tuple[np.ndarray, np.nda
 
 
 def antilinear_normalize_matrix(g: np.ndarray, j0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, f) with g = (I + f) h for one generator (d, d) or a stack
+    (..., d, d); a singular complex-linear part anywhere is an error."""
     h, f1 = linear_antilinear_split(g, j0)
-    if abs(np.linalg.det(h)) < 1e-12:
+    if np.any(np.abs(np.linalg.det(h)) < 1e-12):
         raise AlgebraError(
             "complex-linear part of the generator is singular; shrink the chart"
         )
-    f = f1 @ np.linalg.inv(h)
-    return h, f
+    return h, np.einsum("...ab,...bc->...ac", f1, np.linalg.inv(h))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .subeq import (
     jet_from_flat,
     radial_rhs,
 )
-from .suite import SuiteConfig, run_equivalence_suite
+from .suite import SuiteConfig, restriction_battery, run_equivalence_suite
 
 
 class InputError(ValueError):
@@ -129,8 +129,7 @@ def _boundary_from(cfg: dict, domain: LatticeDomain):
 
 
 _SCHEME_KEYS = {"max_iterations": int, "b_unitaries": int, "policy_refresh": int,
-                "init_doubling_cap": int, "tol_res": float, "init_c0": float,
-                "safety": float}
+                "tol_res": float}
 
 
 def _scheme_from(cfg: dict | None) -> SchemeOptions:
@@ -276,6 +275,8 @@ def cmd_equivalence_suite(args) -> int:
     config = SuiteConfig(seed=args.seed, inject_failure=bool(
         cfg.get("inject_failure", False)), **sizes)
     report = run_equivalence_suite(config)
+    report["restriction"] = restriction_battery(config)
+    report["all_pass"] = report["all_pass"] and report["restriction"]["all_pass"]
     out = _outdir(args)
     write_report(out / "suite.json", report, meta={})
     if not args.quiet:

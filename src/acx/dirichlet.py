@@ -32,10 +32,16 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import Policy, Stencil, snap_policy  # noqa: F401 (re-export)
+from .discretize import CFL_SAFETY, Policy, Stencil, snap_policy  # noqa: F401 (re-export)
 from .lattice import LatticeDomain, ScalarField, fd_jets
 from .psh import OperatorFamily, default_b_family, default_field_tol, field_margins
 from .subeq import Subequation, margins_for_jets
+
+
+# the quadratic subsolution's coefficient starts here and doubles at most
+# this many times
+INIT_C0 = 0.3
+INIT_DOUBLING_CAP = 20
 
 
 class SolveError(RuntimeError):
@@ -48,11 +54,7 @@ class SchemeOptions:
     max_iterations: int = 400000
     b_unitaries: int = 2                # unitaries per diagonal profile
     policy_refresh: int = 8
-    init_c0: float = 0.3
-    init_doubling_cap: int = 20
-    safety: float = 0.9
-    initialization: str = "quadratic-subsolution"   # or "field"
-    initial_values: np.ndarray | None = None
+    initial_values: np.ndarray | None = None    # None: quadratic subsolution
 
 
 @dataclass
@@ -141,7 +143,7 @@ class BellmanOperator:
         best, active = self.family.min_value(values, adapted)
         coeffs = np.stack([p.ucoeff for p in self.family.policies(adapted)])
         cmax = float(np.max(coeffs[active, np.arange(active.size)]))
-        return best - self.rhs, self.problem.scheme.safety / cmax
+        return best - self.rhs, CFL_SAFETY / cmax
 
 
 def bellman_residual(u: ScalarField, problem: DirichletProblem, node: int) -> float:
@@ -168,9 +170,9 @@ def _quadratic_init(problem: DirichletProblem, op: BellmanOperator,
         rr = float(np.linalg.norm(hi - x0))
     base = ((dom.node_coords - x0) ** 2).sum(axis=1) - rr ** 2
     phimin = float(np.min(bvals))
-    c = problem.scheme.init_c0
+    c = INIT_C0
     certified = False
-    for _ in range(problem.scheme.init_doubling_cap + 1):
+    for _ in range(INIT_DOUBLING_CAP + 1):
         vals = phimin + c * base
         theta, _ = op.residual(vals, op.adapted_policy(vals))
         if float(np.min(theta)) >= -1e-12:
@@ -196,17 +198,13 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     op = BellmanOperator(problem)
     bvals = problem.boundary_values()
 
-    if scheme.initialization == "field":
-        if scheme.initial_values is None:
-            raise SolveError("field initialization requires initial_values")
+    if scheme.initial_values is None:
+        values, init_c, certified = _quadratic_init(problem, op, bvals)
+    else:
         values = np.asarray(scheme.initial_values, dtype=float).copy()
         if values.shape != (dom.n_nodes,):
             raise SolveError("initial_values does not match the domain")
         init_c, certified = 0.0, True
-    elif scheme.initialization == "quadratic-subsolution":
-        values, init_c, certified = _quadratic_init(problem, op, bvals)
-    else:
-        raise SolveError(f"unknown initialization {scheme.initialization!r}")
     values[dom.boundary_ids] = bvals
 
     interior = dom.interior_ids

@@ -39,21 +39,26 @@ from .lattice import LatticeDomain
 _CHUNK = 4096
 _HEAD = 16
 _TIE = 1e-12
+# damping of the explicit sweeps, as a fraction of the CFL bound
+# 1 / max(ucoeff) of the active policies
+CFL_SAFETY = 0.9
 
 
 class Stencil:
     """Direction set + per-interior-node availability for one domain."""
 
-    def __init__(self, domain: LatticeDomain, rho: int | None = None):
+    def __init__(self, domain: LatticeDomain):
         self.domain = domain
-        self.rho = domain.stencil_radius if rho is None else rho
-        dirs, allowed = domain.stencil_table(self.rho)
+        self.rho = domain.stencil_radius
+        dirs, allowed = domain.stencil_table()
         self.dirs = dirs
         self.norms2 = (dirs.astype(float) ** 2).sum(axis=1)
         self.units = dirs / np.sqrt(self.norms2)[:, None]
         self.allowed = allowed
-        self.axis_plus, self.axis_minus = domain.axis_tables()
         self.nodes = domain.interior_ids
+        eye = np.eye(domain.dim, dtype=np.int64)
+        self.axis_plus = domain.neighbor_ids(self.nodes[:, None], eye)
+        self.axis_minus = domain.neighbor_ids(self.nodes[:, None], -eye)
 
     def node_row(self, node: int) -> int:
         rows = np.flatnonzero(self.nodes == node)
@@ -100,12 +105,11 @@ class Policy:
 
     def __post_init__(self):
         st = self.stencil
-        ni = self.dir_idx.shape[0]
-        if not np.all(st.allowed[np.arange(ni)[:, None], self.dir_idx]):
-            raise ValueError("policy selected an unavailable direction")
         offs = st.dirs[self.dir_idx]
         self.plus = st.domain.neighbor_ids(st.nodes[:, None], offs)
         self.minus = st.domain.neighbor_ids(st.nodes[:, None], -offs)
+        if np.any(self.plus < 0) or np.any(self.minus < 0):
+            raise ValueError("policy selected an unavailable direction")
         self.norms2 = st.norms2[self.dir_idx]
         h = st.domain.h
         coeff = (2.0 * self.weights / (h ** 2 * self.norms2)).sum(axis=1)

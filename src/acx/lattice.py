@@ -5,6 +5,8 @@ nodes classified exterior / boundary / interior.  Boundary nodes are region
 nodes with an exterior (or off-grid) neighbor in the unit sup-norm box, so
 every interior node owns its full 3^d neighborhood; wide-stencil users fall
 back to shorter offsets near the boundary through the validity masks.
+Each domain keeps one grid of region ordinals, padded by the stencil
+radius; every neighbor lookup reads it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from typing import Callable
 import numpy as np
 
 EXTERIOR, BOUNDARY, INTERIOR = 0, 1, 2
+
+# entries per block of the interior-by-direction availability gathers
+_GATHER_BLOCK = 1 << 20
 
 _CLASS_NAMES = {EXTERIOR: "exterior", BOUNDARY: "boundary", INTERIOR: "interior"}
 _CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
@@ -45,6 +50,15 @@ def stencil_directions(dim: int, rho: int) -> np.ndarray:
             continue
         dirs.append(w)
     out = np.array(sorted(dirs, key=tuple), dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def unit_offsets(dim: int) -> np.ndarray:
+    """The 3^dim - 1 nonzero offsets of the unit sup-norm box."""
+    w = stencil_directions(dim, 1)
+    out = np.concatenate([w, -w])
     out.setflags(write=False)
     return out
 
@@ -104,51 +118,57 @@ class LatticeDomain:
 
     # -- classification ------------------------------------------------------
 
-    def _grid_coords(self) -> np.ndarray:
-        axes = [self.origin[k] + self.h * np.arange(self.shape[k])
-                for k in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
     def _classify(self):
-        ngrid = int(np.prod(self.shape))
-        coords = self._grid_coords()
+        d, shape, pad = self.dim, self.shape, self.stencil_radius
         if self.kind == "ball":
-            dist = np.linalg.norm(coords - self.center, axis=1)
-            in_region = dist <= self.radius + 1e-12
+            # squared distance to the center in the grid's shape, summed axis
+            # by axis in the order np.linalg.norm sums coordinates
+            sq = None
+            for k in range(d):
+                off = (self.origin[k] + self.h * np.arange(shape[k])
+                       - self.center[k]) ** 2
+                sq = off if sq is None else sq[..., None] + off
+            region = np.sqrt(sq) <= self.radius + 1e-12
         elif self.kind == "box":
-            in_region = np.ones(ngrid, dtype=bool)
+            region = np.ones(shape, dtype=bool)
         else:
             raise LatticeError(f"unknown domain kind {self.kind!r}")
 
-        region_grid = in_region.reshape(self.shape)
-        # pad with exterior so off-grid neighbors count as exterior
-        padded = np.zeros(tuple(s + 2 for s in self.shape), dtype=bool)
-        padded[(slice(1, -1),) * self.dim] = region_grid
-        all_nb_in = np.ones(self.shape, dtype=bool)
-        for off in np.ndindex(*(3,) * self.dim):
-            if all(o == 1 for o in off):
-                continue
-            sl = tuple(slice(o, o + s) for o, s in zip(off, self.shape))
-            all_nb_in &= padded[sl]
-        cls = np.where(region_grid, np.where(all_nb_in, INTERIOR, BOUNDARY),
+        # a node is interior when its whole unit box lies on the region; the
+        # box is the sum of the unit segments of the axes, so erode the
+        # region by one segment per axis (off-grid cells count as exterior)
+        inner = region.copy()
+        for k in range(d):
+            lo = (slice(None),) * k + (slice(None, -1),)
+            hi = (slice(None),) * k + (slice(1, None),)
+            before = inner.copy()
+            inner[hi] &= before[lo]
+            inner[lo] &= before[hi]
+            inner[(slice(None),) * k + (0,)] = False
+            inner[(slice(None),) * k + (-1,)] = False
+        cls = np.where(region, np.where(inner, INTERIOR, BOUNDARY),
                        EXTERIOR).astype(np.int8)
 
         self.grid_class = cls
-        flat_cls = cls.ravel()
-        self.region_grid_flat = np.flatnonzero(flat_cls != EXTERIOR)
-        self.flat_of_grid = np.full(ngrid, -1, dtype=np.int64)
-        self.flat_of_grid[self.region_grid_flat] = np.arange(
-            self.region_grid_flat.size)
-        self.node_class = flat_cls[self.region_grid_flat]
-        self.node_coords = coords[self.region_grid_flat]
-        self.node_multi = np.stack(
-            np.unravel_index(self.region_grid_flat, self.shape), axis=1)
+        region_flat = np.flatnonzero(region)
+        self.node_class = cls.ravel()[region_flat]
+        self.node_multi = np.stack(np.unravel_index(region_flat, shape), axis=1)
+        self.node_coords = self.origin + self.h * self.node_multi
         self.interior_ids = np.flatnonzero(self.node_class == INTERIOR)
         self.boundary_ids = np.flatnonzero(self.node_class == BOUNDARY)
         if self.interior_ids.size == 0:
             raise LatticeError("domain is too coarse: no interior nodes")
-        self._nb_cache: dict = {}
+
+        # region ordinals on the grid padded by the stencil radius, -1 off
+        # the region; every neighbor lookup reads this one grid
+        padded = tuple(s + 2 * pad for s in shape)
+        self._strides = np.array([math.prod(padded[k + 1:]) for k in range(d)],
+                                 dtype=np.int64)
+        self._pos = (self.node_multi + pad) @ self._strides
+        dtype = np.int32 if self.n_nodes < 2 ** 31 else np.int64
+        self._ordinals = np.full(math.prod(padded), -1, dtype=dtype)
+        self._ordinals[self._pos] = np.arange(self.n_nodes)
+        self._stencil = None
 
     # -- basic queries ---------------------------------------------------------
 
@@ -170,91 +190,56 @@ class LatticeDomain:
             raise LatticeError("coordinates outside the grid")
         if np.any(np.abs(self.origin + self.h * idx - coords) > 1e-9 * self.h):
             raise LatticeError("coordinates are not a lattice node")
-        nodes = self.flat_of_grid[np.ravel_multi_index(tuple(idx.T), self.shape)]
+        nodes = self._ordinals_at(idx)
         if np.any(nodes < 0):
             raise LatticeError("node is exterior to the domain")
         return nodes
 
-    def _padded_ordinals(self):
-        """(table, pos, strides): region ordinals on the grid padded by the
-        stencil radius (-1 off the region), each node's flat position in
-        it, and the strides of an integer offset; built on first use."""
-        if "pad" not in self._nb_cache:
-            pad = self.stencil_radius
-            shape = tuple(s + 2 * pad for s in self.shape)
-            dtype = np.int32 if self.n_nodes < 2 ** 31 else np.int64
-            table = np.full(shape, -1, dtype=dtype)
-            table[(slice(pad, -pad),) * self.dim] = (
-                self.flat_of_grid.reshape(self.shape))
-            strides = np.array([int(np.prod(shape[k + 1:]))
-                                for k in range(self.dim)], dtype=np.int64)
-            pos = (self.node_multi + pad) @ strides
-            self._nb_cache["pad"] = (table.ravel(), pos, strides)
-        return self._nb_cache["pad"]
+    def _ordinals_at(self, multi: np.ndarray) -> np.ndarray:
+        """Region ordinals at grid multi-indices (..., dim), -1 off the grid
+        or the region."""
+        on = np.all((multi >= 0) & (multi < np.array(self.shape)), axis=-1)
+        # off-grid indices read cell 0, a pad cell (-1)
+        cells = np.where(on, (multi + self.stencil_radius) @ self._strides, 0)
+        return self._ordinals[cells].astype(np.int64)
 
     def neighbor_ids(self, nodes: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """Region ordinals of nodes + offset (integer grid steps, one offset
-        for all nodes or one per node); -1 when the target leaves the grid
-        or the region."""
+        """Region ordinals of nodes + offset (integer grid steps: one offset
+        for all nodes, one per node, or, with nodes of shape (N, 1), a row
+        (K, dim) of offsets for every node); -1 when the target leaves the
+        grid or the region."""
         offset = np.asarray(offset, dtype=np.int64)
         if np.all(np.abs(offset) <= self.stencil_radius):
-            # within the pad every target is a cell of the padded table
-            table, pos, strides = self._padded_ordinals()
-            return table[pos[nodes] + offset @ strides].astype(np.int64)
-        multi = self.node_multi[nodes] + offset
-        ok = np.all((multi >= 0) & (multi < np.array(self.shape)), axis=-1)
-        flat = np.zeros(multi.shape[:-1], dtype=np.int64)
-        if multi.ndim == 2:
-            flat[ok] = np.ravel_multi_index(tuple(multi[ok].T), self.shape)
-        else:
-            flat[ok] = np.ravel_multi_index(tuple(np.moveaxis(multi[ok], -1, 0)),
-                                            self.shape)
-        out = np.where(ok, self.flat_of_grid[flat], -1)
-        return out
+            # within the pad every target is a cell of the padded grid
+            return self._ordinals[self._pos[nodes]
+                                  + offset @ self._strides].astype(np.int64)
+        return self._ordinals_at(self.node_multi[nodes] + offset)
 
-    def stencil_table(self, rho: int | None = None):
-        """(dirs, allowed) over interior nodes, cached; the neighbor ordinals
-        themselves are resolved on demand per selected direction to keep the
-        footprint proportional to the dimension rather than the direction
-        count."""
-        rho = self.stencil_radius if rho is None else rho
-        if rho in self._nb_cache:
-            return self._nb_cache[rho]
-        dirs = stencil_directions(self.dim, rho)
-        ni = self.interior_ids.size
-        allowed = np.empty((ni, dirs.shape[0]), dtype=bool)
-        for t, w in enumerate(dirs):
-            allowed[:, t] = ((self.neighbor_ids(self.interior_ids, w) >= 0)
-                             & (self.neighbor_ids(self.interior_ids, -w) >= 0))
-        out = (dirs, allowed)
-        self._nb_cache[rho] = out
-        return out
-
-    def axis_tables(self):
-        """Unit axis neighbor ordinals over interior nodes (always valid)."""
-        if "axis" in self._nb_cache:
-            return self._nb_cache["axis"]
-        d = self.dim
-        plus = np.empty((self.interior_ids.size, d), dtype=np.int64)
-        minus = np.empty_like(plus)
-        for k in range(d):
-            e = np.zeros(d, dtype=np.int64)
-            e[k] = 1
-            plus[:, k] = self.neighbor_ids(self.interior_ids, e)
-            minus[:, k] = self.neighbor_ids(self.interior_ids, -e)
-        if np.any(plus < 0) or np.any(minus < 0):
-            raise LatticeError("interior node misses a unit neighbor")
-        self._nb_cache["axis"] = (plus, minus)
-        return plus, minus
+    def stencil_table(self):
+        """(dirs, allowed): the primitive directions of sup-norm at most the
+        stencil radius, and per interior node whether both x + w and x - w
+        lie on the region; built on first use, in row blocks of at most
+        _GATHER_BLOCK entries."""
+        if self._stencil is None:
+            dirs = stencil_directions(self.dim, self.stencil_radius)
+            steps = dirs @ self._strides
+            pos = self._pos[self.interior_ids]
+            allowed = np.empty((pos.size, steps.size), dtype=bool)
+            rows = max(1, _GATHER_BLOCK // steps.size)
+            for lo in range(0, pos.size, rows):
+                at = pos[lo:lo + rows, None]
+                allowed[lo:lo + rows] = ((self._ordinals[at + steps] >= 0)
+                                         & (self._ordinals[at - steps] >= 0))
+            self._stencil = (dirs, allowed)
+        return self._stencil
 
     def validate(self) -> None:
-        """Classification invariants: partition and unit-stencil closure."""
+        """Classification invariants: class codes and unit-box closure."""
         cls = self.grid_class
         if not np.all((cls >= EXTERIOR) & (cls <= INTERIOR)):
             raise LatticeError("invalid class codes")
-        self.axis_tables()
-        _, allowed = self.stencil_table(1)
-        if not np.all(allowed):
+        nb = self.neighbor_ids(self.interior_ids[:, None], unit_offsets(self.dim))
+        if np.any(nb < 0):
             raise LatticeError("interior node misses a unit-box neighbor")
 
 
@@ -332,23 +317,18 @@ class JetTable:
         self.domain = domain
         self.nodes = np.asarray(nodes, dtype=np.int64)
         d = domain.dim
-        self.ip = np.empty((self.nodes.size, d), dtype=np.int64)
-        self.im = np.empty_like(self.ip)
-        self.pairs = []
         eye = np.eye(d, dtype=np.int64)
-        for i in range(d):
-            self.ip[:, i] = domain.neighbor_ids(self.nodes, eye[i])
-            self.im[:, i] = domain.neighbor_ids(self.nodes, -eye[i])
-        for i in range(d):
-            for j in range(i + 1, d):
-                self.pairs.append((
-                    i, j,
-                    domain.neighbor_ids(self.nodes, eye[i] + eye[j]),
-                    domain.neighbor_ids(self.nodes, eye[i] - eye[j]),
-                    domain.neighbor_ids(self.nodes, -eye[i] + eye[j]),
-                    domain.neighbor_ids(self.nodes, -(eye[i] + eye[j]))))
-        if np.any(self.used() < 0):
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        offsets = [eye, -eye] + [
+            np.stack([eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j],
+                      -(eye[i] + eye[j])]) for i, j in pairs]
+        nb = domain.neighbor_ids(self.nodes[:, None], np.concatenate(offsets))
+        if np.any(nb < 0):
             raise LatticeError("jet table requires interior nodes")
+        # contiguous copies: gathers through strided index columns are slower
+        self.ip, self.im = nb[:, :d].copy(), nb[:, d:2 * d].copy()
+        cross = nb[:, 2 * d:].T.reshape(len(pairs), 4, -1).copy()
+        self.pairs = [(i, j, *ids) for (i, j), ids in zip(pairs, cross)]
 
     def used(self) -> np.ndarray:
         """Every node the jets read."""
@@ -452,8 +432,7 @@ def restrict_to_slice(u: ScalarField, m: int) -> ScalarField:
     multi = np.concatenate(
         [sub.node_multi,
          np.tile(np.array(zero_idx, dtype=np.int64), (sub.n_nodes, 1))], axis=1)
-    flat = np.ravel_multi_index(tuple(multi.T), dom.shape)
-    amb = dom.flat_of_grid[flat]
+    amb = dom._ordinals_at(multi)
     if np.any(amb < 0):
         raise LatticeError("slice node missing from the ambient region")
     mask = None if u.mask is None else u.mask[amb]

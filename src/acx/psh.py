@@ -21,10 +21,16 @@ from .algebra import (
     antilinear_normalize_matrix,
     complexify_batch,
     realify_batch,
-    standard_j,
 )
 from .discretize import Stencil, snap_policy
-from .lattice import INTERIOR, JetTable, ScalarField, fd_jets, restrict_to_slice
+from .lattice import (
+    INTERIOR,
+    JetTable,
+    ScalarField,
+    fd_jets,
+    restrict_to_slice,
+    unit_offsets,
+)
 from .subeq import Subequation, margins_for_jets, transformed_hermitian
 
 
@@ -121,15 +127,9 @@ def default_field_tol(u: ScalarField, nodes: np.ndarray) -> np.ndarray:
     """Consistency-matched tolerance 10 h^2 * (local field scale); the local
     scale is the sup of |u| over the node's unit box."""
     dom = u.domain
-    scale = np.abs(u.values[nodes])
-    for off in np.ndindex(*(3,) * dom.dim):
-        o = np.array(off) - 1
-        if not o.any():
-            continue
-        nb = dom.neighbor_ids(nodes, o)
-        valid = nb >= 0
-        if np.any(valid):
-            scale[valid] = np.maximum(scale[valid], np.abs(u.values[nb[valid]]))
+    nb = dom.neighbor_ids(nodes[:, None], unit_offsets(dom.dim))
+    near = np.where(nb >= 0, np.abs(u.values[nb]), 0.0).max(axis=1)
+    scale = np.maximum(np.abs(u.values[nodes]), near)
     return 10.0 * dom.h ** 2 * np.maximum(scale, 1.0)
 
 
@@ -185,15 +185,10 @@ def induced_slice_structure(acx: AlmostComplexField, m: int) -> AlmostComplexFie
     is compatible, i.e. f_21 vanishes along it)."""
     if not 1 <= m < acx.n:
         raise PshError("slice dimension must satisfy 1 <= m < n")
-    j0 = standard_j(acx.n)
     ds = 2 * m
 
     def gen(pts):
-        amb = _embed(pts, acx.d)
-        g = acx.g(amb)
-        h = 0.5 * (g - np.einsum("ab,nbc,cd->nad", j0, g, j0))
-        f1 = 0.5 * (g + np.einsum("ab,nbc,cd->nad", j0, g, j0))
-        f = np.einsum("nab,nbc->nac", f1, np.linalg.inv(h))
+        _, f = antilinear_normalize_matrix(acx.g(_embed(pts, acx.d)), acx.j0)
         out = np.broadcast_to(np.eye(ds), (pts.shape[0], ds, ds)).copy()
         out += f[:, :ds, :ds]
         return out
@@ -224,10 +219,8 @@ def slice_compatible(acx: AlmostComplexField, m: int,
         mesh = np.meshgrid(*([ax] * ds), indexing="ij")
         points = np.stack([q.ravel() for q in mesh], axis=1)
     frame = acx.at(_embed(points, acx.d))
-    worst_f21 = 0.0
-    for gk in frame.g:
-        _, f = antilinear_normalize_matrix(gk, acx.j0)
-        worst_f21 = max(worst_f21, float(np.max(np.abs(f[ds:, :ds]))))
+    _, f = antilinear_normalize_matrix(frame.g, acx.j0)
+    worst_f21 = float(np.max(np.abs(f[:, ds:, :ds])))
     worst_e = 0.0
     for p in np.eye(acx.d)[ds:]:
         worst_e = max(worst_e, float(np.max(np.abs(frame.e(p)[:, :ds, :ds]))))

@@ -69,7 +69,8 @@ def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
     cfg = json.loads(open(solve_cfg).read())
     out = ["--out", str(tmp_path / "x"), "--quiet"]
     for scheme, hint in (({"tol_ress": 1e-3}, "tol_ress"),
-                         ({"stencil_radius": 1}, "domain.stencil_radius")):
+                         ({"stencil_radius": 1}, "domain.stencil_radius"),
+                         ({"safety": 0.9}, "safety")):
         path = write_json(tmp_path / "p.json", dict(cfg, scheme=scheme))
         assert main(["solve", "--config", path, *out]) == 1
         assert hint in capsys.readouterr().err
@@ -154,6 +155,8 @@ def test_equivalence_suite_determinism_and_exits(tmp_path):
     assert main(["equivalence-suite", "--config", cfg, "--seed", "9",
                  "--out", str(b), "--quiet"]) == 0
     assert (a / "suite.json").read_bytes() == (b / "suite.json").read_bytes()
+    restriction = json.loads((a / "suite.json").read_text())["restriction"]
+    assert restriction["total"] == 2 and restriction["all_pass"]
     empty = write_json(tmp_path / "empty.json", {"linear_fields": 0})
     assert main(["equivalence-suite", "--config", empty,
                  "--out", str(tmp_path / "c"), "--quiet"]) == 1

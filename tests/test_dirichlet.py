@@ -159,7 +159,6 @@ def test_solve_rejects_bad_boundary():
 def test_solve_field_initialization():
     prob = disc_problem(f=1.0, nodes=17)
     warm = abs2(prob.domain.node_coords) - 0.05
-    prob.scheme.initialization = "field"
     prob.scheme.initial_values = warm
     u, rep = solve(prob)
     assert rep.converged

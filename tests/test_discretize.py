@@ -1,6 +1,6 @@
-"""The chamber snap and the padded neighbor lookup against brute-force
-references: scoring every stencil direction (the definition of the snap)
-and walking the grid one node at a time."""
+"""The chamber snap, the availability table and the padded neighbor lookup
+against brute-force references: scoring every stencil direction (the
+definition of the snap) and walking the grid one node at a time."""
 
 import numpy as np
 import pytest
@@ -152,6 +152,24 @@ def test_policy_rejects_unavailable_direction():
     dir_idx[row, 0] = t
     with pytest.raises(ValueError, match="unavailable direction"):
         Policy(st, dir_idx, np.ones((st.nodes.size, 4)), None)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_allowed_matches_naive_walk(name):
+    # the brute-force snap above reads st.allowed, so the table is checked
+    # here on its own: every row, and evenly spaced directions up to about
+    # 60,000 entries (every direction on the small domains)
+    dom = DOMAINS[name]()
+    st = Stencil(dom)
+    step = max(1, st.allowed.size // 60_000)
+    dirs = st.dirs[::step]
+    nodes = st.nodes[:, None]
+    offs = np.broadcast_to(dirs, (nodes.size, *dirs.shape))
+    want = ((naive_neighbors(dom, nodes, offs) >= 0)
+            & (naive_neighbors(dom, nodes, -offs) >= 0))
+    np.testing.assert_array_equal(st.allowed[:, ::step], want)
+    if name.startswith("ball"):
+        assert not want.all()
 
 
 @pytest.mark.parametrize("name", ["box2", "ball2", "ball4"])

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +64,62 @@ def test_classification_partition_and_closure(make):
         o = np.array(off) - 1
         nb = dom.neighbor_ids(dom.interior_ids, o)
         assert np.all(nb >= 0)
+
+
+def reference_classification(dom):
+    """(multi-indices, coordinates, classes) of the region nodes in grid
+    order: membership from np.linalg.norm over every grid point, interior
+    from a walk over each region node's unit box."""
+    axes = [dom.origin[k] + dom.h * np.arange(n) for k, n in enumerate(dom.shape)]
+    coords = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                      axis=1)
+    if dom.kind == "ball":
+        region = np.linalg.norm(coords - dom.center, axis=1) <= dom.radius + 1e-12
+    else:
+        region = np.ones(coords.shape[0], dtype=bool)
+    grid = region.reshape(dom.shape)
+    multi = np.argwhere(grid)
+    interior = np.ones(multi.shape[0], dtype=bool)
+    for off in itertools.product((-1, 0, 1), repeat=dom.dim):
+        nb = multi + np.array(off)
+        on = np.all((nb >= 0) & (nb < np.array(dom.shape)), axis=1)
+        hit = np.zeros_like(interior)
+        hit[on] = grid[tuple(nb[on].T)]
+        interior &= hit
+    return multi, coords[region], np.where(interior, INTERIOR, BOUNDARY)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LatticeDomain.box([-1, 1], 9, dim=2),
+    lambda: LatticeDomain.ball(np.zeros(2), 1.0, 13),
+    lambda: LatticeDomain.ball(np.array([0.3, -0.2]), 0.7, 15, stencil_radius=3),
+    lambda: LatticeDomain.box([-1, 1], 7, dim=4),
+    lambda: LatticeDomain.ball(np.zeros(4), 1.0, 9),
+    lambda: LatticeDomain.box([-1, 1], 5, dim=6, stencil_radius=1),
+    lambda: LatticeDomain.ball(np.zeros(6), 1.0, 9),
+])
+def test_classification_matches_reference(make):
+    dom = make()
+    multi, coords, classes = reference_classification(dom)
+    np.testing.assert_array_equal(dom.node_multi, multi)
+    np.testing.assert_array_equal(dom.node_coords, coords)
+    np.testing.assert_array_equal(dom.node_class, classes)
+    np.testing.assert_array_equal(dom.interior_ids,
+                                  np.flatnonzero(classes == INTERIOR))
+    np.testing.assert_array_equal(dom.boundary_ids,
+                                  np.flatnonzero(classes == BOUNDARY))
+
+
+def test_ball6_builds_in_bounded_memory():
+    # the 9^6 ball's bounding grid has 531,441 cells, of which 23,793 lie
+    # on the region; coordinates are built for region nodes only
+    tracemalloc.start()
+    try:
+        LatticeDomain.ball(np.zeros(6), 1.0, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_nodes_at_inverts_node_coords_and_rejects_bad_points(disc):
