@@ -128,8 +128,7 @@ def _boundary_from(cfg: dict, domain: LatticeDomain):
     raise InputError(f"unknown boundary kind {kind!r}")
 
 
-_SCHEME_KEYS = {"max_iterations": int, "b_unitaries": int, "policy_refresh": int,
-                "tol_res": float}
+_SCHEME_KEYS = {"max_iterations": int, "b_unitaries": int, "tol_res": float}
 
 
 def _scheme_from(cfg: dict | None) -> SchemeOptions:

@@ -11,17 +11,21 @@ so the residual at an interior node is
     Theta(u)(x) = min_B [ L_B u(x) - n (beta(x) f(x))^{1/n} ]
 
 with the minimum running over a fixed net of forms plus the per-node
-adapted equality witness.  Each L_B is discretized monotonically
-(eigenvalue-weighted snapped directional second differences, upwinded
-drift), and the solution is the fixed point of the damped Jacobi sweep
-u <- u + tau Theta(u) from a constructed strictly-psh quadratic
-subsolution, with boundary nodes pinned to the datum.  For f = 0 the same
-minimum degenerates to the smallest-member Bellman form of the homogeneous
-cone equation.
+adapted equality witness.  Each L_B is discretized monotonically (axis
+second differences for the isotropic part of its coefficient, snapped
+eigenvector second differences for the rest, upwinded drift; see
+``acx.discretize``).  For f = 0 the same minimum degenerates to the
+smallest-member Bellman form of the homogeneous cone equation.
 
-Sweeps are Jacobi: the residual is evaluated against the previous iterate
-for all nodes and then applied, with fixed reduction order, so runs are
-deterministic.
+The discrete equation Theta(u) = 0 is solved by Howard's policy iteration
+(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009) from a
+constructed strictly-psh quadratic subsolution, with boundary nodes pinned
+to the datum.  Each step refreshes the adapted witness at the current
+iterate, takes the active member per node, and stops once
+max |Theta| <= tol_res; otherwise it solves the linear equation of the
+active members, frozen into one policy, to 0.1 tol_res.  Every member is
+monotone, which keeps the step count nearly independent of h.  Reductions
+have a fixed order, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import CFL_SAFETY, Policy, Stencil, snap_policy  # noqa: F401 (re-export)
+from .discretize import KrylovError, Policy, Stencil, snap_policy, solve_frozen  # noqa: F401 (re-export)
 from .lattice import LatticeDomain, ScalarField, fd_jets
 from .psh import OperatorFamily, default_b_family, default_field_tol, field_margins
 from .subeq import Subequation, margins_for_jets
@@ -51,9 +55,8 @@ class SolveError(RuntimeError):
 @dataclass
 class SchemeOptions:
     tol_res: float | None = None        # None: consistency-matched default
-    max_iterations: int = 400000
+    max_iterations: int = 100           # Howard steps
     b_unitaries: int = 2                # unitaries per diagonal profile
-    policy_refresh: int = 8
     initial_values: np.ndarray | None = None    # None: quadratic subsolution
 
 
@@ -90,7 +93,7 @@ class DirichletProblem:
 @dataclass
 class SolveReport:
     converged: bool
-    iterations: int
+    iterations: int                     # Howard steps (linear solves)
     residual: float
     subsolution_margin: float
     dual_margin: float
@@ -138,12 +141,10 @@ class BellmanOperator:
         return self.family.adapted_policy(values)
 
     def residual(self, values: np.ndarray, adapted: Policy | None = None):
-        """(theta, tau): Bellman residual over interior nodes and the CFL
-        damping bound of the active policies."""
+        """(theta, active): Bellman residual over interior nodes and the
+        index of the active member per node (the adapted one comes last)."""
         best, active = self.family.min_value(values, adapted)
-        coeffs = np.stack([p.ucoeff for p in self.family.policies(adapted)])
-        cmax = float(np.max(coeffs[active, np.arange(active.size)]))
-        return best - self.rhs, CFL_SAFETY / cmax
+        return best - self.rhs, active
 
 
 def bellman_residual(u: ScalarField, problem: DirichletProblem, node: int) -> float:
@@ -183,13 +184,15 @@ def _quadratic_init(problem: DirichletProblem, op: BellmanOperator,
 
 
 def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
-    """Damped Bellman iteration to the discrete Perron solution.
+    """Howard policy iteration to the discrete Perron solution.
 
     On convergence the output carries a subsolution certificate (membership
     margin of every interior jet above -10 tol_res) and a supersolution
     certificate (dual margin of the negated jets above -10 tol_res);
-    boundary nodes hold the datum exactly.  Non-convergence is reported in
-    the flag, never raised; NaN or overflow is a hard error.
+    boundary nodes hold the datum exactly.  Non-convergence (the step cap,
+    or a linear solve that breaks down or misses its tolerance) is reported
+    in the flag and the message, never raised; NaN or overflow is a hard
+    error.
     """
     t0 = time.perf_counter()
     dom = problem.domain
@@ -208,27 +211,27 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     values[dom.boundary_ids] = bvals
 
     interior = dom.interior_ids
-    adapted = op.adapted_policy(values)
-    refresh = max(1, scheme.policy_refresh)
+    messages = [] if certified else [
+        "subsolution certificate not reached within the doubling cap"]
     converged = False
-    residual = np.inf
     it = 0
-    while it < scheme.max_iterations:
-        if op.family.include_adapted and it % refresh == 0 and it > 0:
-            adapted = op.adapted_policy(values)
-        theta, tau = op.residual(values, adapted)
+    while True:
+        adapted = op.adapted_policy(values)
+        theta, active = op.residual(values, adapted)
         residual = float(np.max(np.abs(theta)))
         if not np.isfinite(residual):
             raise SolveError("iteration produced NaN or overflow")
         if residual <= tol_res:
-            if op.family.include_adapted:
-                adapted = op.adapted_policy(values)
-                theta, tau = op.residual(values, adapted)
-                residual = float(np.max(np.abs(theta)))
-            if residual <= tol_res:
-                converged = True
-                break
-        values[interior] += tau * theta
+            converged = True
+            break
+        if it >= scheme.max_iterations:
+            break
+        try:
+            values = solve_frozen(op.family.active_policy(active, adapted),
+                                  values, op.rhs, 0.1 * tol_res)
+        except KrylovError as exc:
+            messages.append(str(exc))
+            break
         it += 1
 
     out = ScalarField(dom, values)
@@ -247,8 +250,7 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
         init_c=init_c,
         init_certified=certified,
         tol_res=tol_res,
-        message="" if certified else
-        "subsolution certificate not reached within the doubling cap",
+        message="; ".join(messages),
     )
     return out, report
 

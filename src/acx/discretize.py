@@ -1,14 +1,22 @@
-"""Monotone wide-stencil discretization of second-order linear operators.
+"""Monotone wide-stencil discretization of second-order linear operators,
+and the linear solve of a frozen discretization.
 
-An SPD coefficient field S(x) is discretized per node by snapping the
-eigenvectors of S to the nearest available lattice direction (largest
-|cos| against the stencil's primitive directions, lowest index on a tie)
-and weighting the corresponding normalized second differences by the
-eigenvalues; drift terms are discretized by monotone upwinding.  All
-neighbor weights are nonnegative, which is the degenerate-ellipticity
-contract of every scheme built here.  Near-boundary interior nodes
-auto-restrict to the directions whose full offsets stay inside the region
-(at worst the unit box, which is always available).
+An SPD coefficient field S(x) is split per node into its isotropic part
+lambda_min I and the remainder S - lambda_min I, after clipping the
+eigenvalues at zero.  The isotropic part weights the d axis second
+differences, which every interior node has.  The remainder's eigenvectors
+are snapped to the nearest available lattice direction (largest |cos|
+against the stencil's primitive directions, lowest index on a tie), and
+the corresponding normalized second differences are weighted by the
+remainder's eigenvalues lambda_k - lambda_min.  The snap's error therefore
+scales with the anisotropy lambda_max - lambda_min rather than with |S|,
+and it vanishes where S is isotropic, which is exactly where the
+eigenvectors are ill-defined.  Drift terms are discretized by monotone
+upwinding along the axis columns.  All neighbor weights are nonnegative,
+which is the degenerate-ellipticity contract of every scheme built here.
+Near-boundary interior nodes auto-restrict to the directions whose full
+offsets stay inside the region (at worst the unit box, which is always
+available).
 
 The direction set is closed under signed permutations, so by the
 rearrangement inequality the best direction for a unit v is the best
@@ -25,6 +33,12 @@ are scored against every available direction, lowest index on a tie.  A
 constant field is scored once, and a node where its best direction is
 unavailable takes the first available entry of the stable descending
 order of the scores.
+
+A frozen policy is a matrix-free linear operator on the interior values
+with diagonal -ucoeff; boundary values enter through the values it is
+applied to.  ``solve_frozen`` solves it with Jacobi-preconditioned
+BiCGSTAB (van der Vorst 1992; Saad, Iterative Methods for Sparse Linear
+Systems, 2003) to a max-norm residual.
 """
 
 from __future__ import annotations
@@ -39,9 +53,6 @@ from .lattice import LatticeDomain
 _CHUNK = 4096
 _HEAD = 16
 _TIE = 1e-12
-# damping of the explicit sweeps, as a fraction of the CFL bound
-# 1 / max(ucoeff) of the active policies
-CFL_SAFETY = 0.9
 
 
 class Stencil:
@@ -56,9 +67,6 @@ class Stencil:
         self.units = dirs / np.sqrt(self.norms2)[:, None]
         self.allowed = allowed
         self.nodes = domain.interior_ids
-        eye = np.eye(domain.dim, dtype=np.int64)
-        self.axis_plus = domain.neighbor_ids(self.nodes[:, None], eye)
-        self.axis_minus = domain.neighbor_ids(self.nodes[:, None], -eye)
 
     def node_row(self, node: int) -> int:
         rows = np.flatnonzero(self.nodes == node)
@@ -92,15 +100,22 @@ class Stencil:
         table, radix = self._code_index
         return table[(w + self.rho) @ radix]
 
+    @cached_property
+    def axes(self) -> np.ndarray:
+        """Indices into ``dirs`` of the axis directions e_1, ..., e_d."""
+        return self.index_of(np.eye(self.domain.dim, dtype=np.int64))
+
 
 @dataclass
 class Policy:
     """Frozen nonnegative-weight scheme: one (direction, weight) list per
-    interior node plus an optional upwind drift."""
+    interior node plus an optional upwind drift.  With a drift, the first
+    d columns must be the axes e_1, ..., e_d: their neighbors are the
+    drift's upwind neighbors."""
 
     stencil: Stencil
-    dir_idx: np.ndarray          # (Ni, d) indices into stencil.dirs
-    weights: np.ndarray          # (Ni, d) nonnegative
+    dir_idx: np.ndarray          # (Ni, k) indices into stencil.dirs
+    weights: np.ndarray          # (Ni, k) nonnegative
     drift: np.ndarray | None     # (Ni, d) or None
 
     def __post_init__(self):
@@ -110,6 +125,9 @@ class Policy:
         self.minus = st.domain.neighbor_ids(st.nodes[:, None], -offs)
         if np.any(self.plus < 0) or np.any(self.minus < 0):
             raise ValueError("policy selected an unavailable direction")
+        d = st.domain.dim
+        if self.drift is not None and np.any(self.dir_idx[:, :d] != st.axes):
+            raise ValueError("a drift needs the axes in the first d columns")
         self.norms2 = st.norms2[self.dir_idx]
         h = st.domain.h
         coeff = (2.0 * self.weights / (h ** 2 * self.norms2)).sum(axis=1)
@@ -121,11 +139,13 @@ class Policy:
         st = self.stencil
         h = st.domain.h
         center = values[st.nodes]
-        sec = values[self.plus] + values[self.minus] - 2.0 * center[:, None]
+        vp, vm = values[self.plus], values[self.minus]
+        sec = vp + vm - 2.0 * center[:, None]
         out = (self.weights * sec / (h ** 2 * self.norms2)).sum(axis=1)
         if self.drift is not None:
-            fwd = (values[st.axis_plus] - center[:, None]) / h
-            bwd = (center[:, None] - values[st.axis_minus]) / h
+            d = self.drift.shape[1]
+            fwd = (vp[:, :d] - center[:, None]) / h
+            bwd = (center[:, None] - vm[:, :d]) / h
             out = out + (np.maximum(self.drift, 0.0) * fwd
                          + np.minimum(self.drift, 0.0) * bwd).sum(axis=1)
         return out
@@ -133,23 +153,29 @@ class Policy:
 
 def snap_policy(stencil: Stencil, s_field: np.ndarray,
                 drift: np.ndarray | None = None) -> Policy:
-    """Eigenvalue-weighted stencil snap of an SPD field.
+    """Isotropic split and eigenvector snap of an SPD field.
 
     ``s_field`` has shape (Ni, d, d) or (1, d, d) for a constant coefficient;
     eigenvalues are clipped at zero so the policy stays monotone even for
-    marginally indefinite input.
+    marginally indefinite input.  The policy's first d columns are the axes,
+    weighted by lambda_min; the other d - 1 are the snapped eigenvectors of
+    the remainder, weighted by lambda_k - lambda_min.
     """
     st = stencil
     ni = st.nodes.size
     d = st.domain.dim
     vals, vecs = np.linalg.eigh(s_field)
-    weights = np.clip(vals, 0.0, None)
+    vals = np.clip(vals, 0.0, None)
+    # eigh sorts ascending: lambda_min's eigenvector has no remainder weight
+    vecs = vecs[:, :, 1:]
+    weights = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
+                              vals[:, 1:] - vals[:, :1]], axis=1)
     units_t = st.units.T.copy()
 
     if s_field.shape[0] == 1:
-        scores = np.abs(vecs[0].T @ units_t)          # (d, T)
-        base = np.argmax(scores, axis=1)              # (d,)
-        dir_idx = np.broadcast_to(base, (ni, d)).copy()
+        scores = np.abs(vecs[0].T @ units_t)          # (d - 1, T)
+        base = np.argmax(scores, axis=1)              # (d - 1,)
+        dir_idx = np.broadcast_to(base, (ni, d - 1)).copy()
         ok = np.all(st.allowed[:, base], axis=1)
         bad = np.flatnonzero(~ok)
         if bad.size:
@@ -157,38 +183,38 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
             # lowest-index rule on ties); nearly always among the first few
             order = np.argsort(-scores, axis=1, kind="stable")
             head = st.allowed[bad[:, None, None], order[None, :, :_HEAD]]
-            dir_idx[bad] = order[np.arange(d), np.argmax(head, axis=2)]
+            dir_idx[bad] = order[np.arange(d - 1), np.argmax(head, axis=2)]
             miss = ~head.any(axis=2)
             for k in np.flatnonzero(miss.any(axis=0)):
                 rows = bad[miss[:, k]]
                 dir_idx[rows, k] = order[k, np.argmax(
                     st.allowed[rows][:, order[k]], axis=1)]
-        weights = np.broadcast_to(weights, (ni, d)).copy()
-        return Policy(st, dir_idx.astype(np.int64), weights, drift)
-
-    dir_idx, exact = _chamber_snap(st, vecs)
-    node, col = np.nonzero(~exact)
-    for lo in range(0, node.size, _CHUNK):
-        rows, cols = node[lo:lo + _CHUNK], col[lo:lo + _CHUNK]
-        scores = _masked_scores(vecs[rows, :, cols] @ units_t,
-                                st.allowed[rows])                 # (c, T)
-        dir_idx[rows, cols] = np.argmax(scores, axis=1)
-    return Policy(st, dir_idx, weights, drift)
+        weights = np.broadcast_to(weights, (ni, 2 * d - 1)).copy()
+    else:
+        dir_idx, exact = _chamber_snap(st, vecs)
+        node, col = np.nonzero(~exact)
+        for lo in range(0, node.size, _CHUNK):
+            rows, cols = node[lo:lo + _CHUNK], col[lo:lo + _CHUNK]
+            scores = _masked_scores(vecs[rows, :, cols] @ units_t,
+                                    st.allowed[rows])             # (c, T)
+            dir_idx[rows, cols] = np.argmax(scores, axis=1)
+    axes = np.broadcast_to(st.axes, (ni, d))
+    return Policy(st, np.concatenate([axes, dir_idx], axis=1), weights, drift)
 
 
 def _chamber_snap(st: Stencil, vecs: np.ndarray):
-    """(dir_idx, exact), both (N, d), for the eigenvector columns of
-    ``vecs``: the best direction found through the chamber, and whether it
-    is provably the one scoring every available direction gives (see the
-    module docstring)."""
-    n, d = vecs.shape[:2]
-    v = vecs.transpose(0, 2, 1).reshape(n * d, d)   # one eigenvector per row
+    """(dir_idx, exact), both (N, k), for the k eigenvector columns of
+    ``vecs`` (N, d, k): the best direction found through the chamber, and
+    whether it is provably the one scoring every available direction gives
+    (see the module docstring)."""
+    n, d, k = vecs.shape
+    v = vecs.transpose(0, 2, 1).reshape(n * k, d)   # one eigenvector per row
     order = np.argsort(-np.abs(v), axis=1, kind="stable")
     v = np.take_along_axis(v, order, axis=1)
     s = np.abs(v)                                   # sorted |v|, descending
     members, units = st.chamber
     scores = s @ units.T
-    rows = np.arange(n * d)
+    rows = np.arange(n * k)
     best = np.argmax(scores, axis=1)
     top = scores[rows, best]
     scores[rows, best] = -np.inf
@@ -204,8 +230,8 @@ def _chamber_snap(st: Stencil, vecs: np.ndarray):
     w = np.empty_like(c)
     np.put_along_axis(w, order, np.where(v < 0, -c, c), axis=1)
     idx = st.index_of(w)
-    exact &= st.allowed[rows // d, idx]
-    return idx.reshape(n, d), exact.reshape(n, d)
+    exact &= st.allowed[rows // k, idx]
+    return idx.reshape(n, k), exact.reshape(n, k)
 
 
 def _masked_scores(products: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -214,3 +240,88 @@ def _masked_scores(products: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     np.abs(products, out=products)
     np.copyto(products, -1.0, where=~allowed)
     return products
+
+
+class KrylovError(RuntimeError):
+    """A frozen-policy solve met a singular system, broke down, produced a
+    non-finite iterate or missed its tolerance within its step cap."""
+
+
+# BiCGSTAB steps allowed per node along the domain's longest axis; a
+# Jacobi-preconditioned elliptic solve needs O(1/h) of them
+_KRYLOV_STEPS = 20
+
+
+def solve_frozen(policy: Policy, values: np.ndarray, rhs, tol: float) -> np.ndarray:
+    """Copy of ``values`` whose interior entries solve policy.value(u) = rhs
+    to a max-norm residual of at most ``tol``; the other entries are kept
+    and act as boundary values.
+
+    Jacobi-preconditioned BiCGSTAB on the interior unknowns, restarted from
+    the true residual whenever its recurrence stops (converged, drifted from
+    the true residual or broke down).  Raises KrylovError when a node has no
+    positive weight (a singular system), when a restart breaks down at once,
+    on a non-finite iterate and when the step cap runs out, so a solve never
+    hangs.
+    """
+    nodes = policy.stencil.nodes
+    diag = -policy.ucoeff
+    if not np.all(diag < 0.0):
+        raise KrylovError("singular system: an interior node has no "
+                          "positive weight")
+    out = np.array(values, dtype=float)
+    work = np.zeros_like(out)
+
+    def apply(x):
+        work[nodes] = x
+        return policy.value(work)
+
+    cap = _KRYLOV_STEPS * max(policy.stencil.domain.shape)
+    steps = 0
+    x = out[nodes]
+    r = rhs - policy.value(out)
+    while True:
+        rnorm = float(np.max(np.abs(r)))
+        if not np.isfinite(rnorm):
+            raise KrylovError("the linear solve produced a non-finite iterate")
+        if rnorm <= tol:
+            return out
+        if steps >= cap:
+            raise KrylovError(f"linear solve missed its tolerance {tol:.3e} "
+                              f"(residual {rnorm:.3e} after {steps} steps)")
+        start = steps
+        r0 = r.copy()
+        p = np.zeros_like(r)
+        v = np.zeros_like(r)
+        rho = alpha = omega = 1.0
+        while steps < cap:
+            rho_prev, rho = rho, float(r0 @ r)
+            if rho == 0.0:
+                break
+            p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+            ph = p / diag
+            v = apply(ph)
+            r0v = float(r0 @ v)
+            if r0v == 0.0:
+                break
+            alpha = rho / r0v
+            x += alpha * ph
+            r = r - alpha * v
+            steps += 1
+            # "not >" also stops on NaN, which the true residual reports
+            if not float(np.max(np.abs(r))) > tol:
+                break
+            rh = r / diag
+            t = apply(rh)
+            tt = float(t @ t)
+            if tt == 0.0:
+                break
+            omega = float(t @ r) / tt
+            x += omega * rh
+            r = r - omega * t
+            if omega == 0.0 or not float(np.max(np.abs(r))) > tol:
+                break
+        if steps == start:
+            raise KrylovError("BiCGSTAB broke down at a restart")
+        out[nodes] = x
+        r = rhs - policy.value(out)

@@ -38,18 +38,12 @@ def stencil_directions(dim: int, rho: int) -> np.ndarray:
     in deterministic lexicographic order."""
     if rho < 1:
         raise LatticeError("stencil radius must be >= 1")
-    dirs = []
-    for flat in np.ndindex(*(2 * rho + 1,) * dim):
-        w = np.array(flat) - rho
-        if not w.any():
-            continue
-        if math.gcd(*[int(abs(c)) for c in w]) != 1:
-            continue
-        nz = w[w != 0]
-        if nz[0] < 0:  # canonical sign representative
-            continue
-        dirs.append(w)
-    out = np.array(sorted(dirs, key=tuple), dtype=np.int64)
+    # every integer vector of the box, in lexicographic (C) order
+    w = np.indices((2 * rho + 1,) * dim, dtype=np.int64).reshape(dim, -1).T - rho
+    first = w[np.arange(w.shape[0]), np.argmax(w != 0, axis=1)]
+    # gcd 1 drops the zero vector and the multiples; a positive first
+    # nonzero entry picks one sign of each pair
+    out = w[(np.gcd.reduce(np.abs(w), axis=1) == 1) & (first > 0)]
     out.setflags(write=False)
     return out
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import CFL_SAFETY, Stencil, snap_policy
+from .discretize import KrylovError, Stencil, snap_policy, solve_frozen
 from .lattice import INTERIOR, JetTable, LatticeDomain, ScalarField, fd_jets
 from .psh import OperatorFamily, check_b_matrix, real_form
 from .subeq import Subequation
@@ -152,32 +152,22 @@ def subfield_on(u: ScalarField, sub_domain: LatticeDomain) -> ScalarField:
 
 def harmonic_replacement(u: ScalarField, op: LinearOperator,
                          center, radius: float,
-                         tol_res: float = 1e-10,
-                         max_iterations: int = 400000) -> ScalarField:
+                         tol_res: float = 1e-10) -> ScalarField:
     """Discrete Dirichlet solve Lh = 0 on a lattice ball with h = u on the
-    ball's boundary nodes, via the monotone scheme and damped Jacobi.  The
-    discrete maximum principle holds for the output.  Non-convergence is an
-    error (replacement results are never interpreted heuristically)."""
+    ball's boundary nodes, via the monotone scheme and one linear solve of
+    it.  The discrete maximum principle holds for the output.
+    Non-convergence is an error (replacement results are never interpreted
+    heuristically)."""
     ball = lattice_ball(u.domain, center, radius)
     start = subfield_on(u, ball)
     st = Stencil(ball)
     pts = ball.node_coords[st.nodes]
-    avals = op.a_at(pts)
-    bvals = op.b_at(pts)
-    pol = snap_policy(st, avals, bvals)
-    values = start.values.copy()
-    scale = max(1.0, float(np.max(np.abs(values))))
-    target = tol_res * scale
-    converged = False
-    for _ in range(max_iterations):
-        resid = pol.value(values)
-        if float(np.max(np.abs(resid))) <= target:
-            converged = True
-            break
-        tau = CFL_SAFETY / float(np.max(pol.ucoeff))
-        values[st.nodes] += tau * resid
-    if not converged:
-        raise LinpotError("harmonic replacement did not converge")
+    pol = snap_policy(st, op.a_at(pts), op.b_at(pts))
+    scale = max(1.0, float(np.max(np.abs(start.values))))
+    try:
+        values = solve_frozen(pol, start.values, 0.0, tol_res * scale)
+    except KrylovError as exc:
+        raise LinpotError(f"harmonic replacement did not converge: {exc}") from exc
     return ScalarField(ball, values)
 
 

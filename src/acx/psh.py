@@ -22,7 +22,7 @@ from .algebra import (
     complexify_batch,
     realify_batch,
 )
-from .discretize import Stencil, snap_policy
+from .discretize import Policy, Stencil, snap_policy
 from .lattice import (
     INTERIOR,
     JetTable,
@@ -94,9 +94,9 @@ def adapted_bstar(ac: np.ndarray, clip: float = _BSTAR_CLIP) -> np.ndarray:
     B* = det(A)^{1/n} A^{-1}, with eigenvalues of A floored at 1e-8 and then
     clipped to a bounded band around their geometric mean before inversion.
     The floor keeps the witness defined at the degenerate edge; the clip
-    bounds the witness's anisotropy so detection stays sharp without
-    collapsing the explicit scheme's stability bound.  Unit determinant
-    holds by construction for any clipped spectrum."""
+    bounds the witness's anisotropy, and with it the part of its operator
+    that goes through the stencil snap.  Unit determinant holds by
+    construction for any clipped spectrum."""
     vals, vecs = np.linalg.eigh(ac)
     n = ac.shape[-1]
     floored = np.clip(vals, _BSTAR_FLOOR, None)
@@ -336,11 +336,25 @@ class OperatorFamily:
         active = np.argmin(stacked, axis=0)
         return stacked[active, np.arange(stacked.shape[1])], active
 
+    def active_policy(self, active: np.ndarray, adapted=None) -> Policy:
+        """One frozen policy taking at each node the columns of its active
+        member, as indexed by ``min_value``."""
+        pols = self.policies(adapted)
+        rows = np.arange(active.size)
+
+        def pick(name):
+            return np.stack([getattr(p, name) for p in pols])[active, rows]
+
+        drift = None if pols[0].drift is None else pick("drift")
+        return Policy(self.stencil, pick("dir_idx"), pick("weights"), drift)
+
 
 def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
-    """Monotone discretization of the linear operator attached to B:
-    directional second differences along the (stencil-snapped)
-    eigendirections of S = g B_r g^T plus an upwinded drift."""
+    """Monotone discretization of the linear operator attached to B, one
+    node at a time: with S = g B_r g^T (eigenvalues clipped at zero), the
+    axis second differences weighted by lambda_min, the directional second
+    differences along the (stencil-snapped) other eigendirections weighted
+    by lambda_k - lambda_min, and an upwinded drift."""
     from .lattice import directional_second, upwind_first
 
     bmat = check_b_matrix(b)
@@ -355,12 +369,15 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     st = Stencil(dom)
     row = st.node_row(node)
     vals, vecs = np.linalg.eigh(s)
+    vals = np.clip(vals, 0.0, None)
     total = 0.0
-    for k in range(dom.dim):
+    for e in np.eye(dom.dim, dtype=np.int64):
+        total += vals[0] * directional_second(u, node, e)
+    for k in range(1, dom.dim):
         scores = np.abs(st.units @ vecs[:, k])
         scores[~st.allowed[row]] = -1.0
         t = int(np.argmax(scores))
-        total += max(vals[k], 0.0) * directional_second(u, node, st.dirs[t])
+        total += (vals[k] - vals[0]) * directional_second(u, node, st.dirs[t])
     if not sub.acx.constant_identity:
         drift = np.einsum("nkab,nab->nk", sub.acx.e_tensor(x[None]), s[None])
         total += upwind_first(u, node, drift[0])

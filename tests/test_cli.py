@@ -48,7 +48,8 @@ def test_solve_exit_codes_and_outputs(tmp_path, solve_cfg):
 
 def test_solve_nonconvergence_exit_two(tmp_path, solve_cfg):
     cfg = json.loads(open(solve_cfg).read())
-    cfg["scheme"] = {"max_iterations": 1}
+    # n = 1 is linear and converges in one Howard step; a cap of 0 stops it
+    cfg["scheme"] = {"max_iterations": 0}
     path = write_json(tmp_path / "p1.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r1"),
                  "--quiet"]) == 2
@@ -70,7 +71,8 @@ def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
     out = ["--out", str(tmp_path / "x"), "--quiet"]
     for scheme, hint in (({"tol_ress": 1e-3}, "tol_ress"),
                          ({"stencil_radius": 1}, "domain.stencil_radius"),
-                         ({"safety": 0.9}, "safety")):
+                         ({"safety": 0.9}, "safety"),
+                         ({"policy_refresh": 8}, "policy_refresh")):
         path = write_json(tmp_path / "p.json", dict(cfg, scheme=scheme))
         assert main(["solve", "--config", path, *out]) == 1
         assert hint in capsys.readouterr().err

@@ -1,26 +1,29 @@
-"""The chamber snap, the availability table and the padded neighbor lookup
-against brute-force references: scoring every stencil direction (the
-definition of the snap) and walking the grid one node at a time."""
+"""The isotropic split, the chamber snap, the availability table, the
+padded neighbor lookup and the frozen-policy solve against brute-force
+references: scoring every stencil direction (the definition of the snap),
+walking the grid one node at a time and a dense linear solve."""
 
 import numpy as np
 import pytest
 
-from acx.discretize import Policy, Stencil, snap_policy
+from acx.discretize import KrylovError, Policy, Stencil, snap_policy, solve_frozen
 from acx.lattice import LatticeDomain
 from acx.rng import CounterRng
 
 
 def brute_dir_idx(st: Stencil, s_field: np.ndarray) -> np.ndarray:
-    """Per node and eigenvector, the first available direction of largest
-    |cos|, scoring all of them."""
+    """Per node and eigenvector of the remainder S - lambda_min I (all but
+    the first of eigh's), the first available direction of largest |cos|,
+    scoring all of them."""
     ni, d = st.nodes.size, st.domain.dim
     _, vecs = np.linalg.eigh(s_field)
+    vecs = vecs[:, :, 1:]
     units_t = st.units.T.copy()
     if s_field.shape[0] == 1:
         scores = np.abs(vecs[0].T @ units_t)
         return np.stack([np.argmax(np.where(st.allowed, sc, -1.0), axis=1)
                          for sc in scores], axis=1)
-    out = np.empty((ni, d), dtype=np.int64)
+    out = np.empty((ni, d - 1), dtype=np.int64)
     for lo in range(0, ni, 4096):
         hi = min(lo + 4096, ni)
         scores = np.abs(vecs[lo:hi].transpose(0, 2, 1) @ units_t)
@@ -116,14 +119,25 @@ def test_snap_matches_brute_force_scoring(name):
                  + [rng.spd(d) for _ in range(4)])
     fields = [c[None] for c in constants] + per_node_fields(st, 5)
     restricted = ~st.allowed.all(axis=1)
+    np.testing.assert_array_equal(st.dirs[st.axes], np.eye(d))
     for s_field in fields:
         want = brute_dir_idx(st, s_field)
         pol = snap_policy(st, s_field)
-        np.testing.assert_array_equal(pol.dir_idx, want)
-        ref = Policy(st, want, pol.weights, None)
+        # the axes carry lambda_min, the snapped remainder lambda_k - lambda_min
+        lam = np.broadcast_to(np.clip(np.linalg.eigh(s_field)[0], 0, None),
+                              (st.nodes.size, d))
+        np.testing.assert_array_equal(pol.dir_idx[:, :d],
+                                      np.broadcast_to(st.axes, (st.nodes.size, d)))
+        np.testing.assert_array_equal(pol.weights[:, :d],
+                                      np.repeat(lam[:, :1], d, axis=1))
+        np.testing.assert_allclose(pol.weights[:, d:], lam[:, 1:] - lam[:, :1],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pol.dir_idx[:, d:], want)
+        full = np.concatenate([pol.dir_idx[:, :d], want], axis=1)
+        ref = Policy(st, full, pol.weights, None)
         np.testing.assert_array_equal(pol.plus, ref.plus)
         np.testing.assert_array_equal(pol.minus, ref.minus)
-        offs = st.dirs[want]
+        offs = st.dirs[full]
         np.testing.assert_array_equal(
             pol.minus, naive_neighbors(dom, st.nodes[:, None], -offs))
     if name.startswith("ball"):
@@ -207,3 +221,54 @@ def test_neighbor_ids_off_grid_and_exterior_are_minus_one():
     assert dom.neighbor_ids(corner, np.array([-3, 0]))[0] == -1
     assert dom.neighbor_ids(corner, np.array([0, -5]))[0] == -1
     assert dom.neighbor_ids(corner, np.array([0, 1]))[0] >= 0
+
+
+def dense_system(pol: Policy, values: np.ndarray):
+    """(A, c) with pol.value(u) = A u[interior] + c for every u that equals
+    ``values`` off the interior, column by column."""
+    nodes = pol.stencil.nodes
+    base = values.copy()
+    base[nodes] = 0.0
+    cols = []
+    for k in nodes:
+        unit = np.zeros_like(values)
+        unit[k] = 1.0
+        cols.append(pol.value(unit))
+    return np.stack(cols, axis=1), pol.value(base)
+
+
+@pytest.mark.parametrize("name", ["box2", "ball4"])
+def test_solve_frozen_matches_dense_solve(name):
+    dom = DOMAINS[name]()
+    st = Stencil(dom)
+    rng = CounterRng(17)
+    ni, d = st.nodes.size, dom.dim
+    field = np.stack([rng.spd(d) for _ in range(ni)])
+    drift = rng.uniforms((ni, d), -2.0, 2.0)
+    pol = snap_policy(st, field, drift)
+    values = rng.normals((dom.n_nodes,))
+    rhs = rng.normals((ni,))
+    amat, c = dense_system(pol, values)
+    assert np.max(np.abs(amat - amat.T)) > 0.1          # non-symmetric
+    np.testing.assert_allclose(np.diag(amat), -pol.ucoeff, rtol=1e-13)
+    want = np.linalg.solve(amat, rhs - c)
+    got = solve_frozen(pol, values, rhs, 1e-11)
+    assert np.max(np.abs(got[st.nodes] - want)) <= 1e-10
+    bnd = dom.boundary_ids
+    np.testing.assert_array_equal(got[bnd], values[bnd])
+    assert np.max(np.abs(pol.value(got) - rhs)) <= 1e-11
+
+
+def test_solve_frozen_fails_instead_of_hanging():
+    dom = DOMAINS["box2"]()
+    st = Stencil(dom)
+    values = np.zeros(dom.n_nodes)
+    values[dom.boundary_ids] = 1.0
+    with pytest.raises(KrylovError, match="singular"):
+        solve_frozen(snap_policy(st, np.zeros((1, 2, 2))), values, 0.0, 1e-8)
+    pol = snap_policy(st, np.eye(2)[None])
+    # a zero residual is out of reach in floating point; the cap stops it
+    with pytest.raises(KrylovError, match="missed its tolerance"):
+        solve_frozen(pol, values, 1.0, 0.0)
+    with pytest.raises(KrylovError, match="non-finite"):
+        solve_frozen(pol, values, np.nan, 1e-8)

@@ -142,12 +142,17 @@ def test_too_coarse_domain_rejected():
 
 
 def test_stencil_directions_primitive_and_signed_once():
-    dirs = stencil_directions(2, 2)
-    assert dirs.shape == (8, 2)
-    tuples = {tuple(w) for w in dirs}
-    for w in dirs:
-        assert tuple(-w) not in tuples
-        assert np.gcd.reduce(np.abs(w)[np.abs(w) > 0]) == 1
+    for dim, rho, count in [(2, 2, 8), (4, 1, 40), (4, 2, 272), (4, 3, 1120),
+                            (6, 1, 364), (6, 2, 7448)]:
+        dirs = stencil_directions(dim, rho)
+        assert dirs.shape == (count, dim) and dirs.dtype == np.int64
+        assert np.max(np.abs(dirs)) == rho
+        tuples = [tuple(int(c) for c in w) for w in dirs]
+        assert tuples == sorted(tuples)          # lexicographic
+        seen = set(tuples)
+        for w in dirs:
+            assert tuple(-w) not in seen
+            assert np.gcd.reduce(np.abs(w)[np.abs(w) > 0]) == 1
 
 
 # ---------------------------------------------------------------------------
