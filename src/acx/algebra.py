@@ -29,8 +29,6 @@ import numpy as np
 
 TOL_ALG = 1e-9
 
-DEFAULT_FD_STEP = 1e-4  # centered-difference step for generator derivatives
-
 _COMPLEXIFY_SCALE = 0.25
 
 
@@ -76,26 +74,24 @@ def check_complex_structure(j: np.ndarray, tol: float = TOL_ALG) -> None:
 # ---------------------------------------------------------------------------
 
 def rep_complex(m: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n representation of the complex-linear map c -> M c."""
-    n = m.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    re, im = m.real, m.imag
-    for a in range(n):
-        for b in range(n):
-            out[2 * a, 2 * b] = re[a, b]
-            out[2 * a, 2 * b + 1] = -im[a, b]
-            out[2 * a + 1, 2 * b] = im[a, b]
-            out[2 * a + 1, 2 * b + 1] = re[a, b]
+    """Real 2n x 2n representation of the complex-linear map c -> M c, for
+    one matrix (n, n) or a stack (..., n, n)."""
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    out[..., 0::2, 0::2] = m.real
+    out[..., 0::2, 1::2] = -m.imag
+    out[..., 1::2, 0::2] = m.imag
+    out[..., 1::2, 1::2] = m.real
     return out
 
 
 def rep_antilinear(m: np.ndarray) -> np.ndarray:
-    """Real representation of the complex-antilinear map c -> M conj(c)."""
-    n = m.shape[0]
-    conj = np.eye(2 * n)
-    for a in range(n):
-        conj[2 * a + 1, 2 * a + 1] = -1.0
-    return rep_complex(m) @ conj
+    """Real representation of the complex-antilinear map c -> M conj(c):
+    the complex-linear one with every y column negated."""
+    out = rep_complex(m)
+    out[..., 1::2] *= -1.0
+    return out
 
 
 def linear_antilinear_split(g: np.ndarray, j0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,19 +138,9 @@ def complexify(b: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
 
 
 def realify(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`complexify`: the J0-hermitian real form of M."""
-    return realify_batch(np.asarray(m, dtype=complex)[None])[0]
-
-
-def realify_batch(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    nn, n = m.shape[0], m.shape[1]
-    out = np.zeros((nn, 2 * n, 2 * n))
-    out[:, 0::2, 0::2] = m.real
-    out[:, 1::2, 1::2] = m.real
-    out[:, 0::2, 1::2] = m.imag
-    out[:, 1::2, 0::2] = -m.imag
-    return out / _COMPLEXIFY_SCALE
+    """Inverse of :func:`complexify`: the J0-hermitian real form of M, for
+    one matrix or a stack."""
+    return rep_complex(np.asarray(m, dtype=complex).conj()) / _COMPLEXIFY_SCALE
 
 
 def complexify_batch(b: np.ndarray) -> np.ndarray:
@@ -207,17 +193,15 @@ class AlmostComplexField:
     """Coordinate description of J = g J0 g^{-1} with derivative access.
 
     ``generator`` maps a batch of points (N, 2n) to generators (N, 2n, 2n);
-    ``d_generator`` (optional, same batching plus a leading direction axis
-    -> (N, 2n, 2n, 2n) indexed [node, direction, row, col]) supplies the
-    coordinate derivatives of g.  Without it, centered differences with step
-    ``fd_step`` are used.  ``constant_identity`` marks the flat preset so
-    heavy callers can skip the E-term entirely.
+    ``d_generator`` maps the same batch to the exact coordinate derivatives
+    of g, (N, 2n, 2n, 2n) indexed [node, direction, row, col].
+    ``constant_identity`` marks the flat preset so heavy callers can skip
+    the E-term entirely.
     """
 
     n: int
     generator: Callable[[np.ndarray], np.ndarray]
-    d_generator: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = DEFAULT_FD_STEP
+    d_generator: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     params: dict = field(default_factory=dict)
     constant_identity: bool = False
@@ -266,15 +250,7 @@ class AlmostComplexField:
 
     def dg(self, x) -> np.ndarray:
         pts, single = _as_points(x, self.d)
-        if self.d_generator is not None:
-            out = np.asarray(self.d_generator(pts), dtype=float)
-        else:
-            h = self.fd_step
-            out = np.empty((pts.shape[0], self.d, self.d, self.d))
-            for l in range(self.d):
-                e = np.zeros(self.d)
-                e[l] = h
-                out[:, l] = (self.generator(pts + e) - self.generator(pts - e)) / (2 * h)
+        out = np.asarray(self.d_generator(pts), dtype=float)
         return out[0] if single else out
 
     def dj(self, x) -> np.ndarray:
@@ -291,10 +267,6 @@ class AlmostComplexField:
     def e_tensor(self, x) -> np.ndarray:
         """E evaluated on the covector basis, indexed [node, k, row, col]."""
         return self.at(x).e_tensor
-
-    def beta(self, x) -> np.ndarray:
-        """Volume density det g(x) of the pulled-back reference volume."""
-        return self._read(x, "beta", full=False)
 
     def validate(self, points, tol: float = TOL_ALG) -> float:
         """Largest residual of J^2 + I and det-positivity over the batch."""
@@ -448,6 +420,7 @@ def _antilinear_slice_compatible(n: int, m: int = 1, eps: float = 0.1) -> Almost
     The 21-block is carried by the trailing coordinates, so the slice is an
     almost complex submanifold while the structure off the slice is generic;
     the 11-block varies along the slice to make the induced structure curved.
+    The antilinear matrix is linear in the point, so dg is constant.
     """
     if not 1 <= m < n:
         raise AlgebraError("slice dimension m must satisfy 1 <= m < n")
@@ -463,32 +436,13 @@ def _antilinear_slice_compatible(n: int, m: int = 1, eps: float = 0.1) -> Almost
         mm[:, m:, m:] = (0.3 * pts[:, 0] + 0.2 * trailing)[:, None, None] * np.eye(n - m)
         return mm
 
-    conj = np.eye(d)
-    for a in range(n):
-        conj[2 * a + 1, 2 * a + 1] = -1.0
-
-    def to_real(mm):
-        nn = mm.shape[0]
-        out = np.zeros((nn, d, d))
-        re, im = mm.real, mm.imag
-        out[:, 0::2, 0::2] = re
-        out[:, 0::2, 1::2] = -im
-        out[:, 1::2, 0::2] = im
-        out[:, 1::2, 1::2] = re
-        return np.einsum("nab,bc->nac", out, conj)
+    dg = eps * rep_antilinear(mmat(np.eye(d)))  # [direction, row, col]
 
     def gen(pts):
-        return np.eye(d) + eps * to_real(mmat(pts))
+        return np.eye(d) + eps * rep_antilinear(mmat(pts))
 
     def dgen(pts):
-        nn = pts.shape[0]
-        out = np.empty((nn, d, d, d))
-        h = 1e-6
-        for l in range(d):
-            e = np.zeros(d)
-            e[l] = h
-            out[:, l] = (to_real(mmat(pts + e)) - to_real(mmat(pts - e))) * (eps / (2 * h))
-        return out
+        return np.broadcast_to(dg, (pts.shape[0], d, d, d)).copy()
 
     return AlmostComplexField(
         n, gen, dgen, name="antilinear-slice-compatible",

@@ -37,7 +37,12 @@ from .subeq import (
     jet_from_flat,
     radial_rhs,
 )
-from .suite import SuiteConfig, restriction_battery, run_equivalence_suite
+from .suite import (
+    SIZE_KEYS,
+    SuiteConfig,
+    restriction_battery,
+    run_equivalence_suite,
+)
 
 
 class InputError(ValueError):
@@ -262,15 +267,7 @@ def cmd_dual_check(args) -> int:
 
 def cmd_equivalence_suite(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    sizes = {
-        "linear_fields": int(cfg.get("linear_fields", 20)),
-        "bumps": int(cfg.get("bumps", 5)),
-        "balls": int(cfg.get("balls", 3)),
-        "quadratics": int(cfg.get("quadratics", 50)),
-        "restriction_fields": int(cfg.get("restriction_fields", 20)),
-    }
-    if min(sizes.values()) <= 0:
-        raise InputError("battery sizes must be positive")
+    sizes = {k: int(cfg[k]) for k in SIZE_KEYS if k in cfg}
     config = SuiteConfig(seed=args.seed, inject_failure=bool(
         cfg.get("inject_failure", False)), **sizes)
     report = run_equivalence_suite(config)
@@ -325,31 +322,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "in local coordinates")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, with_out=True):
+    def common(p, config_required=True):
         if config_required:
             p.add_argument("--config", required=True, help="JSON config path")
         else:
             p.add_argument("--config", default=None, help="JSON config path")
-        if with_out:
-            p.add_argument("--out", default="acx-out", help="output directory")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--out", default="acx-out", help="output directory")
         p.add_argument("--quiet", action="store_true")
 
     common(sub.add_parser("solve", help="solve a Dirichlet problem"))
     p = sub.add_parser("check-psh", help="membership verdict for a field CSV")
     common(p)
-    p = sub.add_parser("restrict-check", help="slice restriction verdict")
-    common(p)
+    p.add_argument("--tol", type=float, default=None)
+    common(sub.add_parser("restrict-check", help="slice restriction verdict"))
     p = sub.add_parser("dual-check", help="fibre and dual membership of a jet")
     common(p)
+    p.add_argument("--tol", type=float, default=None)
     p = sub.add_parser("equivalence-suite", help="run the shadow batteries")
     common(p, config_required=False)
+    p.add_argument("--seed", type=int, default=1)
     p = sub.add_parser("metric-demo", help="spherical-metric separation demo")
     p.add_argument("--C", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--quiet", action="store_true")
     p = sub.add_parser("regularize", help="essential usc regularization")
     common(p)

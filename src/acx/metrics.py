@@ -254,11 +254,6 @@ def laplace_beltrami(metric: HermitianMetric, surface: ParamSurface,
     return lap / mu_p
 
 
-def directional_derivative(phi: Callable[[np.ndarray], float], x: np.ndarray,
-                           v: np.ndarray, step: float = 1e-5) -> float:
-    return float((phi(x + step * v) - phi(x - step * v)) / (2 * step))
-
-
 def _hessian_of_callable(metric: HermitianMetric, phi, x: np.ndarray,
                          step: float) -> np.ndarray:
     d = x.size

@@ -20,7 +20,8 @@ from .algebra import (
     StructureFrame,
     antilinear_normalize_matrix,
     complexify_batch,
-    realify_batch,
+    linear_antilinear_split,
+    realify,
 )
 from .discretize import Policy, Stencil, snap_policy
 from .lattice import (
@@ -48,13 +49,10 @@ _REAL_FORM_SCALE = 1.0 / 16.0  # pins L_B u = tr_C(A_C B) on exact jets
 
 
 def real_form(b: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n form of a hermitian B, normalized so the associated
-    operator pairs with the complexified hessian without extra factors."""
-    return _REAL_FORM_SCALE * realify_batch(np.asarray(b, dtype=complex)[None])[0]
-
-
-def real_form_batch(b: np.ndarray) -> np.ndarray:
-    return _REAL_FORM_SCALE * realify_batch(b)
+    """Real 2n x 2n form of a hermitian B (or of a stack of them),
+    normalized so the associated operator pairs with the complexified
+    hessian without extra factors."""
+    return _REAL_FORM_SCALE * realify(b)
 
 
 def check_b_matrix(b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -182,7 +180,9 @@ def _embed(points: np.ndarray, d_ambient: int) -> np.ndarray:
 def induced_slice_structure(acx: AlmostComplexField, m: int) -> AlmostComplexField:
     """Structure induced on C^m x {0}: the generator is I + f_11 where f is
     the antilinear factor of the ambient normal form (valid when the slice
-    is compatible, i.e. f_21 vanishes along it)."""
+    is compatible, i.e. f_21 vanishes along it).  Its derivative follows
+    from f = f1 h^{-1} by the product rule: df = (df1 - f dh) h^{-1}, where
+    (dh, df1) is the same split of the ambient dg along the slice."""
     if not 1 <= m < acx.n:
         raise PshError("slice dimension must satisfy 1 <= m < n")
     ds = 2 * m
@@ -193,7 +193,14 @@ def induced_slice_structure(acx: AlmostComplexField, m: int) -> AlmostComplexFie
         out += f[:, :ds, :ds]
         return out
 
-    return AlmostComplexField(m, gen, name=f"{acx.name}|slice-{m}",
+    def dgen(pts):
+        x = _embed(pts, acx.d)
+        h, f = antilinear_normalize_matrix(acx.g(x), acx.j0)
+        dh, df1 = linear_antilinear_split(acx.dg(x)[:, :ds], acx.j0)
+        df = (df1 - f[:, None] @ dh) @ np.linalg.inv(h)[:, None]
+        return df[..., :ds, :ds]
+
+    return AlmostComplexField(m, gen, dgen, name=f"{acx.name}|slice-{m}",
                               params=dict(acx.params, m=m))
 
 
@@ -324,7 +331,7 @@ class OperatorFamily:
             jets = self._jets.jets(values)
         hp = transformed_hermitian(self.frame, *jets)
         self.bstar = adapted_bstar(complexify_batch(hp))
-        return self._snap(real_form_batch(self.bstar))
+        return self._snap(real_form(self.bstar))
 
     def policies(self, adapted=None) -> list:
         return self.fixed if adapted is None else self.fixed + [adapted]

@@ -74,7 +74,3 @@ class CounterRng:
         q, r = np.linalg.qr(self.complex_normals((n, n)))
         # Fix the phase so the factorization is unique, hence reproducible.
         return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    def unit_vector(self, d: int) -> np.ndarray:
-        v = self.normals((d,))
-        return v / np.linalg.norm(v)

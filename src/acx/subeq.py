@@ -205,12 +205,6 @@ def contains(sub: Subequation, x, jet: ReducedJet, tol: float = 1e-9) -> Members
                       float(eig[0]), float(det[0]))
 
 
-def _strict_interior(sub: Subequation, x, jet: ReducedJet, tol: float) -> bool:
-    margin, _, _ = margins_for_jets(sub, sub.acx.at(x), jet.p[None],
-                                    jet.a[None])
-    return bool(margin[0] > tol)
-
-
 def dual_contains(sub: Subequation, x, jet: ReducedJet, tol: float = 1e-9) -> Membership:
     """Dirichlet dual membership, implemented from the definition as the
     complement of the negated strict interior: jet is dual-admissible iff

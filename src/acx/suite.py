@@ -9,7 +9,7 @@ the agreement checks demand exact verdict matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,15 @@ class SuiteConfig:
     restriction_fields: int = 20
     inject_failure: bool = False
 
+    def __post_init__(self):
+        if min(getattr(self, k) for k in SIZE_KEYS) <= 0:
+            raise SuiteError("battery sizes must be positive")
+
+
+# the battery sizes: every field but the seed and the failure switch
+SIZE_KEYS = tuple(f.name for f in fields(SuiteConfig)
+                  if f.name not in ("seed", "inject_failure"))
+
 
 # ---------------------------------------------------------------------------
 # Linear equivalence triangle
@@ -74,8 +83,6 @@ def _triangle_field(dom: LatticeDomain, rng: CounterRng, sub_side: bool) -> Scal
 def linear_triangle_battery(config: SuiteConfig) -> dict:
     """Viscosity = classical on every (field, operator) pair, and viscosity
     passes imply nonnegative distributional pairings against the bumps."""
-    if config.linear_fields <= 0 or config.bumps <= 0 or config.balls <= 0:
-        raise SuiteError("battery sizes must be positive")
     rng = CounterRng(config.seed * 7919 + 11)
     dom = LatticeDomain.box([-1, 1], 21, dim=2)
     ops = _triangle_operators()
@@ -130,8 +137,6 @@ def _quadratic_with_margin(n: int, rng: CounterRng, target: float) -> np.ndarray
 def blaplacian_agreement_battery(config: SuiteConfig) -> dict:
     """Identical psh verdicts from the direct margin and the family route on
     quadratic fields with margins constructed outside the undecided band."""
-    if config.quadratics <= 0:
-        raise SuiteError("battery sizes must be positive")
     results = []
     all_ok = True
     for n in (1, 2):
@@ -187,8 +192,6 @@ def restriction_battery(config: SuiteConfig) -> dict:
     gentle maxima (small crease slope) keep every margin decided."""
     from .psh import restriction_check
 
-    if config.restriction_fields <= 0:
-        raise SuiteError("battery sizes must be positive")
     rng = CounterRng(config.seed * 48611 + 5)
     dom = LatticeDomain.ball(np.zeros(4), 0.8, 13)
     acx = make_structure("antilinear-slice-compatible", n=2, m=1, eps=0.1)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from acx.algebra import (
     AlgebraError,
+    AlmostComplexField,
     antilinear_generator,
     antilinear_normalize,
     complexify,
@@ -16,6 +17,7 @@ from acx.algebra import (
     realify,
     standard_j,
 )
+from acx.psh import induced_slice_structure
 from acx.rng import CounterRng
 from acx.subeq import ReducedJet
 
@@ -105,19 +107,29 @@ def test_e_linear_in_covector(seed, alpha, beta):
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1 + abs(alpha) + abs(beta))
 
 
-@pytest.mark.parametrize("preset,kwargs,x,p", [
-    ("antilinear-linear-eps", {"n": 1, "eps": 0.1, "generator": 0},
+def _induced(n, m, eps):
+    return induced_slice_structure(
+        make_structure("antilinear-slice-compatible", n=n, m=m, eps=eps), m)
+
+
+@pytest.mark.parametrize("build,x,p", [
+    (lambda: make_structure("antilinear-linear-eps", n=1, eps=0.1,
+                            generator=0),
      [0.4, 0.2], [0.7, -0.3]),
-    ("antilinear-linear-eps", {"n": 2, "eps": 0.1, "generator": 3},
+    (lambda: make_structure("antilinear-linear-eps", n=2, eps=0.1,
+                            generator=3),
      [0.4, 0.2, -0.3, 0.1], [0.7, -0.3, 0.5, 0.2]),
-    ("antilinear-slice-compatible", {"n": 3, "m": 1, "eps": 0.05},
+    (lambda: make_structure("antilinear-slice-compatible", n=3, m=1,
+                            eps=0.05),
      [0.4, 0.2, -0.3, 0.1, 0.25, -0.15], [0.7, -0.3, 0.5, 0.2, -0.4, 0.6]),
-], ids=["n1", "n2", "n3"])
-def test_e_matches_finite_difference_oracle_on_j(preset, kwargs, x, p):
+    (lambda: _induced(3, 2, 0.1),
+     [0.4, 0.2, -0.3, 0.1], [0.7, -0.3, 0.5, 0.2]),
+], ids=["n1", "n2", "n3", "slice-n3-m2"])
+def test_e_matches_finite_difference_oracle_on_j(build, x, p):
     # oracle: polarize q(v) = <(grad_{Jv} J) v, p> with centered differences
     # applied directly to the structure field J, independent of the
     # generator-derivative route
-    acx = make_structure(preset, **kwargs)
+    acx = build()
     x, p = np.array(x), np.array(p)
     d = acx.d
     e = lower_order_E(acx, x, p)
@@ -135,6 +147,59 @@ def test_e_matches_finite_difference_oracle_on_j(preset, kwargs, x, p):
             oracle[i, k] = 0.5 * (q(basis[i] + basis[k]) - q(basis[i])
                                   - q(basis[k]))
     assert np.max(np.abs(e - oracle)) < 1e-9
+
+
+def _generic(n, seed):
+    # g = I + sum_l x_l M_l + x_0^2 Q / 2 with dense M_l and Q: unlike the
+    # presets, its complex-linear part varies, so dh does not vanish
+    rng = CounterRng(seed)
+    d = 2 * n
+    mats = 0.1 * rng.normals((d, d, d))
+    quad = 0.1 * rng.normals((d, d))
+
+    def gen(pts):
+        return (np.eye(d) + np.einsum("nl,lab->nab", pts, mats)
+                + 0.5 * pts[:, 0, None, None] ** 2 * quad)
+
+    def dgen(pts):
+        out = np.broadcast_to(mats, (pts.shape[0], d, d, d)).copy()
+        out[:, 0] += pts[:, 0, None, None] * quad
+        return out
+
+    return AlmostComplexField(n, gen, dgen, name="generic")
+
+
+def _every_structure():
+    for n in (1, 2, 3):
+        yield make_structure("standard", n=n)
+        for gen in range(2 * n * n):
+            yield make_structure("antilinear-linear-eps", n=n, eps=0.1,
+                                 generator=gen)
+        for m in range(1, n):
+            yield make_structure("antilinear-slice-compatible", n=n, m=m,
+                                 eps=0.1)
+            yield _induced(n, m, 0.1)
+            yield induced_slice_structure(_generic(n, 40 + n), m)
+
+
+def test_d_generator_matches_centered_differences():
+    # the exact derivative of every preset and of every induced slice
+    # structure against centered differences of its own generator
+    step = 1e-5
+    rng = CounterRng(77)
+    names = set()
+    for acx in _every_structure():
+        pts = 0.5 * rng.normals((6, acx.d))
+        fd = np.stack([(acx.generator(pts + step * e)
+                        - acx.generator(pts - step * e)) / (2 * step)
+                       for e in np.eye(acx.d)], axis=1)
+        assert np.max(np.abs(acx.dg(pts) - fd)) < 1e-9, acx.name
+        names.add(acx.name)
+    assert names >= {"standard", "antilinear-linear-eps",
+                     "antilinear-slice-compatible",
+                     "antilinear-slice-compatible|slice-1",
+                     "antilinear-slice-compatible|slice-2",
+                     "generic|slice-1", "generic|slice-2"}
 
 
 # ---------------------------------------------------------------------------

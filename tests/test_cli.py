@@ -7,6 +7,7 @@ from acx.cli import main
 from acx.lattice import LatticeDomain, ScalarField, export_csv, import_csv
 from acx.algebra import make_structure
 from acx.subeq import Subequation, constant_rhs
+from acx.suite import SIZE_KEYS, SuiteConfig, SuiteError
 
 
 def abs2(X):
@@ -167,6 +168,12 @@ def test_equivalence_suite_determinism_and_exits(tmp_path):
         "restriction_fields": 2, "inject_failure": True})
     assert main(["equivalence-suite", "--config", injected, "--seed", "9",
                  "--out", str(tmp_path / "d"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("key", SIZE_KEYS)
+def test_suite_config_rejects_non_positive_sizes(key):
+    with pytest.raises(SuiteError, match="battery sizes must be positive"):
+        SuiteConfig(**{key: 0})
 
 
 def test_metric_demo_exits(tmp_path):
