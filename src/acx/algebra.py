@@ -125,16 +125,11 @@ def complexify(b: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     B_C[j, k] = (B[x_j, x_k] + i B[x_j, y_k]) / 4.
     """
     b = np.asarray(b, dtype=float)
-    d = b.shape[0]
-    n = d // 2
-    j0 = standard_j(n)
+    j0 = standard_j(b.shape[0] // 2)
     check_symmetric(b, tol)
     if np.max(np.abs(j0.T @ b @ j0 - b)) > max(tol, tol * np.max(np.abs(b))):
         raise AlgebraError("form is not J0-hermitian; complexification undefined")
-    xs = np.arange(0, d, 2)
-    ys = xs + 1
-    out = _COMPLEXIFY_SCALE * (b[np.ix_(xs, xs)] + 1j * b[np.ix_(xs, ys)])
-    return 0.5 * (out + out.conj().T)
+    return complexify_batch(b[None])[0]
 
 
 def realify(m: np.ndarray) -> np.ndarray:
@@ -192,16 +187,15 @@ class HermitianForm:
 class AlmostComplexField:
     """Coordinate description of J = g J0 g^{-1} with derivative access.
 
-    ``generator`` maps a batch of points (N, 2n) to generators (N, 2n, 2n);
-    ``d_generator`` maps the same batch to the exact coordinate derivatives
-    of g, (N, 2n, 2n, 2n) indexed [node, direction, row, col].
-    ``constant_identity`` marks the flat preset so heavy callers can skip
-    the E-term entirely.
+    ``evaluate`` maps a batch of points (N, 2n) to the generators g
+    (N, 2n, 2n) and their exact coordinate derivatives dg (N, 2n, 2n, 2n),
+    indexed [node, direction, row, col]; a constant g or dg may be a
+    broadcast view.  ``constant_identity`` marks the flat preset so heavy
+    callers can skip the E-term entirely.
     """
 
     n: int
-    generator: Callable[[np.ndarray], np.ndarray]
-    d_generator: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: str = "custom"
     params: dict = field(default_factory=dict)
     constant_identity: bool = False
@@ -214,44 +208,39 @@ class AlmostComplexField:
 
     # -- batched evaluation -------------------------------------------------
 
-    def at(self, x, full: bool = True) -> StructureFrame:
+    def at(self, x) -> StructureFrame:
         """The one evaluation of the structure at a batch of points (a single
-        point counts as a batch of one).  ``full=False`` evaluates only the
-        generator, enough for ``g`` and ``beta``; so does the flat preset,
-        whose J = J0 and dJ = 0 are implicit."""
+        point counts as a batch of one).  On the flat preset J = J0 and
+        dJ = 0 stay implicit."""
         pts, _ = _as_points(x, self.d)
-        g = np.asarray(self.generator(pts), dtype=float)
-        if self.constant_identity or not full:
-            return StructureFrame(self, pts, g)
+        g, dg = self.evaluate(pts)
+        g, dg = np.asarray(g, dtype=float), np.asarray(dg, dtype=float)
+        if self.constant_identity:
+            return StructureFrame(self, pts, g, dg)
         ginv = np.linalg.inv(g)
-        dg = self.dg(pts)
-        j = np.einsum("nab,bc,ncd->nad", g, self.j0, ginv)
-        # dJ = dg J0 g^{-1} - J dg g^{-1}
-        t1 = np.einsum("nlab,bc,ncd->nlad", dg, self.j0, ginv)
-        t2 = np.einsum("nab,nlbc,ncd->nlad", j, dg, ginv)
-        return StructureFrame(self, pts, g, j, t1 - t2)
+        j = g @ self.j0 @ ginv
+        # dJ = (dg J0 - J dg) g^{-1}
+        dj = (dg @ self.j0 - j[:, None] @ dg) @ ginv[:, None]
+        return StructureFrame(self, pts, g, dg, j, dj)
 
-    def _read(self, x, name: str, flat_value: np.ndarray | None = None,
-              full: bool = True):
+    def _read(self, x, name: str, flat_value: np.ndarray | None = None):
         """Attribute ``name`` of one frame at x; ``flat_value`` stands in
         for it on the flat preset."""
         pts, single = _as_points(x, self.d)
-        frame = self.at(pts, full)
+        frame = self.at(pts)
         out = getattr(frame, name)
         if flat_value is not None and frame.flat:
             out = np.broadcast_to(flat_value, (pts.shape[0],) + flat_value.shape).copy()
         return out[0] if single else out
 
     def g(self, x) -> np.ndarray:
-        return self._read(x, "g", full=False)
+        return self._read(x, "g")
 
     def j(self, x) -> np.ndarray:
         return self._read(x, "j", self.j0)
 
     def dg(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.d)
-        out = np.asarray(self.d_generator(pts), dtype=float)
-        return out[0] if single else out
+        return self._read(x, "dg")
 
     def dj(self, x) -> np.ndarray:
         """Coordinate derivatives of J, indexed [node, direction, row, col]."""
@@ -274,8 +263,7 @@ class AlmostComplexField:
         if np.any(frame.beta <= 0):
             raise AlgebraError("generator must have positive determinant")
         j = self.j0 if frame.flat else frame.j
-        res = np.einsum("...ab,...bc->...ac", j, j) + np.eye(self.d)
-        worst = float(np.max(np.abs(res)))
+        worst = float(np.max(np.abs(j @ j + np.eye(self.d))))
         if worst > tol:
             raise AlgebraError(f"J^2 + I residual {worst:.3e} exceeds {tol:.3e}")
         return worst
@@ -283,15 +271,15 @@ class AlmostComplexField:
 
 @dataclass(eq=False)
 class StructureFrame:
-    """One evaluation of a structure at the points ``pts``: g, J = g J0 g^{-1}
-    and dJ (indexed [node, direction, row, col]); J and dJ are None on the
-    flat preset and in a generator-only frame.  The first-order term E(p)
-    has one formula, :meth:`e`; the tensor E(e_k) is built on first use,
-    by drift consumers only."""
+    """One evaluation of a structure at the points ``pts``: g, dg,
+    J = g J0 g^{-1} and dJ (derivatives indexed [node, direction, row,
+    col]); J and dJ are None on the flat preset.  The first-order term E(p)
+    has one formula, :meth:`e`; the tensor E(e_k) is built on first use."""
 
     acx: AlmostComplexField
     pts: np.ndarray
     g: np.ndarray
+    dg: np.ndarray
     j: np.ndarray | None = None
     dj: np.ndarray | None = None
 
@@ -322,11 +310,13 @@ class StructureFrame:
 
     @cached_property
     def e_tensor(self) -> np.ndarray:
-        """E on the covector basis, indexed [node, k, row, col]."""
+        """E on the covector basis, indexed [node, k, row, col]: E(e_k) is
+        the symmetric part of J^T D_k with D_k[l, m] = dJ[l][k, m]."""
         n, d = self.pts.shape
         if self.flat:
             return np.zeros((n, d, d, d))
-        return np.stack([self.e(ek) for ek in np.eye(d)], axis=1)
+        nmat = np.swapaxes(self.j, 1, 2)[:, None] @ np.swapaxes(self.dj, 1, 2)
+        return 0.5 * (nmat + np.swapaxes(nmat, 2, 3))
 
 
 def lower_order_E(acx: AlmostComplexField, x, p) -> np.ndarray:
@@ -385,31 +375,26 @@ def antilinear_generator(n: int, index: int) -> np.ndarray:
 def _standard(n: int) -> AlmostComplexField:
     d = 2 * n
 
-    def gen(pts):
-        return np.broadcast_to(np.eye(d), (pts.shape[0], d, d)).copy()
+    def evaluate(pts):
+        nn = pts.shape[0]
+        return (np.broadcast_to(np.eye(d), (nn, d, d)),
+                np.broadcast_to(0.0, (nn, d, d, d)))
 
-    def dgen(pts):
-        return np.zeros((pts.shape[0], d, d, d))
-
-    return AlmostComplexField(
-        n, gen, dgen, name="standard", constant_identity=True
-    )
+    return AlmostComplexField(n, evaluate, name="standard", constant_identity=True)
 
 
 def _antilinear_linear_eps(n: int, eps: float = 0.1, generator: int = 0) -> AlmostComplexField:
     d = 2 * n
     f = antilinear_generator(n, generator)
+    dg = np.zeros((d, d, d))
+    dg[0] = eps * f
 
-    def gen(pts):
-        return np.eye(d) + eps * pts[:, 0, None, None] * f
-
-    def dgen(pts):
-        out = np.zeros((pts.shape[0], d, d, d))
-        out[:, 0] = eps * f
-        return out
+    def evaluate(pts):
+        g = np.eye(d) + eps * pts[:, 0, None, None] * f
+        return g, np.broadcast_to(dg, (pts.shape[0], d, d, d))
 
     return AlmostComplexField(
-        n, gen, dgen, name="antilinear-linear-eps",
+        n, evaluate, name="antilinear-linear-eps",
         params={"eps": eps, "generator": generator},
     )
 
@@ -438,14 +423,12 @@ def _antilinear_slice_compatible(n: int, m: int = 1, eps: float = 0.1) -> Almost
 
     dg = eps * rep_antilinear(mmat(np.eye(d)))  # [direction, row, col]
 
-    def gen(pts):
-        return np.eye(d) + eps * rep_antilinear(mmat(pts))
-
-    def dgen(pts):
-        return np.broadcast_to(dg, (pts.shape[0], d, d, d)).copy()
+    def evaluate(pts):
+        g = np.eye(d) + eps * rep_antilinear(mmat(pts))
+        return g, np.broadcast_to(dg, (pts.shape[0], d, d, d))
 
     return AlmostComplexField(
-        n, gen, dgen, name="antilinear-slice-compatible",
+        n, evaluate, name="antilinear-slice-compatible",
         params={"eps": eps, "m": m},
     )
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import make_structure
-from .dirichlet import DirichletProblem, SchemeOptions, solve
+from .dirichlet import DirichletProblem, SchemeOptions, SolveError, solve
 from .lattice import (
     LatticeDomain,
     export_csv,
@@ -230,7 +231,7 @@ def cmd_restrict_check(args) -> int:
             "on the slice (it must vanish there)")
     report = restriction_check(field, Subequation(acx), m)
     payload = {"schema": "acx/1", "command": "restrict-check",
-               **report.to_dict()}
+               **asdict(report)}
     if args.out:
         write_report(_outdir(args) / "restriction.json", payload, meta={})
     if not args.quiet:
@@ -288,7 +289,7 @@ def cmd_metric_demo(args) -> int:
     except MetricError as exc:
         raise InputError(str(exc)) from exc
     payload = {"schema": "acx/1", "command": "metric-demo",
-               **report.to_dict()}
+               **asdict(report)}
     if args.out:
         write_report(_outdir(args) / "metric.json", payload, meta={})
     if not args.quiet:
@@ -366,10 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, SolveError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

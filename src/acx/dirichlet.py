@@ -31,7 +31,7 @@ have a fixed order, so runs are deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -104,18 +104,7 @@ class SolveReport:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "subsolution_margin": self.subsolution_margin,
-            "dual_margin": self.dual_margin,
-            "wall_clock": self.wall_clock,
-            "init_c": self.init_c,
-            "init_certified": self.init_certified,
-            "tol_res": self.tol_res,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 class BellmanOperator:
@@ -265,10 +254,6 @@ class ComparisonVerdict:
     max_violation: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"status": self.status, "max_violation": self.max_violation,
-                "detail": self.detail}
-
 
 def comparison_check(u: ScalarField, w: ScalarField,
                      problem: DirichletProblem,
@@ -319,10 +304,6 @@ class MaximalityVerdict:
     checked: int
     skipped: int
     max_violation: float
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "checked": self.checked,
-                "skipped": self.skipped, "max_violation": self.max_violation}
 
 
 def default_competitors(u: ScalarField, problem: DirichletProblem,

@@ -29,65 +29,49 @@ class LinpotError(ValueError):
 
 @dataclass
 class LinearOperator:
-    """Coefficient fields of L: ``a`` maps points (N, d) to SPD forms
-    (N, d, d), ``b`` maps points to drift vectors (N, d) or is None."""
+    """Coefficient fields of L: ``coefficients`` maps points (N, d) to
+    (a, b), the SPD forms a as (N, d, d) or one shared (d, d) and the drift
+    b as (N, d), one shared (d,) or None."""
 
     dim: int
-    a: Callable[[np.ndarray], np.ndarray]
-    b: Callable[[np.ndarray], np.ndarray] | None = None
+    coefficients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
     provenance: str = "generic"
 
-    def a_at(self, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.a(pts), dtype=float)
-        if out.ndim == 2:
-            out = np.broadcast_to(out, (pts.shape[0],) + out.shape)
-        w = np.linalg.eigvalsh(out)
-        if np.any(w[:, 0] <= 0):
+    def at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(a, b) broadcast to the points, a checked positive definite."""
+        a, b = self.coefficients(pts)
+        n = pts.shape[0]
+        a = np.broadcast_to(np.asarray(a, dtype=float), (n, self.dim, self.dim))
+        if np.any(np.linalg.eigvalsh(a)[:, 0] <= 0):
             raise LinpotError("coefficient a(x) must be positive definite")
-        return out
-
-    def b_at(self, pts: np.ndarray) -> np.ndarray | None:
-        if self.b is None:
-            return None
-        out = np.asarray(self.b(pts), dtype=float)
-        if out.ndim == 1:
-            out = np.broadcast_to(out, (pts.shape[0],) + out.shape)
-        return out
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "provenance": self.provenance}
+        if b is not None:
+            b = np.broadcast_to(np.asarray(b, dtype=float), (n, self.dim))
+        return a, b
 
 
 def laplacian(dim: int) -> LinearOperator:
-    return LinearOperator(dim, lambda pts: np.eye(dim), None, "laplacian")
+    return LinearOperator(dim, lambda pts: (np.eye(dim), None), "laplacian")
 
 
 def diagonal_operator(diag) -> LinearOperator:
     diag = np.asarray(diag, dtype=float)
     if np.any(diag <= 0):
         raise LinpotError("diagonal coefficients must be positive")
-    return LinearOperator(diag.size, lambda pts: np.diag(diag), None,
+    return LinearOperator(diag.size, lambda pts: (np.diag(diag), None),
                           "diagonal")
 
 
 def operator_from_structure(sub: Subequation, b) -> LinearOperator:
     """The linear operator attached to a positive unit-determinant hermitian
     form through the structure: a(x) = g B_r g^T, drift the adjoint pairing
-    of the first-order term.  Both come from the operator family's
-    coefficient function, as in the psh module's family test."""
+    of the first-order term.  Both come from one evaluation of the
+    structure, through the operator family's coefficient function, as in
+    the psh module's family test."""
     br = real_form(check_b_matrix(b))
     acx = sub.acx
-
-    def a(pts):
-        s, _ = OperatorFamily.coefficients(acx.at(pts, full=False), br, drift=False)
-        return np.broadcast_to(s, (pts.shape[0],) + br.shape)
-
-    drift = None
-    if not acx.constant_identity:
-        def drift(pts):
-            return OperatorFamily.coefficients(acx.at(pts), br)[1]
-
-    return LinearOperator(sub.d, a, drift, "derived-from-structure")
+    return LinearOperator(
+        sub.d, lambda pts: OperatorFamily.coefficients(acx.at(pts), br),
+        "derived-from-structure")
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +85,14 @@ class LinearVerdict:
     worst_node: np.ndarray
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"subharmonic": self.subharmonic, "margin": self.margin,
-                "worst_node": [float(c) for c in self.worst_node],
-                "detail": self.detail}
-
 
 def viscosity_values(u: ScalarField, op: LinearOperator) -> np.ndarray:
     """<a, D^2u> + <b, Du> from centered jets at interior nodes."""
     dom = u.domain
     p, a_jets = fd_jets(u)
     pts = dom.node_coords[dom.interior_ids]
-    avals = op.a_at(pts)
+    avals, bvals = op.at(pts)
     out = np.einsum("nij,nij->n", avals, a_jets)
-    bvals = op.b_at(pts)
     if bvals is not None:
         out = out + np.einsum("ni,ni->n", bvals, p)
     return out
@@ -162,7 +140,7 @@ def harmonic_replacement(u: ScalarField, op: LinearOperator,
     start = subfield_on(u, ball)
     st = Stencil(ball)
     pts = ball.node_coords[st.nodes]
-    pol = snap_policy(st, op.a_at(pts), op.b_at(pts))
+    pol = snap_policy(st, *op.at(pts))
     scale = max(1.0, float(np.max(np.abs(start.values))))
     try:
         values = solve_frozen(pol, start.values, 0.0, tol_res * scale)
@@ -176,11 +154,6 @@ class ClassicalVerdict:
     subharmonic: bool
     max_violation: float
     witness_ball: int | None
-
-    def to_dict(self) -> dict:
-        return {"subharmonic": self.subharmonic,
-                "max_violation": self.max_violation,
-                "witness_ball": self.witness_ball}
 
 
 def classical_subharmonic(u: ScalarField, op: LinearOperator,
@@ -273,8 +246,7 @@ def distributional_pairing(u: ScalarField, op: LinearOperator,
         raise LinpotError("bump support touches the boundary layer")
 
     pts = dom.node_coords
-    avals = op.a_at(pts)
-    bvals = op.b_at(pts)
+    avals, bvals = op.at(pts)
     phi = bump.values
     lt = np.zeros(dom.n_nodes)
     h = dom.h

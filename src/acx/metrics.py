@@ -182,8 +182,7 @@ def coordinate_complex_line(offset=(0.0, 0.0)) -> ParamSurface:
     return ParamSurface("complex-line", point, {"offset": tuple(c)})
 
 
-def _surface_frames(metric: HermitianMetric, surface: ParamSurface, w,
-                    step: float):
+def _surface_frames(surface: ParamSurface, w, step: float):
     """Tangents, parameter second derivatives and base point by centered
     differences in the chart."""
     p, q = float(w[0]), float(w[1])
@@ -206,7 +205,7 @@ def mean_curvature(metric: HermitianMetric, surface: ParamSurface, w,
     """Mean curvature vector: metric trace of the second fundamental form,
     computed from the chart and the analytic Christoffels.  For the round
     sphere in the euclidean metric the magnitude is 2/r with inward normal."""
-    x0, tp, tq, dpp, dqq, dpq = _surface_frames(metric, surface, w, step)
+    x0, tp, tq, dpp, dqq, dpq = _surface_frames(surface, w, step)
     m = metric.m_at(x0[None])[0]
     gam = metric.gamma_at(x0[None])[0]
 
@@ -236,7 +235,7 @@ def laplace_beltrami(metric: HermitianMetric, surface: ParamSurface,
     """Surface Laplacian in a conformal chart: (phi_pp + phi_qq) / mu with
     mu the conformal factor of the induced metric (checked within
     tolerance)."""
-    x0, tp, tq, _, _, _ = _surface_frames(metric, surface, w, step)
+    x0, tp, tq, _, _, _ = _surface_frames(surface, w, step)
     m = metric.m_at(x0[None])[0]
     mu_p = tp @ m @ tp
     mu_q = tq @ m @ tq
@@ -290,7 +289,7 @@ def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
     shifted sphere, where the left side is evaluated as the intrinsic curve
     hessian |v|^2 Delta_Sigma(phi|_Sigma)."""
     w = np.asarray(w, dtype=float)
-    x0, tp, tq, _, _, _ = _surface_frames(metric, surface, w, step)
+    x0, tp, tq, _, _, _ = _surface_frames(surface, w, step)
     m = metric.m_at(x0[None])[0]
     v = tp / math.sqrt(tp @ m @ tp)      # metric-unit tangent
     vnorm2 = float(v @ m @ v)
@@ -331,19 +330,6 @@ class Example95Report:
     standard_psh_fails: bool
     hessian_origin: list
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c, "r": self.r,
-            "laplace_beltrami_origin": self.laplace_beltrami_origin,
-            "reference_value": self.reference_value,
-            "deviation": self.deviation,
-            "laplace_beltrami_conformal": self.laplace_beltrami_conformal,
-            "hermitian_margin": self.hermitian_margin,
-            "hermitian_psh_near_origin": self.hermitian_psh_near_origin,
-            "standard_psh_fails": self.standard_psh_fails,
-            "hessian_origin": self.hessian_origin,
-        }
-
 
 def example95_report(c: float, r: float, step: float | None = None) -> Example95Report:
     """Separation of hermitian and standard plurisubharmonicity on the
@@ -367,7 +353,7 @@ def example95_report(c: float, r: float, step: float | None = None) -> Example95
 
     # identity route: tangential trace of the hessian plus the mean
     # curvature derivative
-    _, tp, tq, _, _, _ = _surface_frames(metric, surface, (0.0, 0.0), step)
+    _, tp, tq, _, _, _ = _surface_frames(surface, (0.0, 0.0), step)
     e1 = tp / np.linalg.norm(tp)
     e2 = tq / np.linalg.norm(tq)
     tr_tan = float(e1 @ hess @ e1 + e2 @ hess @ e2)

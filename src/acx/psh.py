@@ -182,25 +182,20 @@ def induced_slice_structure(acx: AlmostComplexField, m: int) -> AlmostComplexFie
     the antilinear factor of the ambient normal form (valid when the slice
     is compatible, i.e. f_21 vanishes along it).  Its derivative follows
     from f = f1 h^{-1} by the product rule: df = (df1 - f dh) h^{-1}, where
-    (dh, df1) is the same split of the ambient dg along the slice."""
+    (dh, df1) is the same split of the ambient dg along the slice.  One
+    ambient evaluation serves both."""
     if not 1 <= m < acx.n:
         raise PshError("slice dimension must satisfy 1 <= m < n")
     ds = 2 * m
 
-    def gen(pts):
-        _, f = antilinear_normalize_matrix(acx.g(_embed(pts, acx.d)), acx.j0)
-        out = np.broadcast_to(np.eye(ds), (pts.shape[0], ds, ds)).copy()
-        out += f[:, :ds, :ds]
-        return out
-
-    def dgen(pts):
-        x = _embed(pts, acx.d)
-        h, f = antilinear_normalize_matrix(acx.g(x), acx.j0)
-        dh, df1 = linear_antilinear_split(acx.dg(x)[:, :ds], acx.j0)
+    def evaluate(pts):
+        g, dg = acx.evaluate(_embed(pts, acx.d))
+        h, f = antilinear_normalize_matrix(g, acx.j0)
+        dh, df1 = linear_antilinear_split(dg[:, :ds], acx.j0)
         df = (df1 - f[:, None] @ dh) @ np.linalg.inv(h)[:, None]
-        return df[..., :ds, :ds]
+        return np.eye(ds) + f[:, :ds, :ds], df[..., :ds, :ds]
 
-    return AlmostComplexField(m, gen, dgen, name=f"{acx.name}|slice-{m}",
+    return AlmostComplexField(m, evaluate, name=f"{acx.name}|slice-{m}",
                               params=dict(acx.params, m=m))
 
 
@@ -228,9 +223,7 @@ def slice_compatible(acx: AlmostComplexField, m: int,
     frame = acx.at(_embed(points, acx.d))
     _, f = antilinear_normalize_matrix(frame.g, acx.j0)
     worst_f21 = float(np.max(np.abs(f[:, ds:, :ds])))
-    worst_e = 0.0
-    for p in np.eye(acx.d)[ds:]:
-        worst_e = max(worst_e, float(np.max(np.abs(frame.e(p)[:, :ds, :ds]))))
+    worst_e = float(np.max(np.abs(frame.e_tensor[:, ds:, :ds, :ds])))
     return SliceCompatibility(worst_f21 <= tol and worst_e <= tol,
                               worst_f21, worst_e)
 
@@ -244,17 +237,6 @@ class RestrictionReport:
     slice_psh: bool
     implication_holds: bool
     slack: float
-
-    def to_dict(self) -> dict:
-        return {
-            "compatible": self.compatible,
-            "ambient_margin": self.ambient_margin,
-            "slice_margin": self.slice_margin,
-            "ambient_psh": self.ambient_psh,
-            "slice_psh": self.slice_psh,
-            "implication_holds": self.implication_holds,
-            "slack": self.slack,
-        }
 
 
 def restriction_check(u: ScalarField, sub: Subequation, m: int,
@@ -306,15 +288,14 @@ class OperatorFamily:
         self._jets = None
 
     @staticmethod
-    def coefficients(frame: StructureFrame, br, drift: bool = True):
+    def coefficients(frame: StructureFrame, br):
         """(S, drift) for a real form B_r, constant (d, d) or per node
-        (N, d, d).  On the flat structure S = B_r; the drift is None there
-        and when not asked for."""
+        (N, d, d).  On the flat structure S = B_r and the drift is None."""
         if frame.flat:
             return (br[None] if br.ndim == 2 else br), None
         g = frame.g
-        s = np.matmul(np.matmul(g, br), g.transpose(0, 2, 1))
-        return s, np.einsum("nkab,nab->nk", frame.e_tensor, s) if drift else None
+        s = g @ br @ g.transpose(0, 2, 1)
+        return s, np.einsum("nkab,nab->nk", frame.e_tensor, s)
 
     def _snap(self, br):
         return snap_policy(self.stencil, *self.coefficients(self.frame, br))
@@ -370,8 +351,8 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     dom = u.domain
     if dom.node_class[node] != INTERIOR:
         raise PshError("B-Laplacian requires an interior node")
-    x = dom.node_coords[node]
-    g = sub.acx.g(x)
+    frame = sub.acx.at(dom.node_coords[node])
+    g = frame.g[0]
     s = g @ real_form(bmat) @ g.T
     st = Stencil(dom)
     row = st.node_row(node)
@@ -385,9 +366,8 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
         scores[~st.allowed[row]] = -1.0
         t = int(np.argmax(scores))
         total += (vals[k] - vals[0]) * directional_second(u, node, st.dirs[t])
-    if not sub.acx.constant_identity:
-        drift = np.einsum("nkab,nab->nk", sub.acx.e_tensor(x[None]), s[None])
-        total += upwind_first(u, node, drift[0])
+    if not frame.flat:
+        total += upwind_first(u, node, np.einsum("kab,ab->k", frame.e_tensor[0], s))
     return float(total)
 
 

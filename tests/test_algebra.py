@@ -157,16 +157,14 @@ def _generic(n, seed):
     mats = 0.1 * rng.normals((d, d, d))
     quad = 0.1 * rng.normals((d, d))
 
-    def gen(pts):
-        return (np.eye(d) + np.einsum("nl,lab->nab", pts, mats)
-                + 0.5 * pts[:, 0, None, None] ** 2 * quad)
+    def evaluate(pts):
+        g = (np.eye(d) + np.einsum("nl,lab->nab", pts, mats)
+             + 0.5 * pts[:, 0, None, None] ** 2 * quad)
+        dg = np.broadcast_to(mats, (pts.shape[0], d, d, d)).copy()
+        dg[:, 0] += pts[:, 0, None, None] * quad
+        return g, dg
 
-    def dgen(pts):
-        out = np.broadcast_to(mats, (pts.shape[0], d, d, d)).copy()
-        out[:, 0] += pts[:, 0, None, None] * quad
-        return out
-
-    return AlmostComplexField(n, gen, dgen, name="generic")
+    return AlmostComplexField(n, evaluate, name="generic")
 
 
 def _every_structure():
@@ -190,8 +188,8 @@ def test_d_generator_matches_centered_differences():
     names = set()
     for acx in _every_structure():
         pts = 0.5 * rng.normals((6, acx.d))
-        fd = np.stack([(acx.generator(pts + step * e)
-                        - acx.generator(pts - step * e)) / (2 * step)
+        fd = np.stack([(acx.evaluate(pts + step * e)[0]
+                        - acx.evaluate(pts - step * e)[0]) / (2 * step)
                        for e in np.eye(acx.d)], axis=1)
         assert np.max(np.abs(acx.dg(pts) - fd)) < 1e-9, acx.name
         names.add(acx.name)
@@ -200,6 +198,15 @@ def test_d_generator_matches_centered_differences():
                      "antilinear-slice-compatible|slice-1",
                      "antilinear-slice-compatible|slice-2",
                      "generic|slice-1", "generic|slice-2"}
+
+
+def test_e_tensor_is_e_on_the_covector_basis():
+    # the one contraction behind the drift against the per-covector formula
+    rng = CounterRng(78)
+    for acx in _every_structure():
+        frame = acx.at(0.5 * rng.normals((6, acx.d)))
+        for k, ek in enumerate(np.eye(acx.d)):
+            assert np.max(np.abs(frame.e_tensor[:, k] - frame.e(ek))) <= 1e-14, acx.name
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +334,13 @@ def test_normal_form_of_antilinear_perturbation_is_itself():
     assert np.allclose(f, eps * x[0] * f0)
 
 
+def _constant(g):
+    # the evaluate callable of a constant generator
+    d = g.shape[0]
+    return lambda pts: (np.broadcast_to(g, (pts.shape[0], d, d)),
+                        np.zeros((pts.shape[0], d, d, d)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_normal_form_reconstruction_and_anticommutation(n):
     d = 2 * n
@@ -335,7 +349,7 @@ def test_normal_form_reconstruction_and_anticommutation(n):
     for k in range(100):
         g = np.eye(d) + 0.3 * rng.normals((d, d))
         acx = make_structure("standard", n=n)
-        acx.generator = lambda pts, g=g: np.broadcast_to(g, (pts.shape[0], d, d))
+        acx.evaluate = _constant(g)
         h, f = antilinear_normalize(acx, np.zeros(d))
         assert np.max(np.abs((np.eye(d) + f) @ h - g)) < 1e-12 * max(
             1.0, np.max(np.abs(g)))
@@ -348,12 +362,12 @@ def test_normal_form_uniqueness():
     rng = CounterRng(17)
     g = np.eye(d) + 0.2 * rng.normals((d, d))
     acx = make_structure("standard", n=n)
-    acx.generator = lambda pts: np.broadcast_to(g, (pts.shape[0], d, d))
+    acx.evaluate = _constant(g)
     _, f1 = antilinear_normalize(acx, np.zeros(d))
     # compose with a complex-linear factor: same J, same antilinear part
     rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     acx2 = make_structure("standard", n=n)
-    acx2.generator = lambda pts: np.broadcast_to(g @ rot, (pts.shape[0], d, d))
+    acx2.evaluate = _constant(g @ rot)
     _, f2 = antilinear_normalize(acx2, np.zeros(d))
     assert np.max(np.abs(f1 - f2)) < 1e-12
 
@@ -363,7 +377,7 @@ def test_normal_form_rejects_singular_linear_part():
     d = 2
     f0 = antilinear_generator(1, 0)
     acx = make_structure("standard", n=1)
-    acx.generator = lambda pts: np.broadcast_to(f0, (pts.shape[0], d, d))
+    acx.evaluate = _constant(f0)
     with pytest.raises(AlgebraError, match="shrink"):
         antilinear_normalize(acx, np.zeros(d))
 

@@ -1,5 +1,6 @@
-"""The benchmark's traced spans name callables that exist in acx, so that
-deleting one fails here rather than in ``perfbench/run.py --trace 1``."""
+"""The benchmark's traced spans and span hooks name callables that exist
+in acx, so that deleting one fails here rather than in
+``perfbench/run.py --trace 1``."""
 
 import importlib.util
 import sys
@@ -31,4 +32,5 @@ def test_every_layer_metric_span_is_traced():
         t.uninstall()
     assert not t.patched
     spans = {span for span, _, _ in run.LAYER_METRICS.values()}
+    spans |= set(run.TRACE_HOOKS)
     assert spans <= names, sorted(spans - names)

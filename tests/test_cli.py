@@ -67,6 +67,21 @@ def test_solve_input_errors_exit_one(tmp_path):
                  "--out", str(tmp_path / "x"), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("change,hint", [
+    ({"structure": {"preset": "standard", "n": 2}}, "dimension"),
+    ({"boundary": {"kind": "expression", "id": "constant", "value": "nan"}},
+     "finite"),
+], ids=["dimension", "non-finite-boundary"])
+def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
+                                            change, hint):
+    path = write_json(tmp_path / "p.json",
+                      dict(json.loads(open(solve_cfg).read()), **change))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "x"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and hint in err
+
+
 def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
     cfg = json.loads(open(solve_cfg).read())
     out = ["--out", str(tmp_path / "x"), "--quiet"]

@@ -176,13 +176,13 @@ def test_howard_steps_do_not_grow_as_h_shrinks():
 def test_solve_evaluates_the_structure_a_fixed_number_of_times():
     # the operator family evaluates the structure once for its node set;
     # every adapted refresh and the certificate margins read that
-    # evaluation, so the generator runs once whatever the Howard step count
-    # (this solve needs 3 steps, so both caps stop it)
-    def generator_calls(max_iterations):
+    # evaluation, so the structure is evaluated once whatever the Howard
+    # step count (this solve needs 3 steps, so both caps stop it)
+    def evaluations(max_iterations):
         acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
         calls = []
-        generator = acx.generator
-        acx.generator = lambda pts: calls.append(1) or generator(pts)
+        evaluate = acx.evaluate
+        acx.evaluate = lambda pts: calls.append(1) or evaluate(pts)
         dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
         scheme = SchemeOptions(max_iterations=max_iterations)
         _, rep = solve(DirichletProblem(
@@ -190,7 +190,7 @@ def test_solve_evaluates_the_structure_a_fixed_number_of_times():
         assert rep.iterations == max_iterations
         return len(calls)
 
-    assert generator_calls(1) == generator_calls(2) == 1
+    assert evaluations(1) == evaluations(2) == 1
 
 
 def test_solve_n3_on_a_ball():

@@ -54,8 +54,7 @@ def test_viscosity_affine_reports_drift_pairing(box):
     op = diagonal_operator([1.0, 1.0])
     assert viscosity_subharmonic(u, op).margin == pytest.approx(0.0)
     from acx.linpot import LinearOperator
-    drift = LinearOperator(2, lambda pts: np.eye(2),
-                           lambda pts: np.array([2.0, 0.0]))
+    drift = LinearOperator(2, lambda pts: (np.eye(2), np.array([2.0, 0.0])))
     assert viscosity_subharmonic(u, drift).margin == pytest.approx(2.0)
 
 
@@ -232,10 +231,27 @@ def test_operator_from_structure_matches_blaplacian(box):
         box, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 1])
     st = Stencil(box)
     pts = box.node_coords[st.nodes]
-    pol = snap_policy(st, op.a_at(pts), op.b_at(pts))
+    pol = snap_policy(st, *op.at(pts))
     vals = pol.value(u.values)
     rng = CounterRng(9)
     for _ in range(10):
         row = int(rng.uniform(0, st.nodes.size - 1e-9))
         node = int(st.nodes[row])
         assert abs(vals[row] - blaplacian(u, sub, node, b)) <= 1e-12
+
+
+def test_structure_operator_evaluates_the_structure_once_per_use(box):
+    # a and b come from one evaluation of the structure at the call's points
+    acx = make_structure("antilinear-linear-eps", n=1, eps=0.1, generator=0)
+    calls = []
+    evaluate = acx.evaluate
+    acx.evaluate = lambda pts: calls.append(1) or evaluate(pts)
+    op = operator_from_structure(Subequation(acx), np.array([[1.0 + 0j]]))
+    u = ScalarField.from_vectorized(box, abs2)
+    for use in (lambda: harmonic_replacement(u, op, np.zeros(2), 4 * box.h),
+                lambda: viscosity_subharmonic(u, op),
+                lambda: distributional_pairing(
+                    u, op, bump_field(box, np.zeros(2), 0.4))):
+        calls.clear()
+        use()
+        assert len(calls) == 1
