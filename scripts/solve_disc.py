@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from acx.algebra import make_structure
-from acx.dirichlet import DirichletProblem, SchemeOptions, solve
+from acx.dirichlet import DirichletProblem, solve
 from acx.lattice import LatticeDomain
 from acx.subeq import Subequation, constant_rhs
 

@@ -134,7 +134,7 @@ def _boundary_from(cfg: dict, domain: LatticeDomain):
     raise InputError(f"unknown boundary kind {kind!r}")
 
 
-_SCHEME_KEYS = {"max_iterations": int, "b_unitaries": int, "tol_res": float}
+_SCHEME_KEYS = {"max_iterations": int, "tol_res": float}
 
 
 def _scheme_from(cfg: dict | None) -> SchemeOptions:
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, SolveError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, SolveError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,14 +18,17 @@ eigenvector second differences for the rest, upwinded drift; see
 smallest-member Bellman form of the homogeneous cone equation.
 
 The discrete equation Theta(u) = 0 is solved by Howard's policy iteration
-(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009) from a
-constructed strictly-psh quadratic subsolution, with boundary nodes pinned
-to the datum.  Each step refreshes the adapted witness at the current
-iterate, takes the active member per node, and stops once
-max |Theta| <= tol_res; otherwise it solves the linear equation of the
-active members, frozen into one policy, to 0.1 tol_res.  Every member is
-monotone, which keeps the step count nearly independent of h.  Reductions
-have a fixed order, so runs are deterministic.
+(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), which
+converges from any start on a monotone scheme.  It starts at the constant
+max(datum) with boundary nodes pinned to the datum: every member operator
+vanishes on constants, lowering boundary values only lowers L_B u, and the
+right-hand side is nonnegative, so the start is a discrete supersolution.
+Each step refreshes the adapted witness at the current iterate, takes the
+active member per node, and stops once max |Theta| <= tol_res; otherwise
+it solves the linear equation of the active members, frozen into one
+policy, to 0.1 tol_res.  Every member is monotone, which keeps the step
+count nearly independent of h.  Reductions have a fixed order, so runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -42,12 +45,6 @@ from .psh import OperatorFamily, default_b_family, default_field_tol, field_marg
 from .subeq import Subequation, margins_for_jets
 
 
-# the quadratic subsolution's coefficient starts here and doubles at most
-# this many times
-INIT_C0 = 0.3
-INIT_DOUBLING_CAP = 20
-
-
 class SolveError(RuntimeError):
     pass
 
@@ -56,8 +53,6 @@ class SolveError(RuntimeError):
 class SchemeOptions:
     tol_res: float | None = None        # None: consistency-matched default
     max_iterations: int = 100           # Howard steps
-    b_unitaries: int = 2                # unitaries per diagonal profile
-    initial_values: np.ndarray | None = None    # None: quadratic subsolution
 
 
 @dataclass
@@ -98,8 +93,6 @@ class SolveReport:
     subsolution_margin: float
     dual_margin: float
     wall_clock: float
-    init_c: float
-    init_certified: bool
     tol_res: float
     message: str = ""
 
@@ -115,9 +108,7 @@ class BellmanOperator:
     def __init__(self, problem: DirichletProblem):
         self.problem = problem
         dom, sub = problem.domain, problem.sub
-        self.family = OperatorFamily(
-            sub, Stencil(dom), default_b_family(sub.n, problem.scheme.b_unitaries),
-            include_adapted=sub.n > 1)
+        self.family = OperatorFamily(sub, Stencil(dom), default_b_family(sub.n))
         self.nodes = self.family.stencil.nodes
         if sub.homogeneous:
             self.rhs = np.zeros(self.nodes.size)
@@ -146,32 +137,6 @@ def bellman_residual(u: ScalarField, problem: DirichletProblem, node: int) -> fl
     return float(theta[rows[0]])
 
 
-def _quadratic_init(problem: DirichletProblem, op: BellmanOperator,
-                    bvals: np.ndarray):
-    """Subsolution initialization min(phi) + C (|x - x0|^2 - R^2) with C
-    doubled from c0 until the discrete residual certificate holds."""
-    dom = problem.domain
-    if dom.kind == "ball":
-        x0, rr = dom.center, dom.radius
-    else:
-        lo = dom.origin
-        hi = dom.origin + dom.h * (np.array(dom.shape) - 1)
-        x0 = 0.5 * (lo + hi)
-        rr = float(np.linalg.norm(hi - x0))
-    base = ((dom.node_coords - x0) ** 2).sum(axis=1) - rr ** 2
-    phimin = float(np.min(bvals))
-    c = INIT_C0
-    certified = False
-    for _ in range(INIT_DOUBLING_CAP + 1):
-        vals = phimin + c * base
-        theta, _ = op.residual(vals, op.adapted_policy(vals))
-        if float(np.min(theta)) >= -1e-12:
-            certified = True
-            break
-        c *= 2.0
-    return phimin + c * base, c, certified
-
-
 def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     """Howard policy iteration to the discrete Perron solution.
 
@@ -185,23 +150,13 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     """
     t0 = time.perf_counter()
     dom = problem.domain
-    scheme = problem.scheme
     tol_res = problem.tol_res()
     op = BellmanOperator(problem)
     bvals = problem.boundary_values()
-
-    if scheme.initial_values is None:
-        values, init_c, certified = _quadratic_init(problem, op, bvals)
-    else:
-        values = np.asarray(scheme.initial_values, dtype=float).copy()
-        if values.shape != (dom.n_nodes,):
-            raise SolveError("initial_values does not match the domain")
-        init_c, certified = 0.0, True
+    values = np.full(dom.n_nodes, float(np.max(bvals)))
     values[dom.boundary_ids] = bvals
 
-    interior = dom.interior_ids
-    messages = [] if certified else [
-        "subsolution certificate not reached within the doubling cap"]
+    message = ""
     converged = False
     it = 0
     while True:
@@ -213,20 +168,20 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
         if residual <= tol_res:
             converged = True
             break
-        if it >= scheme.max_iterations:
+        if it >= problem.scheme.max_iterations:
             break
         try:
             values = solve_frozen(op.family.active_policy(active, adapted),
                                   values, op.rhs, 0.1 * tol_res)
         except KrylovError as exc:
-            messages.append(str(exc))
+            message = str(exc)
             break
         it += 1
 
     out = ScalarField(dom, values)
     # the family's frame holds the structure at exactly these nodes
     margins, _, _ = margins_for_jets(problem.sub, op.family.frame,
-                                     *fd_jets(out, interior))
+                                     *fd_jets(out, dom.interior_ids))
     sub_margin = float(np.min(margins))
     dual_margin = float(-np.max(margins))
     report = SolveReport(
@@ -236,10 +191,8 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
         subsolution_margin=sub_margin,
         dual_margin=dual_margin,
         wall_clock=time.perf_counter() - t0,
-        init_c=init_c,
-        init_certified=certified,
         tol_res=tol_res,
-        message="; ".join(messages),
+        message=message,
     )
     return out, report
 
@@ -281,9 +234,7 @@ def comparison_check(u: ScalarField, w: ScalarField,
     # supersolution admissibility: w's jets must not be strictly interior,
     # i.e. at every node either the psh slack or the determinant slack is
     # non-positive (within tolerance)
-    p, a = fd_jets(w, interior)
-    margins, _, _ = margins_for_jets(
-        problem.sub, problem.sub.acx.at(dom.node_coords[interior]), p, a)
+    margins, _, _, _ = field_margins(w, problem.sub, interior)
     if float(np.max(margins)) > tol_cmp:
         return ComparisonVerdict(
             "inconclusive", float(np.max(margins)),

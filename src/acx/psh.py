@@ -46,6 +46,7 @@ class PshError(ValueError):
 _BSTAR_FLOOR = 1e-8
 _BSTAR_CLIP = 4.0   # anisotropy bound around the geometric mean
 _REAL_FORM_SCALE = 1.0 / 16.0  # pins L_B u = tr_C(A_C B) on exact jets
+_NET_UNITARIES = 2  # unitaries per diagonal profile of the fixed net
 
 
 def real_form(b: np.ndarray) -> np.ndarray:
@@ -67,17 +68,18 @@ def check_b_matrix(b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return b
 
 
-def default_b_family(n: int, unitaries: int = 2) -> list[np.ndarray]:
+def default_b_family(n: int) -> list[np.ndarray]:
     """Fixed Bellman net: the identity plus unitary-conjugated diagonal
-    profiles diag(t, 1/t, 1, ...) for t in {2, 4}; the quasi-random unitary
-    list is generated from a fixed counter seed so the net is reproducible."""
+    profiles diag(t, 1/t, 1, ...) for t in {2, 4}, each conjugated by the
+    same _NET_UNITARIES quasi-random unitaries; they are generated from a
+    fixed counter seed so the net is reproducible."""
     from .rng import CounterRng
 
     fam = [np.eye(n, dtype=complex)]
     if n == 1:
         return fam  # unit determinant forces B = 1
     rng = CounterRng(0x5EED)
-    us = [rng.unitary(n) for _ in range(unitaries)]
+    us = [rng.unitary(n) for _ in range(_NET_UNITARIES)]
     for t in (2.0, 4.0):
         diag = np.ones(n)
         diag[0] = t
@@ -271,17 +273,17 @@ def restriction_check(u: ScalarField, sub: Subequation, m: int,
 
 class OperatorFamily:
     """Monotone discretizations of the linear operators L_B on a stencil's
-    interior nodes: one per fixed member B of ``family`` plus, when
-    ``include_adapted``, the per-node adapted witness of a field.  L_B has
-    the coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>;
-    the structure is evaluated once for the node set, in ``frame``."""
+    interior nodes: one per fixed member B of ``family`` plus, for n > 1,
+    the per-node adapted witness of a field (for n = 1 unit determinant
+    forces B = 1, the identity member).  L_B has the coefficient field
+    S = g B_r g^T and the drift b_k = <S, E(e_k)>; the structure is
+    evaluated once for the node set, in ``frame``."""
 
     def __init__(self, sub: Subequation, stencil: Stencil,
-                 family: list[np.ndarray], include_adapted: bool = True):
+                 family: list[np.ndarray]):
         self.sub = sub
         self.stencil = stencil
         self.members = family
-        self.include_adapted = include_adapted
         self.frame = sub.acx.at(stencil.domain.node_coords[stencil.nodes])
         self.fixed = [self._snap(real_form(b)) for b in family]
         self.bstar = None       # adapted witness of the last adapted_policy
@@ -301,10 +303,10 @@ class OperatorFamily:
         return snap_policy(self.stencil, *self.coefficients(self.frame, br))
 
     def adapted_policy(self, values: np.ndarray, jets=None):
-        """Policy of the adapted witness B* of ``values`` (None when the
-        family has no adapted member).  ``jets`` is (p, A) at the nodes;
-        by default it is gathered through a JetTable built on first use."""
-        if not self.include_adapted:
+        """Policy of the adapted witness B* of ``values`` (None for n = 1).
+        ``jets`` is (p, A) at the nodes; by default it is gathered through
+        a JetTable built on first use."""
+        if self.sub.n == 1:
             return None
         if jets is None:
             if self._jets is None:
@@ -372,21 +374,19 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
 
 
 def blap_min_field(u: ScalarField, sub: Subequation,
-                   family: list[np.ndarray] | None = None,
-                   include_adapted: bool = True):
+                   family: list[np.ndarray] | None = None):
     """Minimum of the discretized family operators over interior nodes.
 
     Returns (values, witness_index, ops): witness_index < 0 flags the
-    per-node adapted witness ``ops.bstar`` as the minimizer, otherwise it
-    indexes ``ops.members``.
+    per-node adapted witness ``ops.bstar`` (n > 1) as the minimizer,
+    otherwise it indexes ``ops.members``.
     """
     st = Stencil(u.domain)
     fam = default_b_family(sub.n) if family is None else [
         check_b_matrix(b) for b in family]
-    ops = OperatorFamily(sub, st, fam, include_adapted)
-    adapted = (ops.adapted_policy(u.values, fd_jets(u, st.nodes))
-               if include_adapted else None)
-    best, active = ops.min_value(u.values, adapted)
+    ops = OperatorFamily(sub, st, fam)
+    jets = fd_jets(u, st.nodes)     # also rejects masked nodes the jets read
+    best, active = ops.min_value(u.values, ops.adapted_policy(u.values, jets))
     return best, np.where(active == len(fam), -1, active), ops
 
 
@@ -394,9 +394,10 @@ def psh_via_blaplacians(u: ScalarField, sub: Subequation,
                         family: list[np.ndarray] | None = None,
                         tol: np.ndarray | float | None = None) -> PshReport:
     """Family characterization of the psh cone: psh iff every member
-    operator is nonnegative.  The family always contains the identity and
-    the per-node adapted witness, which guarantees detection of indefinite
-    hessians; the verdict agrees with the direct margin up to the scheme
+    operator is nonnegative.  The family always contains the identity and,
+    for n > 1, the per-node adapted witness, which guarantees detection of
+    indefinite hessians (for n = 1 the identity is the only unit-determinant
+    form); the verdict agrees with the direct margin up to the scheme
     tolerance."""
     fam = default_b_family(sub.n) if family is None else list(family)
     if not fam:

@@ -77,7 +77,7 @@ def test_criterion_03_exact_solution_n2():
     t0 = time.perf_counter()
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 25)   # within the 33-node cap
     sub = Subequation(make_structure("standard", n=2), rhs=constant_rhs(1.0))
-    prob = DirichletProblem(dom, sub, abs2, SchemeOptions(b_unitaries=1))
+    prob = DirichletProblem(dom, sub, abs2)
     u, rep = solve(prob)
     err = float(np.max(np.abs(u.values - abs2(dom.node_coords))))
     elapsed = time.perf_counter() - t0

@@ -71,7 +71,11 @@ def test_solve_input_errors_exit_one(tmp_path):
     ({"structure": {"preset": "standard", "n": 2}}, "dimension"),
     ({"boundary": {"kind": "expression", "id": "constant", "value": "nan"}},
      "finite"),
-], ids=["dimension", "non-finite-boundary"])
+    ({"scheme": {"tol_res": None}}, "NoneType"),
+    ({"domain": dict(DISC_DOMAIN, nodes_per_axis=None)}, "NoneType"),
+    ({"rhs": {"kind": "constant", "value": [1]}}, "list"),
+], ids=["dimension", "non-finite-boundary", "null-tol-res", "null-nodes",
+        "list-rhs-value"])
 def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
                                             change, hint):
     path = write_json(tmp_path / "p.json",
@@ -80,6 +84,7 @@ def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
                  "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and hint in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
@@ -88,7 +93,8 @@ def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
     for scheme, hint in (({"tol_ress": 1e-3}, "tol_ress"),
                          ({"stencil_radius": 1}, "domain.stencil_radius"),
                          ({"safety": 0.9}, "safety"),
-                         ({"policy_refresh": 8}, "policy_refresh")):
+                         ({"policy_refresh": 8}, "policy_refresh"),
+                         ({"b_unitaries": 1}, "b_unitaries")):
         path = write_json(tmp_path / "p.json", dict(cfg, scheme=scheme))
         assert main(["solve", "--config", path, *out]) == 1
         assert hint in capsys.readouterr().err

@@ -133,20 +133,16 @@ def test_solve_exact_quadratic_small():
                           prob.boundary(prob.domain.node_coords[bnd]))
 
 
-def test_solve_initialization_doubles_until_certified():
-    prob = disc_problem(f=1.0, nodes=17)
-    _, rep = solve(prob)
-    # the quadratic needs unit determinant: 0.3 -> 0.6 -> 1.2
-    assert rep.init_c == pytest.approx(1.2)
-    assert rep.init_certified
-
-
 def test_solve_nonconvergence_flag():
     # n = 1 is linear and converges in one Howard step; a cap of 0 stops it
+    # at the start, the constant max(datum) inside the boundary datum
     prob = disc_problem(f=1.0, nodes=17, max_iterations=0)
-    _, rep = solve(prob)
+    u, rep = solve(prob)
     assert not rep.converged and rep.iterations == 0
     assert rep.residual > rep.tol_res
+    dom = prob.domain
+    datum = prob.boundary(dom.node_coords[dom.boundary_ids])
+    assert np.all(u.values[dom.interior_ids] == np.max(datum))
 
 
 def test_solve_reports_a_failed_linear_solve():
@@ -177,7 +173,7 @@ def test_solve_evaluates_the_structure_a_fixed_number_of_times():
     # the operator family evaluates the structure once for its node set;
     # every adapted refresh and the certificate margins read that
     # evaluation, so the structure is evaluated once whatever the Howard
-    # step count (this solve needs 3 steps, so both caps stop it)
+    # step count (this solve needs 4 steps, so both caps stop it)
     def evaluations(max_iterations):
         acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
         calls = []
@@ -193,6 +189,21 @@ def test_solve_evaluates_the_structure_a_fixed_number_of_times():
     assert evaluations(1) == evaluations(2) == 1
 
 
+def test_solve_refreshes_the_witness_once_per_howard_step(monkeypatch):
+    # one adapted refresh per step, plus the one that certifies the exit
+    calls = []
+    refresh = BellmanOperator.adapted_policy
+    monkeypatch.setattr(BellmanOperator, "adapted_policy",
+                        lambda self, values: calls.append(1)
+                        or refresh(self, values))
+    acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    _, rep = solve(DirichletProblem(
+        dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2))
+    assert rep.converged
+    assert len(calls) == rep.iterations + 1
+
+
 def test_solve_n3_on_a_ball():
     # the smallest n = 3 solve: a 9^6 ball (245 interior nodes, none with
     # the whole radius-2 stencil) and a non-flat structure
@@ -200,7 +211,7 @@ def test_solve_n3_on_a_ball():
     acx = make_structure("antilinear-slice-compatible", n=3, m=1, eps=0.05)
     prob = DirichletProblem(dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2)
     u, rep = solve(prob)
-    assert rep.converged and rep.init_certified
+    assert rep.converged
     band = 10 * prob.tol_res()
     assert rep.subsolution_margin >= -band
     assert rep.dual_margin >= -band
@@ -212,15 +223,6 @@ def test_solve_rejects_bad_boundary():
     prob = disc_problem(f=1.0, phi=lambda X: np.full(X.shape[0], np.inf))
     with pytest.raises(SolveError):
         solve(prob)
-
-
-def test_solve_field_initialization():
-    prob = disc_problem(f=1.0, nodes=17)
-    warm = abs2(prob.domain.node_coords) - 0.05
-    prob.scheme.initial_values = warm
-    u, rep = solve(prob)
-    assert rep.converged
-    assert np.max(np.abs(u.values - abs2(prob.domain.node_coords))) <= 5e-2
 
 
 def test_mesh_refinement_errors_decrease():
