@@ -52,6 +52,8 @@ from .metrics import (
 from .psh import (
     OperatorFamily,
     blaplacian,
+    family_verdict,
+    operator_family,
     psh_margin,
     psh_via_blaplacians,
     restriction_check,

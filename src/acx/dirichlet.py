@@ -14,8 +14,14 @@ with the minimum running over a fixed net of forms plus the per-node
 adapted equality witness.  Each L_B is discretized monotonically (axis
 second differences for the isotropic part of its coefficient, snapped
 eigenvector second differences for the rest, upwinded drift; see
-``acx.discretize``).  For f = 0 the same minimum degenerates to the
-smallest-member Bellman form of the homogeneous cone equation.
+``acx.discretize``).  For f = 0 the minimum does not reduce to the
+homogeneous cone equation lambda_min(A_C) = 0.  Where A_C is degenerate
+the infimum over unit-determinant B is not attained, and the clipped
+adapted witness (``psh.adapted_bstar``) stops short of it: for n = 2 and
+A_C of rank one it gives lambda_max(A_C) / _BSTAR_CLIP, so the residual at
+the exact solution |z1|^2 + Re(z1 z2) is 0.25 on every lattice, and
+homogeneous solves for n >= 2 stall.  The open fix is the rank-one witness
+on the eigenvector of lambda_min(A_C) (ROADMAP item 3).
 
 The discrete equation Theta(u) = 0 is solved by Howard's policy iteration
 (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), which
@@ -41,7 +47,7 @@ import numpy as np
 
 from .discretize import KrylovError, Policy, Stencil, snap_policy, solve_frozen  # noqa: F401 (re-export)
 from .lattice import LatticeDomain, ScalarField, fd_jets
-from .psh import OperatorFamily, default_b_family, default_field_tol, field_margins
+from .psh import default_field_tol, field_margins, operator_family
 from .subeq import Subequation, margins_for_jets
 
 
@@ -108,7 +114,7 @@ class BellmanOperator:
     def __init__(self, problem: DirichletProblem):
         self.problem = problem
         dom, sub = problem.domain, problem.sub
-        self.family = OperatorFamily(sub, Stencil(dom), default_b_family(sub.n))
+        self.family = operator_family(sub, dom)
         self.nodes = self.family.stencil.nodes
         if sub.homogeneous:
             self.rhs = np.zeros(self.nodes.size)

@@ -29,10 +29,10 @@ than 1e-12 and no two adjacent sorted |v| entries within 1e-12 meet
 unequal c entries.  Then every other direction scores at least
 1e-12 / |c| lower in exact arithmetic, far above the roundoff of the
 scores.  The other eigenvectors (near ties and unavailable directions)
-are scored against every available direction, lowest index on a tie.  A
-constant field is scored once, and a node where its best direction is
-unavailable takes the first available entry of the stable descending
-order of the scores.
+are scored against every available direction, lowest index on a tie, in
+blocks of at most _SCORE_BYTES of scores.  A constant field is scored
+once, and a node where its best direction is unavailable takes the first
+available entry of the stable descending order of the scores.
 
 A frozen policy is a matrix-free linear operator on the interior values
 with diagonal -ucoeff; boundary values enter through the values it is
@@ -50,7 +50,8 @@ import numpy as np
 
 from .lattice import LatticeDomain
 
-_CHUNK = 4096
+# bytes of one block of fallback scores (rows x directions, float64)
+_SCORE_BYTES = 8 << 20
 _HEAD = 16
 _TIE = 1e-12
 
@@ -120,9 +121,7 @@ class Policy:
 
     def __post_init__(self):
         st = self.stencil
-        offs = st.dirs[self.dir_idx]
-        self.plus = st.domain.neighbor_ids(st.nodes[:, None], offs)
-        self.minus = st.domain.neighbor_ids(st.nodes[:, None], -offs)
+        self.plus, self.minus = st.domain.stencil_neighbors(self.dir_idx)
         if np.any(self.plus < 0) or np.any(self.minus < 0):
             raise ValueError("policy selected an unavailable direction")
         d = st.domain.dim
@@ -193,8 +192,9 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
     else:
         dir_idx, exact = _chamber_snap(st, vecs)
         node, col = np.nonzero(~exact)
-        for lo in range(0, node.size, _CHUNK):
-            rows, cols = node[lo:lo + _CHUNK], col[lo:lo + _CHUNK]
+        block = max(1, _SCORE_BYTES // (8 * units_t.shape[1]))
+        for lo in range(0, node.size, block):
+            rows, cols = node[lo:lo + block], col[lo:lo + block]
             scores = _masked_scores(vecs[rows, :, cols] @ units_t,
                                     st.allowed[rows])             # (c, T)
             dir_idx[rows, cols] = np.argmax(scores, axis=1)

@@ -213,7 +213,8 @@ class LatticeDomain:
         """(dirs, allowed): the primitive directions of sup-norm at most the
         stencil radius, and per interior node whether both x + w and x - w
         lie on the region; built on first use, in row blocks of at most
-        _GATHER_BLOCK entries."""
+        _GATHER_BLOCK entries, together with each direction's flat step on
+        the padded grid."""
         if self._stencil is None:
             dirs = stencil_directions(self.dim, self.stencil_radius)
             steps = dirs @ self._strides
@@ -224,8 +225,21 @@ class LatticeDomain:
                 at = pos[lo:lo + rows, None]
                 allowed[lo:lo + rows] = ((self._ordinals[at + steps] >= 0)
                                          & (self._ordinals[at - steps] >= 0))
-            self._stencil = (dirs, allowed)
-        return self._stencil
+            self._stencil = (dirs, allowed, pos, steps)
+        return self._stencil[:2]
+
+    def stencil_neighbors(self, dir_idx: np.ndarray):
+        """(plus, minus): region ordinals of x + w and x - w for w =
+        dirs[dir_idx] of ``stencil_table``, with one row of direction indices
+        per interior node x (in ``interior_ids`` order); -1 where the target
+        is off the region.  A direction's sup-norm is at most the pad, so
+        each side is one gather of the padded grid at x's cell plus the
+        direction's flat step."""
+        self.stencil_table()
+        _, _, pos, steps = self._stencil
+        at, step = pos[:, None], steps[dir_idx]
+        return (self._ordinals[at + step].astype(np.int64),
+                self._ordinals[at - step].astype(np.int64))
 
     def validate(self) -> None:
         """Classification invariants: class codes and unit-box closure."""

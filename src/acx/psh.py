@@ -27,6 +27,7 @@ from .discretize import Policy, Stencil, snap_policy
 from .lattice import (
     INTERIOR,
     JetTable,
+    LatticeDomain,
     ScalarField,
     fd_jets,
     restrict_to_slice,
@@ -373,21 +374,57 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     return float(total)
 
 
-def blap_min_field(u: ScalarField, sub: Subequation,
-                   family: list[np.ndarray] | None = None):
+def operator_family(sub: Subequation, domain: LatticeDomain,
+                    family: list[np.ndarray] | None = None) -> OperatorFamily:
+    """The B-family operators of ``sub`` on ``domain``, built once for every
+    field on it.  The family (the fixed net by default) must be non-empty
+    and contain the identity; given members must be hermitian, positive
+    definite and of unit determinant."""
+    if family is None:
+        fam = default_b_family(sub.n)
+    else:
+        fam = list(family)
+        if not fam:
+            raise PshError("B-family must be non-empty")
+        if not any(np.max(np.abs(np.asarray(b) - np.eye(sub.n))) < 1e-12
+                   for b in fam):
+            raise PshError("B-family must contain the identity")
+        fam = [check_b_matrix(b) for b in fam]
+    return OperatorFamily(sub, Stencil(domain), fam)
+
+
+def blap_min_field(u: ScalarField, ops: OperatorFamily):
     """Minimum of the discretized family operators over interior nodes.
 
-    Returns (values, witness_index, ops): witness_index < 0 flags the
-    per-node adapted witness ``ops.bstar`` (n > 1) as the minimizer,
-    otherwise it indexes ``ops.members``.
+    Returns (values, witness_index): witness_index < 0 flags the per-node
+    adapted witness ``ops.bstar`` (n > 1) as the minimizer, otherwise it
+    indexes ``ops.members``.
     """
-    st = Stencil(u.domain)
-    fam = default_b_family(sub.n) if family is None else [
-        check_b_matrix(b) for b in family]
-    ops = OperatorFamily(sub, st, fam)
-    jets = fd_jets(u, st.nodes)     # also rejects masked nodes the jets read
+    if u.domain is not ops.stencil.domain:
+        raise PshError("the field is not on the operator family's domain")
+    jets = fd_jets(u, ops.stencil.nodes)  # also rejects masked nodes the jets read
     best, active = ops.min_value(u.values, ops.adapted_policy(u.values, jets))
-    return best, np.where(active == len(fam), -1, active), ops
+    return best, np.where(active == len(ops.members), -1, active)
+
+
+def family_verdict(u: ScalarField, ops: OperatorFamily,
+                   tol: np.ndarray | float | None = None) -> PshReport:
+    """psh iff every member operator of ``ops`` is nonnegative on ``u`` at
+    every interior node, up to the node tolerance; a failing report carries
+    the minimizing member at the worst node as its witness."""
+    best, witness = blap_min_field(u, ops)
+    nodes = ops.stencil.nodes
+    tols = default_field_tol(u, nodes) if tol is None else np.broadcast_to(
+        np.asarray(tol, dtype=float), best.shape)
+    worst = int(np.argmin(best))
+    verdict = bool(np.all(best >= -tols))
+    wit = None
+    if not verdict:
+        wit = (ops.members[witness[worst]] if witness[worst] >= 0
+               else ops.bstar[worst])
+    return PshReport(verdict, float(best[worst]),
+                     u.domain.node_coords[nodes[worst]],
+                     float(tols[worst]), wit)
 
 
 def psh_via_blaplacians(u: ScalarField, sub: Subequation,
@@ -398,24 +435,6 @@ def psh_via_blaplacians(u: ScalarField, sub: Subequation,
     for n > 1, the per-node adapted witness, which guarantees detection of
     indefinite hessians (for n = 1 the identity is the only unit-determinant
     form); the verdict agrees with the direct margin up to the scheme
-    tolerance."""
-    fam = default_b_family(sub.n) if family is None else list(family)
-    if not fam:
-        raise PshError("B-family must be non-empty")
-    has_id = any(np.max(np.abs(np.asarray(b) - np.eye(sub.n))) < 1e-12
-                 for b in fam)
-    if not has_id:
-        raise PshError("B-family must contain the identity")
-    best, witness, ops = blap_min_field(u, sub, fam)
-    st_nodes = u.domain.interior_ids
-    tols = default_field_tol(u, st_nodes) if tol is None else np.broadcast_to(
-        np.asarray(tol, dtype=float), best.shape)
-    worst = int(np.argmin(best))
-    verdict = bool(np.all(best >= -tols))
-    wit = None
-    if not verdict:
-        wit = (ops.members[witness[worst]] if witness[worst] >= 0
-               else ops.bstar[worst])
-    return PshReport(verdict, float(best[worst]),
-                     u.domain.node_coords[st_nodes[worst]],
-                     float(tols[worst]), wit)
+    tolerance.  To test many fields on one domain, build the family once
+    with :func:`operator_family` and call :func:`family_verdict`."""
+    return family_verdict(u, operator_family(sub, u.domain, family), tol)

@@ -27,7 +27,7 @@ from .linpot import (
     operator_from_structure,
     viscosity_subharmonic,
 )
-from .psh import psh_margin, psh_via_blaplacians
+from .psh import family_verdict, operator_family, psh_margin
 from .rng import CounterRng
 from .subeq import Subequation
 
@@ -144,6 +144,7 @@ def blaplacian_agreement_battery(config: SuiteConfig) -> dict:
         dom = (LatticeDomain.box([-1, 1], 17, dim=2) if n == 1
                else LatticeDomain.box([-1, 1], 9, dim=4))
         sub = Subequation(make_structure("standard", n=n))
+        ops = operator_family(sub, dom)     # one family for every field
         band = 0.2 if n == 1 else 0.4
         agree = 0
         for i in range(config.quadratics):
@@ -156,7 +157,7 @@ def blaplacian_agreement_battery(config: SuiteConfig) -> dict:
             # at a tight tolerance; the undecided band is excluded by the
             # construction of the target margins
             direct = psh_margin(u, sub, tol=1e-9)
-            family = psh_via_blaplacians(u, sub, tol=1e-9)
+            family = family_verdict(u, ops, tol=1e-9)
             if direct.psh == family.psh == (target > 0):
                 agree += 1
         results.append({"n": n, "agree": agree, "total": config.quadratics})

@@ -168,6 +168,66 @@ def test_policy_rejects_unavailable_direction():
         Policy(st, dir_idx, np.ones((st.nodes.size, 4)), None)
 
 
+GATHER_DOMAINS = [
+    (kind, d, rho) for kind in ("box", "ball") for d in (2, 4)
+    for rho in (1, 2, 3)] + [("box", 6, 1)]
+
+
+@pytest.mark.parametrize("kind,d,rho", GATHER_DOMAINS)
+def test_policy_neighbors_are_the_offset_gather(kind, d, rho):
+    # every direction at every interior node: the gather and neighbor_ids
+    # agree (-1 on the same entries), and a policy over all the available
+    # directions reads the same neighbors
+    nodes_per_axis = {2: 13, 4: 7, 6: 5}[d]
+    dom = (LatticeDomain.box([-1, 1], nodes_per_axis, dim=d, stencil_radius=rho)
+           if kind == "box" else
+           LatticeDomain.ball(np.zeros(d), 1.0, nodes_per_axis, stencil_radius=rho))
+    st = Stencil(dom)
+    every = np.broadcast_to(np.arange(st.dirs.shape[0]), st.allowed.shape)
+    offs = st.dirs[every]
+    nodes = st.nodes[:, None]
+    plus, minus = dom.stencil_neighbors(every)
+    np.testing.assert_array_equal(plus, dom.neighbor_ids(nodes, offs))
+    np.testing.assert_array_equal(minus, dom.neighbor_ids(nodes, -offs))
+    np.testing.assert_array_equal((plus >= 0) & (minus >= 0), st.allowed)
+    # unavailable entries take the first axis, which every node has
+    dir_idx = np.where(st.allowed, every, st.axes[0])
+    pol = Policy(st, dir_idx, np.zeros(dir_idx.shape), None)
+    np.testing.assert_array_equal(pol.plus[st.allowed], plus[st.allowed])
+    np.testing.assert_array_equal(pol.minus[st.allowed], minus[st.allowed])
+    if rho > 1:
+        assert not st.allowed.all()
+
+
+def test_fallback_scores_stay_within_the_byte_cap(monkeypatch):
+    # a random SPD field on the 9^6 ball sends hundreds of eigenvectors to
+    # the fallback scoring against all 7,448 directions; no score block may
+    # pass 8 MiB (one block of 30 MB without the cap)
+    import acx.discretize as disc_mod
+
+    dom = DOMAINS["ball6"]()
+    st = Stencil(dom)
+    rng = CounterRng(23)
+    s_field = np.stack([rng.spd(6) for _ in range(st.nodes.size)])
+    blocks = []
+    scores = disc_mod._masked_scores
+
+    def record(products, allowed):
+        blocks.append(products.shape)
+        return scores(products, allowed)
+
+    monkeypatch.setattr(disc_mod, "_masked_scores", record)
+    pol = snap_policy(st, s_field)
+    rows = sum(shape[0] for shape in blocks)
+    assert len(blocks) > 1 and rows > 200
+    assert max(r * t * 8 for r, t in blocks) <= 8 << 20
+    assert all(t == st.dirs.shape[0] for _, t in blocks)
+    # the blocks change no direction: one block of every row gives the same
+    monkeypatch.setattr(disc_mod, "_SCORE_BYTES", 1 << 40)
+    np.testing.assert_array_equal(snap_policy(st, s_field).dir_idx, pol.dir_idx)
+    assert len(blocks) == 5
+
+
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_allowed_matches_naive_walk(name):
     # the brute-force snap above reads st.allowed, so the table is checked

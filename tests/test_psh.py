@@ -11,7 +11,9 @@ from acx.psh import (
     blaplacian,
     check_b_matrix,
     default_b_family,
+    family_verdict,
     induced_slice_structure,
+    operator_family,
     psh_margin,
     psh_via_blaplacians,
     real_form,
@@ -268,6 +270,72 @@ def test_via_blaplacians_requires_identity_and_rejects_empty(disc, flat1):
     u4 = ScalarField.from_vectorized(dom4, abs2)
     with pytest.raises(PshError):
         psh_via_blaplacians(u4, sub2, family=fam2)
+
+
+def test_agreement_battery_builds_one_family_per_dimension(monkeypatch):
+    import acx.psh as psh_mod
+    from acx.suite import SuiteConfig, blaplacian_agreement_battery
+
+    built = []
+
+    class Counting(OperatorFamily):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(psh_mod, "OperatorFamily", Counting)
+    out = blaplacian_agreement_battery(SuiteConfig(quadratics=6))
+    assert out["all_pass"]
+    assert len(built) == 2
+
+
+def battery_quadratics(n: int, count: int):
+    """The domain, structure and first ``count`` fields of the agreement
+    battery at seed 1."""
+    from acx.suite import _quadratic_with_margin
+
+    rng = CounterRng(31337 + n)
+    dom = (LatticeDomain.box([-1, 1], 17, dim=2) if n == 1
+           else LatticeDomain.box([-1, 1], 9, dim=4))
+    sub = Subequation(make_structure("standard", n=n))
+    band = 0.2 if n == 1 else 0.4
+    fields = []
+    for i in range(count):
+        sgn = 1.0 if i % 2 == 0 else -1.0
+        q = _quadratic_with_margin(n, rng, sgn * rng.uniform(band, band + 0.8))
+        fields.append(ScalarField(dom, 0.5 * np.einsum(
+            "ni,ij,nj->n", dom.node_coords, q, dom.node_coords)))
+    return dom, sub, fields
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shared_family_gives_the_fresh_family_reports(n):
+    # one family reused across fields against a new family per field, with
+    # and without the default tolerance: every report field is equal
+    dom, sub, fields = battery_quadratics(n, 8)
+    ops = operator_family(sub, dom)
+    for u in fields:
+        for tol in (1e-9, None):
+            shared = family_verdict(u, ops, tol=tol)
+            fresh = psh_via_blaplacians(u, sub, tol=tol)
+            assert shared.psh == fresh.psh
+            assert shared.worst_margin == fresh.worst_margin
+            np.testing.assert_array_equal(shared.worst_node, fresh.worst_node)
+            assert shared.tol_at_worst == fresh.tol_at_worst
+            if fresh.witness_b is None:
+                assert shared.witness_b is None
+            else:
+                np.testing.assert_array_equal(shared.witness_b, fresh.witness_b)
+    assert {family_verdict(u, ops).psh for u in fields} == {True, False}
+
+
+def test_family_rejects_a_field_on_another_domain(flat1):
+    a = LatticeDomain.ball(np.zeros(2), 1.0, 17)
+    b = LatticeDomain.ball(np.zeros(2), 1.0, 17)
+    ops = operator_family(flat1, a)
+    with pytest.raises(PshError, match="domain"):
+        family_verdict(ScalarField.from_vectorized(b, abs2), ops)
+    assert family_verdict(ScalarField.from_vectorized(a, abs2), ops).psh
 
 
 @pytest.mark.parametrize("n", [1, 2])
