@@ -35,7 +35,10 @@ from .lattice import (
     upwind_first,
 )
 from .linpot import (
+    BallReplacement,
     LinearOperator,
+    TransposedBump,
+    ViscosityScheme,
     classical_subharmonic,
     distributional_pairing,
     ess_usc_regularize,
@@ -50,13 +53,17 @@ from .metrics import (
     riemannian_hessian,
 )
 from .psh import (
+    MarginContext,
     OperatorFamily,
+    SliceRestriction,
     blaplacian,
     family_verdict,
+    margin_verdict,
     operator_family,
     psh_margin,
     psh_via_blaplacians,
     restriction_check,
+    restriction_verdict,
     slice_compatible,
 )
 from .subeq import (

@@ -46,9 +46,9 @@ from typing import Callable
 import numpy as np
 
 from .discretize import KrylovError, Policy, Stencil, snap_policy, solve_frozen  # noqa: F401 (re-export)
-from .lattice import LatticeDomain, ScalarField, fd_jets
-from .psh import default_field_tol, field_margins, operator_family
-from .subeq import Subequation, margins_for_jets
+from .lattice import LatticeDomain, ScalarField
+from .psh import MarginContext, default_field_tol, field_margins, operator_family
+from .subeq import Subequation
 
 
 class SolveError(RuntimeError):
@@ -185,9 +185,9 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
         it += 1
 
     out = ScalarField(dom, values)
-    # the family's frame holds the structure at exactly these nodes
-    margins, _, _ = margins_for_jets(problem.sub, op.family.frame,
-                                     *fd_jets(out, dom.interior_ids))
+    # the family's margin context holds the jets and the structure at
+    # exactly these nodes
+    margins, _, _ = field_margins(out, op.family.margins)
     sub_margin = float(np.min(margins))
     dual_margin = float(-np.max(margins))
     report = SolveReport(
@@ -240,7 +240,8 @@ def comparison_check(u: ScalarField, w: ScalarField,
     # supersolution admissibility: w's jets must not be strictly interior,
     # i.e. at every node either the psh slack or the determinant slack is
     # non-positive (within tolerance)
-    margins, _, _, _ = field_margins(w, problem.sub, interior)
+    margins, _, _ = field_margins(w, MarginContext(problem.sub, w.domain,
+                                                  interior))
     if float(np.max(margins)) > tol_cmp:
         return ComparisonVerdict(
             "inconclusive", float(np.max(margins)),
@@ -296,6 +297,7 @@ def maximality_check(u: ScalarField, problem: DirichletProblem,
     tol_cmp = 10.0 * (problem.tol_res() + dom.h)
     if competitors is None:
         competitors = default_competitors(u, problem)
+    ctx = MarginContext(problem.sub, dom)   # one for every competitor
     checked = skipped = 0
     worst = -np.inf
     for v in competitors:
@@ -304,8 +306,8 @@ def maximality_check(u: ScalarField, problem: DirichletProblem,
         if bgap > 1e-12:
             skipped += 1
             continue
-        margins, _, _, _ = field_margins(v, problem.sub)
-        tols = default_field_tol(v, dom.interior_ids)
+        margins, _, _ = field_margins(v, ctx)
+        tols = default_field_tol(v, ctx)
         if np.any(margins < -np.maximum(tols, tol_cmp)):
             skipped += 1
             continue

@@ -284,6 +284,12 @@ class ScalarField:
         return ScalarField(self.domain, self.values.copy(),
                            None if self.mask is None else self.mask.copy())
 
+    def take(self, domain: LatticeDomain, ids: np.ndarray) -> "ScalarField":
+        """The field on ``domain``, whose k-th node is node ``ids[k]`` here;
+        the mask comes along."""
+        return ScalarField(domain, self.values[ids],
+                           None if self.mask is None else self.mask[ids])
+
     def _require_unmasked(self, ids: np.ndarray):
         if self.mask is not None and np.any(self.mask[ids]):
             raise LatticeError("operation touches a masked node")
@@ -310,8 +316,7 @@ def fd_jets(u: ScalarField, nodes: np.ndarray | None = None):
     elif np.any(dom.node_class[np.asarray(nodes, dtype=np.int64)] != INTERIOR):
         raise LatticeError("jets require interior nodes")
     table = JetTable(dom, nodes)
-    if u.mask is not None:
-        u._require_unmasked(table.used())
+    table.check(u)
     return table.jets(u.values)
 
 
@@ -342,6 +347,11 @@ class JetTable:
         """Every node the jets read."""
         return np.concatenate([self.nodes, self.ip.ravel(), self.im.ravel()]
                               + [ids for pair in self.pairs for ids in pair[2:]])
+
+    def check(self, u: ScalarField) -> None:
+        """Reject a field that is masked at a node the jets read."""
+        if u.mask is not None:
+            u._require_unmasked(self.used())
 
     def jets(self, values: np.ndarray):
         d = self.domain.dim
@@ -409,7 +419,13 @@ def upwind_first(u: ScalarField, node: int, b) -> float:
 def restrict_to_slice(u: ScalarField, m: int) -> ScalarField:
     """Restriction to the coordinate slice C^m x {0} (trailing coordinates
     zero), reclassified as a domain in R^{2m}."""
-    dom = u.domain
+    return u.take(*slice_lattice(u.domain, m))
+
+
+def slice_lattice(dom: LatticeDomain, m: int):
+    """(slice domain, ambient ids): the coordinate slice C^m x {0} of
+    ``dom`` as a domain in R^{2m}, and the ambient node of each of its
+    nodes."""
     d = dom.dim
     if d % 2 != 0:
         raise LatticeError("slice restriction expects an even-dimensional grid")
@@ -443,8 +459,7 @@ def restrict_to_slice(u: ScalarField, m: int) -> ScalarField:
     amb = dom._ordinals_at(multi)
     if np.any(amb < 0):
         raise LatticeError("slice node missing from the ambient region")
-    mask = None if u.mask is None else u.mask[amb]
-    return ScalarField(sub, u.values[amb].copy(), mask)
+    return sub, amb
 
 
 # ---------------------------------------------------------------------------

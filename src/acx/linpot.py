@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .discretize import KrylovError, Stencil, snap_policy, solve_frozen
-from .lattice import INTERIOR, JetTable, LatticeDomain, ScalarField, fd_jets
+from .lattice import INTERIOR, JetTable, LatticeDomain, ScalarField
 from .psh import OperatorFamily, check_b_matrix, real_form
 from .subeq import Subequation
 
@@ -74,9 +74,33 @@ def operator_from_structure(sub: Subequation, b) -> LinearOperator:
         "derived-from-structure")
 
 
+def _require_region(u: ScalarField, domain: LatticeDomain, message: str):
+    """Raise unless ``u`` lives on the region of ``domain``: the same grid
+    and the same nodes, hence the same node numbering."""
+    dom = u.domain
+    same = dom is domain or (
+        dom.shape == domain.shape
+        and abs(dom.h - domain.h) < 1e-12
+        and np.max(np.abs(dom.origin - domain.origin)) < 1e-12
+        and np.array_equal(dom.node_multi, domain.node_multi)
+        and np.array_equal(dom.node_class, domain.node_class))
+    if not same:
+        raise LinpotError(message)
+
+
 # ---------------------------------------------------------------------------
 # Viscosity route
 # ---------------------------------------------------------------------------
+
+class ViscosityScheme:
+    """L on a domain's interior nodes, built once for every field there:
+    the coefficients (a, b) at the nodes and the jet table that
+    differences a field at them."""
+
+    def __init__(self, op: LinearOperator, domain: LatticeDomain):
+        self.table = JetTable(domain, domain.interior_ids)
+        self.a, self.b = op.at(domain.node_coords[domain.interior_ids])
+
 
 @dataclass
 class LinearVerdict:
@@ -86,21 +110,21 @@ class LinearVerdict:
     detail: str = ""
 
 
-def viscosity_values(u: ScalarField, op: LinearOperator) -> np.ndarray:
+def viscosity_values(u: ScalarField, scheme: ViscosityScheme) -> np.ndarray:
     """<a, D^2u> + <b, Du> from centered jets at interior nodes."""
-    dom = u.domain
-    p, a_jets = fd_jets(u)
-    pts = dom.node_coords[dom.interior_ids]
-    avals, bvals = op.at(pts)
-    out = np.einsum("nij,nij->n", avals, a_jets)
-    if bvals is not None:
-        out = out + np.einsum("ni,ni->n", bvals, p)
+    table = scheme.table
+    _require_region(u, table.domain, "the field is not on the scheme's domain")
+    table.check(u)
+    p, a_jets = table.jets(u.values)
+    out = np.einsum("nij,nij->n", scheme.a, a_jets)
+    if scheme.b is not None:
+        out = out + np.einsum("ni,ni->n", scheme.b, p)
     return out
 
 
-def viscosity_subharmonic(u: ScalarField, op: LinearOperator,
+def viscosity_subharmonic(u: ScalarField, scheme: ViscosityScheme,
                           tol: float = 1e-9) -> LinearVerdict:
-    vals = viscosity_values(u, op)
+    vals = viscosity_values(u, scheme)
     worst = int(np.argmin(vals))
     return LinearVerdict(bool(vals[worst] >= -tol), float(vals[worst]),
                          u.domain.node_coords[u.domain.interior_ids[worst]])
@@ -123,30 +147,39 @@ def lattice_ball(domain: LatticeDomain, center, radius: float) -> LatticeDomain:
 
 
 def subfield_on(u: ScalarField, sub_domain: LatticeDomain) -> ScalarField:
-    ids = u.domain.nodes_at(sub_domain.node_coords)
-    return ScalarField(sub_domain, u.values[ids],
-                       None if u.mask is None else u.mask[ids])
+    return u.take(sub_domain, u.domain.nodes_at(sub_domain.node_coords))
 
 
-def harmonic_replacement(u: ScalarField, op: LinearOperator,
-                         center, radius: float,
+class BallReplacement:
+    """The field-independent part of the harmonic replacement of L on a
+    lattice ball of ``domain``: the ball, the parent node of each of its
+    nodes (``ids``) and the monotone scheme of L on it (``policy``), built
+    once for every field on ``domain``."""
+
+    def __init__(self, op: LinearOperator, domain: LatticeDomain,
+                 center, radius: float):
+        self.domain = domain
+        self.ball = lattice_ball(domain, center, radius)
+        self.ids = domain.nodes_at(self.ball.node_coords)
+        st = Stencil(self.ball)
+        self.policy = snap_policy(st, *op.at(self.ball.node_coords[st.nodes]))
+
+
+def harmonic_replacement(u: ScalarField, rep: BallReplacement,
                          tol_res: float = 1e-10) -> ScalarField:
-    """Discrete Dirichlet solve Lh = 0 on a lattice ball with h = u on the
-    ball's boundary nodes, via the monotone scheme and one linear solve of
-    it.  The discrete maximum principle holds for the output.
+    """Discrete Dirichlet solve Lh = 0 on the replacement's ball with h = u
+    on the ball's boundary nodes, via one linear solve of its monotone
+    scheme.  The discrete maximum principle holds for the output.
     Non-convergence is an error (replacement results are never interpreted
     heuristically)."""
-    ball = lattice_ball(u.domain, center, radius)
-    start = subfield_on(u, ball)
-    st = Stencil(ball)
-    pts = ball.node_coords[st.nodes]
-    pol = snap_policy(st, *op.at(pts))
-    scale = max(1.0, float(np.max(np.abs(start.values))))
+    _require_region(u, rep.domain, "the field is not on the ball's domain")
+    start = u.values[rep.ids]
+    scale = max(1.0, float(np.max(np.abs(start))))
     try:
-        values = solve_frozen(pol, start.values, 0.0, tol_res * scale)
+        values = solve_frozen(rep.policy, start, 0.0, tol_res * scale)
     except KrylovError as exc:
         raise LinpotError(f"harmonic replacement did not converge: {exc}") from exc
-    return ScalarField(ball, values)
+    return ScalarField(rep.ball, values)
 
 
 @dataclass
@@ -156,12 +189,12 @@ class ClassicalVerdict:
     witness_ball: int | None
 
 
-def classical_subharmonic(u: ScalarField, op: LinearOperator,
-                          balls: list[tuple[np.ndarray, float]],
+def classical_subharmonic(u: ScalarField, battery: list[BallReplacement],
                           tol_cmp: float | None = None) -> ClassicalVerdict:
     """Sub-the-harmonics test: u must not exceed its harmonic replacement
-    on any battery ball."""
-    if not balls:
+    on any ball of the battery (one :class:`BallReplacement` per ball of
+    one operator)."""
+    if not battery:
         raise LinpotError("ball battery must be non-empty")
     if tol_cmp is None:
         # scheme-difference noise on the pass side is O(h^2) of the ball
@@ -169,10 +202,9 @@ def classical_subharmonic(u: ScalarField, op: LinearOperator,
         tol_cmp = 0.5 * u.domain.h ** 2 * max(1.0, float(np.max(np.abs(u.values))))
     worst = -np.inf
     witness = None
-    for k, (center, radius) in enumerate(balls):
-        h = harmonic_replacement(u, op, center, radius)
-        uv = subfield_on(u, h.domain)
-        gap = float(np.max(uv.values - h.values))
+    for k, rep in enumerate(battery):
+        h = harmonic_replacement(u, rep)
+        gap = float(np.max(u.values[rep.ids] - h.values))
         if gap > worst:
             worst, witness = gap, k
     ok = worst <= tol_cmp
@@ -225,47 +257,49 @@ def bump_mass(dim: int, radius: float) -> float:
     return 6.0 * math.pi ** (dim / 2) * radius ** dim / math.gamma(dim / 2 + 4)
 
 
-def distributional_pairing(u: ScalarField, op: LinearOperator,
-                           bump: ScalarField) -> float:
-    """Quadrature pairing sum_x u . (L^t bump) h^d with the transpose
-    operator assembled by centered differences:
+class TransposedBump:
+    """L^t phi of a test bump phi at the interior nodes of its domain, with
+    the transpose operator assembled by centered differences:
     L^t phi = sum_ij D_ij(a_ij phi) - sum_i D_i(b_i phi).
 
     The bump must be supported on interior nodes; they own their unit box,
     so every centered difference stays on region nodes.
     """
-    dom = u.domain
-    same = bump.domain is dom or (
-        bump.domain.shape == dom.shape
-        and abs(bump.domain.h - dom.h) < 1e-12
-        and np.max(np.abs(bump.domain.origin - dom.origin)) < 1e-12)
-    if not same:
-        raise LinpotError("bump must live on the field's domain")
-    supp = np.flatnonzero(bump.values > 0)
-    if np.any(dom.node_class[supp] != INTERIOR):
-        raise LinpotError("bump support touches the boundary layer")
 
-    pts = dom.node_coords
-    avals, bvals = op.at(pts)
-    phi = bump.values
-    lt = np.zeros(dom.n_nodes)
-    h = dom.h
+    def __init__(self, op: LinearOperator, bump: ScalarField):
+        dom = bump.domain
+        supp = np.flatnonzero(bump.values > 0)
+        if np.any(dom.node_class[supp] != INTERIOR):
+            raise LinpotError("bump support touches the boundary layer")
+        avals, bvals = op.at(dom.node_coords)
+        phi = bump.values
+        h = dom.h
+        interior = dom.interior_ids
+        lt = np.zeros(interior.size)
+        table = JetTable(dom, interior)
+        pairs = {(i, j): ids for i, j, *ids in table.pairs}
+        for i in range(dom.dim):
+            pi = avals[:, i, i] * phi
+            ip, im = table.ip[:, i], table.im[:, i]
+            lt += (pi[ip] + pi[im] - 2 * pi[interior]) / h ** 2
+            for j in range(i + 1, dom.dim):
+                pp, pm, mp, mm = pairs[i, j]
+                pij = avals[:, i, j] * phi
+                lt += 2 * (pij[pp] - pij[pm] - pij[mp] + pij[mm]) / (4 * h ** 2)
+            if bvals is not None:
+                qi = bvals[:, i] * phi
+                lt -= (qi[ip] - qi[im]) / (2 * h)
+        self.domain = dom
+        self.values = lt
+
+
+def distributional_pairing(u: ScalarField, lt: TransposedBump) -> float:
+    """Quadrature pairing sum_x u . (L^t bump) h^d over interior nodes."""
+    dom = u.domain
+    _require_region(u, lt.domain, "bump must live on the field's domain")
     interior = dom.interior_ids
-    table = JetTable(dom, interior)
-    pairs = {(i, j): ids for i, j, *ids in table.pairs}
-    for i in range(dom.dim):
-        pi = avals[:, i, i] * phi
-        ip, im = table.ip[:, i], table.im[:, i]
-        lt[interior] += (pi[ip] + pi[im] - 2 * pi[interior]) / h ** 2
-        for j in range(i + 1, dom.dim):
-            pp, pm, mp, mm = pairs[i, j]
-            pij = avals[:, i, j] * phi
-            lt[interior] += 2 * (pij[pp] - pij[pm] - pij[mp] + pij[mm]) / (4 * h ** 2)
-        if bvals is not None:
-            qi = bvals[:, i] * phi
-            lt[interior] -= (qi[ip] - qi[im]) / (2 * h)
     u._require_unmasked(interior)
-    return float(np.sum(u.values[interior] * lt[interior]) * h ** dom.dim)
+    return float(np.sum(u.values[interior] * lt.values) * dom.h ** dom.dim)
 
 
 # ---------------------------------------------------------------------------

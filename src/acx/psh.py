@@ -12,6 +12,7 @@ under.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .lattice import (
     INTERIOR,
     JetTable,
     LatticeDomain,
+    LatticeError,
     ScalarField,
-    fd_jets,
-    restrict_to_slice,
+    slice_lattice,
     unit_offsets,
 )
 from .subeq import Subequation, margins_for_jets, transformed_hermitian
@@ -112,26 +113,55 @@ def adapted_bstar(ac: np.ndarray, clip: float = _BSTAR_CLIP) -> np.ndarray:
 # Direct hessian margin
 # ---------------------------------------------------------------------------
 
-def field_margins(u: ScalarField, sub: Subequation,
-                  nodes: np.ndarray | None = None):
-    """Membership margins of the finite-difference jets at interior nodes."""
-    dom = u.domain
-    if dom.dim != sub.d:
-        raise PshError("field dimension does not match the structure")
-    nodes = dom.interior_ids if nodes is None else np.asarray(nodes)
-    p, a = fd_jets(u, nodes)
-    frame = sub.acx.at(dom.node_coords[nodes])
-    return margins_for_jets(sub, frame, p, a) + (nodes,)
+class MarginContext:
+    """The field-independent part of the direct margin of ``sub`` on
+    ``domain``: the nodes (interior, all of them by default), the jet table
+    that differences a field there, the structure evaluated there once, in
+    ``frame``, and, built on first use, the unit-box neighbours that the
+    default tolerance reads.  Build it once for every field on the domain."""
+
+    def __init__(self, sub: Subequation, domain: LatticeDomain,
+                 nodes: np.ndarray | None = None):
+        if domain.dim != sub.d:
+            raise PshError("field dimension does not match the structure")
+        self.sub = sub
+        self.domain = domain
+        nodes = domain.interior_ids if nodes is None else np.asarray(
+            nodes, dtype=np.int64)
+        if np.any(domain.node_class[nodes] != INTERIOR):
+            raise LatticeError("jets require interior nodes")
+        self.nodes = nodes
+        self.table = JetTable(domain, self.nodes)
+        self.frame = sub.acx.at(domain.node_coords[self.nodes])
+
+    @cached_property
+    def unit_box(self) -> np.ndarray:
+        """Region ids of every node's unit box, -1 off the region."""
+        return self.domain.neighbor_ids(self.nodes[:, None],
+                                        unit_offsets(self.domain.dim))
+
+    def check(self, u: ScalarField) -> None:
+        """Reject a field on another domain or masked where the jets read."""
+        if u.domain is not self.domain:
+            raise PshError("the field is not on the context's domain")
+        self.table.check(u)
 
 
-def default_field_tol(u: ScalarField, nodes: np.ndarray) -> np.ndarray:
-    """Consistency-matched tolerance 10 h^2 * (local field scale); the local
-    scale is the sup of |u| over the node's unit box."""
-    dom = u.domain
-    nb = dom.neighbor_ids(nodes[:, None], unit_offsets(dom.dim))
+def field_margins(u: ScalarField, ctx: MarginContext):
+    """Membership margins (margin, eig, det) of the finite-difference jets
+    of ``u`` at the context's nodes."""
+    ctx.check(u)
+    return margins_for_jets(ctx.sub, ctx.frame, *ctx.table.jets(u.values))
+
+
+def default_field_tol(u: ScalarField, ctx: MarginContext) -> np.ndarray:
+    """Consistency-matched tolerance 10 h^2 * (local field scale) at the
+    context's nodes; the local scale is the sup of |u| over the node's unit
+    box."""
+    nb = ctx.unit_box
     near = np.where(nb >= 0, np.abs(u.values[nb]), 0.0).max(axis=1)
-    scale = np.maximum(np.abs(u.values[nodes]), near)
-    return 10.0 * dom.h ** 2 * np.maximum(scale, 1.0)
+    scale = np.maximum(np.abs(u.values[ctx.nodes]), near)
+    return 10.0 * ctx.domain.h ** 2 * np.maximum(scale, 1.0)
 
 
 @dataclass
@@ -155,18 +185,31 @@ class PshReport:
         return out
 
 
+def _read(u: ScalarField, ctx: MarginContext, values: np.ndarray, tol):
+    """(verdict, worst row, tolerances): per-node ``values`` at the
+    context's nodes read against ``tol``, by default the field tolerance
+    (ties resolved by lexicographic node order)."""
+    tols = default_field_tol(u, ctx) if tol is None else np.broadcast_to(
+        np.asarray(tol, dtype=float), values.shape)
+    return bool(np.all(values >= -tols)), int(np.argmin(values)), tols
+
+
+def margin_verdict(u: ScalarField, ctx: MarginContext,
+                   tol: np.ndarray | float | None = None) -> PshReport:
+    """Worst-case membership margin of ``u`` over the context's nodes.
+    Negative margin beyond the node tolerance means the field is not psh."""
+    margins, _, _ = field_margins(u, ctx)
+    verdict, worst, tols = _read(u, ctx, margins, tol)
+    return PshReport(verdict, float(margins[worst]),
+                     u.domain.node_coords[ctx.nodes[worst]], float(tols[worst]))
+
+
 def psh_margin(u: ScalarField, sub: Subequation,
                tol: np.ndarray | float | None = None) -> PshReport:
-    """Worst-case membership margin over interior nodes (ties resolved by
-    lexicographic node order).  Negative margin beyond the node tolerance
-    means the field is not psh."""
-    margins, _, _, nodes = field_margins(u, sub)
-    tols = default_field_tol(u, nodes) if tol is None else np.broadcast_to(
-        np.asarray(tol, dtype=float), margins.shape)
-    worst = int(np.argmin(margins))
-    verdict = bool(np.all(margins >= -tols))
-    return PshReport(verdict, float(margins[worst]),
-                     u.domain.node_coords[nodes[worst]], float(tols[worst]))
+    """Worst-case membership margin over interior nodes.  To test many
+    fields on one domain, build a :class:`MarginContext` once and call
+    :func:`margin_verdict`."""
+    return margin_verdict(u, MarginContext(sub, u.domain), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +285,51 @@ class RestrictionReport:
     slack: float
 
 
-def restriction_check(u: ScalarField, sub: Subequation, m: int,
-                      slack_coeff: float = 1.0) -> RestrictionReport:
+class SliceRestriction:
+    """The field-independent part of the restriction check of ``sub`` on
+    ``domain`` to the slice C^m x {0}: the ambient node of each slice node
+    (``ids``), the slice compatibility verdict and the margin contexts of
+    the homogeneous ambient equation and of the induced slice structure on
+    the slice domain.  Incompatible slices are rejected; use
+    :func:`slice_compatible` to diagnose."""
+
+    def __init__(self, sub: Subequation, domain: LatticeDomain, m: int):
+        acx = sub.acx
+        slice_domain, self.ids = slice_lattice(domain, m)
+        self.compatibility = slice_compatible(
+            acx, m, points=slice_domain.node_coords)
+        if not self.compatibility.compatible:
+            raise PshError(
+                "slice is not an almost complex submanifold: the antilinear "
+                "factor has f21 residual "
+                f"{self.compatibility.f21_residual:.3e} on the slice")
+        self.ambient = MarginContext(Subequation(acx), domain)
+        self.slice = MarginContext(
+            Subequation(induced_slice_structure(acx, m)), slice_domain)
+
+
+def restriction_verdict(u: ScalarField, rc: SliceRestriction,
+                        slack_coeff: float = 1.0) -> RestrictionReport:
     """Ambient-psh implies slice-psh, up to a consistency slack linear in h.
 
     The restriction statement concerns the homogeneous cone, so any
-    right-hand side on ``sub`` is ignored here.  Incompatible slices are
-    rejected; use :func:`slice_compatible` to diagnose.
+    right-hand side on the structure's equation is ignored here.
     """
-    acx = sub.acx
-    u_slice = restrict_to_slice(u, m)
-    comp = slice_compatible(acx, m,
-                            points=u_slice.domain.node_coords)
-    if not comp.compatible:
-        raise PshError(
-            "slice is not an almost complex submanifold: the antilinear "
-            f"factor has f21 residual {comp.f21_residual:.3e} on the slice")
-    hom = Subequation(acx)
-    amb = psh_margin(u, hom)
-    sub_s = Subequation(induced_slice_structure(acx, m))
-    sli = psh_margin(u_slice, sub_s)
+    amb = margin_verdict(u, rc.ambient)
+    sli = margin_verdict(u.take(rc.slice.domain, rc.ids), rc.slice)
     slack = sli.tol_at_worst + slack_coeff * u.domain.h
     implication = (not amb.psh) or (sli.worst_margin >= -slack)
     return RestrictionReport(True, amb.worst_margin, sli.worst_margin,
                              amb.psh, sli.psh, bool(implication), slack)
+
+
+def restriction_check(u: ScalarField, sub: Subequation, m: int,
+                      slack_coeff: float = 1.0) -> RestrictionReport:
+    """:func:`restriction_verdict` of ``u`` on a fresh
+    :class:`SliceRestriction`; to check many fields on one domain, build
+    that once."""
+    return restriction_verdict(u, SliceRestriction(sub, u.domain, m),
+                               slack_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +342,18 @@ class OperatorFamily:
     the per-node adapted witness of a field (for n = 1 unit determinant
     forces B = 1, the identity member).  L_B has the coefficient field
     S = g B_r g^T and the drift b_k = <S, E(e_k)>; the structure is
-    evaluated once for the node set, in ``frame``."""
+    evaluated once for the node set, in the frame of the family's margin
+    context ``margins``, whose jet table the adapted witness reads."""
 
     def __init__(self, sub: Subequation, stencil: Stencil,
                  family: list[np.ndarray]):
         self.sub = sub
         self.stencil = stencil
         self.members = family
-        self.frame = sub.acx.at(stencil.domain.node_coords[stencil.nodes])
+        self.margins = MarginContext(sub, stencil.domain)
+        self.frame = self.margins.frame
         self.fixed = [self._snap(real_form(b)) for b in family]
         self.bstar = None       # adapted witness of the last adapted_policy
-        self._jets = None
 
     @staticmethod
     def coefficients(frame: StructureFrame, br):
@@ -303,17 +368,12 @@ class OperatorFamily:
     def _snap(self, br):
         return snap_policy(self.stencil, *self.coefficients(self.frame, br))
 
-    def adapted_policy(self, values: np.ndarray, jets=None):
-        """Policy of the adapted witness B* of ``values`` (None for n = 1).
-        ``jets`` is (p, A) at the nodes; by default it is gathered through
-        a JetTable built on first use."""
+    def adapted_policy(self, values: np.ndarray):
+        """Policy of the adapted witness B* of ``values`` (None for n = 1),
+        from the jets of ``margins``' table."""
         if self.sub.n == 1:
             return None
-        if jets is None:
-            if self._jets is None:
-                self._jets = JetTable(self.stencil.domain, self.stencil.nodes)
-            jets = self._jets.jets(values)
-        hp = transformed_hermitian(self.frame, *jets)
+        hp = transformed_hermitian(self.frame, *self.margins.table.jets(values))
         self.bstar = adapted_bstar(complexify_batch(hp))
         return self._snap(real_form(self.bstar))
 
@@ -400,10 +460,8 @@ def blap_min_field(u: ScalarField, ops: OperatorFamily):
     adapted witness ``ops.bstar`` (n > 1) as the minimizer, otherwise it
     indexes ``ops.members``.
     """
-    if u.domain is not ops.stencil.domain:
-        raise PshError("the field is not on the operator family's domain")
-    jets = fd_jets(u, ops.stencil.nodes)  # also rejects masked nodes the jets read
-    best, active = ops.min_value(u.values, ops.adapted_policy(u.values, jets))
+    ops.margins.check(u)
+    best, active = ops.min_value(u.values, ops.adapted_policy(u.values))
     return best, np.where(active == len(ops.members), -1, active)
 
 
@@ -414,10 +472,7 @@ def family_verdict(u: ScalarField, ops: OperatorFamily,
     the minimizing member at the worst node as its witness."""
     best, witness = blap_min_field(u, ops)
     nodes = ops.stencil.nodes
-    tols = default_field_tol(u, nodes) if tol is None else np.broadcast_to(
-        np.asarray(tol, dtype=float), best.shape)
-    worst = int(np.argmin(best))
-    verdict = bool(np.all(best >= -tols))
+    verdict, worst, tols = _read(u, ops.margins, best, tol)
     wit = None
     if not verdict:
         wit = (ops.members[witness[worst]] if witness[worst] >= 0

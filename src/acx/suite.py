@@ -16,7 +16,10 @@ import numpy as np
 from .algebra import make_structure, realify, standard_j
 from .lattice import LatticeDomain, ScalarField
 from .linpot import (
+    BallReplacement,
     LinearOperator,
+    TransposedBump,
+    ViscosityScheme,
     bump_field,
     classical_subharmonic,
     default_ball_battery,
@@ -27,7 +30,14 @@ from .linpot import (
     operator_from_structure,
     viscosity_subharmonic,
 )
-from .psh import family_verdict, operator_family, psh_margin
+from .psh import (
+    SliceRestriction,
+    family_verdict,
+    margin_verdict,
+    operator_family,
+    psh_margin,
+    restriction_verdict,
+)
 from .rng import CounterRng
 from .subeq import Subequation
 
@@ -82,35 +92,40 @@ def _triangle_field(dom: LatticeDomain, rng: CounterRng, sub_side: bool) -> Scal
 
 def linear_triangle_battery(config: SuiteConfig) -> dict:
     """Viscosity = classical on every (field, operator) pair, and viscosity
-    passes imply nonnegative distributional pairings against the bumps."""
+    passes imply nonnegative distributional pairings against the bumps.
+    Each operator's viscosity scheme, ball replacements and transposed
+    bumps are built once, for every field."""
     rng = CounterRng(config.seed * 7919 + 11)
     dom = LatticeDomain.box([-1, 1], 21, dim=2)
-    ops = _triangle_operators()
     balls = default_ball_battery(dom, config.balls,
                                  seed=config.seed * 104729 + 3)
     bumps = []
     for _ in range(config.bumps):
         center = np.array([rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)])
         bumps.append(bump_field(dom, center, rng.uniform(0.35, 0.5)))
+    per_op = [(op.provenance, ViscosityScheme(op, dom),
+            [BallReplacement(op, dom, c, r) for c, r in balls],
+            [TransposedBump(op, b) for b in bumps])
+           for op in _triangle_operators()]
 
     cases = []
     all_ok = True
     for i in range(config.linear_fields):
         u = _triangle_field(dom, rng, sub_side=(i % 2 == 0))
-        for k, op in enumerate(ops):
-            visc = viscosity_subharmonic(u, op)
-            cls = classical_subharmonic(u, op, balls)
+        for name, scheme, battery, transposed in per_op:
+            visc = viscosity_subharmonic(u, scheme)
+            cls = classical_subharmonic(u, battery)
             agree = visc.subharmonic == cls.subharmonic
             pairings_ok = True
             pair_min = None
             if visc.subharmonic:
-                vals = [distributional_pairing(u, op, b) for b in bumps]
+                vals = [distributional_pairing(u, lt) for lt in transposed]
                 pair_min = min(vals)
                 pairings_ok = pair_min >= -1e-8
             ok = agree and pairings_ok
             all_ok &= ok
             cases.append({
-                "field": i, "operator": op.provenance,
+                "field": i, "operator": name,
                 "viscosity": visc.subharmonic, "classical": cls.subharmonic,
                 "agree": agree, "min_pairing": pair_min, "ok": ok,
             })
@@ -144,7 +159,8 @@ def blaplacian_agreement_battery(config: SuiteConfig) -> dict:
         dom = (LatticeDomain.box([-1, 1], 17, dim=2) if n == 1
                else LatticeDomain.box([-1, 1], 9, dim=4))
         sub = Subequation(make_structure("standard", n=n))
-        ops = operator_family(sub, dom)     # one family for every field
+        # one family, and its margin context, for every field
+        ops = operator_family(sub, dom)
         band = 0.2 if n == 1 else 0.4
         agree = 0
         for i in range(config.quadratics):
@@ -156,7 +172,7 @@ def blaplacian_agreement_battery(config: SuiteConfig) -> dict:
             # quadratics are differenced exactly, so the verdicts are read
             # at a tight tolerance; the undecided band is excluded by the
             # construction of the target margins
-            direct = psh_margin(u, sub, tol=1e-9)
+            direct = margin_verdict(u, ops.margins, tol=1e-9)
             family = family_verdict(u, ops, tol=1e-9)
             if direct.psh == family.psh == (target > 0):
                 agree += 1
@@ -191,12 +207,10 @@ def restriction_battery(config: SuiteConfig) -> dict:
     """Ambient-psh fields on a slice-compatible structure restrict to
     slice-psh fields; smooth sums of squared complex-linear forms plus
     gentle maxima (small crease slope) keep every margin decided."""
-    from .psh import restriction_check
-
     rng = CounterRng(config.seed * 48611 + 5)
     dom = LatticeDomain.ball(np.zeros(4), 0.8, 13)
     acx = make_structure("antilinear-slice-compatible", n=2, m=1, eps=0.1)
-    sub = Subequation(acx)
+    restriction = SliceRestriction(Subequation(acx), dom, 1)
     x = dom.node_coords
     cases = []
     all_ok = True
@@ -218,7 +232,7 @@ def restriction_battery(config: SuiteConfig) -> dict:
             slope *= 0.04 * dom.h / max(1e-9, np.linalg.norm(slope))
             vals = np.maximum(vals, vals + x @ slope)
         u = ScalarField(dom, vals)
-        rep = restriction_check(u, sub, 1)
+        rep = restriction_verdict(u, restriction)
         ambient_psh_count += int(rep.ambient_psh)
         ok = rep.ambient_psh and rep.slice_psh and rep.implication_holds
         all_ok &= ok

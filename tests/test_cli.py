@@ -110,8 +110,8 @@ def test_check_psh_round_trip_margins(tmp_path, solve_cfg):
     domain = LatticeDomain.ball(np.zeros(2), 1.0, 17)
     field = import_csv(out / "solution.csv", domain)
     sub = Subequation(make_structure("standard", n=1), rhs=constant_rhs(1.0))
-    from acx.psh import field_margins
-    margins, _, _, _ = field_margins(field, sub)
+    from acx.psh import MarginContext, field_margins
+    margins, _, _ = field_margins(field, MarginContext(sub, domain))
     assert abs(float(np.min(margins)) - report["subsolution_margin"]) <= 1e-12
     assert abs(float(-np.max(margins)) - report["dual_margin"]) <= 1e-12
 

@@ -302,3 +302,31 @@ def test_maximality_requires_homogeneous():
     u, _ = solve(prob)
     with pytest.raises(SolveError):
         maximality_check(u, prob)
+
+
+def test_maximality_evaluates_the_structure_once():
+    # one margin context serves every competitor of the default battery
+    prob = disc_problem(f=None, nodes=17)
+    u, _ = solve(prob)
+    calls = []
+    evaluate = prob.sub.acx.evaluate
+    prob.sub.acx.evaluate = lambda pts: calls.append(1) or evaluate(pts)
+    verdict = maximality_check(u, prob)
+    assert verdict.status == "pass" and verdict.checked == 5
+    assert len(calls) == 1
+
+
+def test_solve_builds_one_jet_table(monkeypatch):
+    # the adapted refreshes and the certificate read the family's table
+    from acx import lattice
+
+    built = []
+    init = lattice.JetTable.__init__
+    monkeypatch.setattr(lattice.JetTable, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    _, rep = solve(DirichletProblem(
+        dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2))
+    assert rep.converged and rep.iterations > 1
+    assert len(built) == 1

@@ -3,9 +3,12 @@ import pytest
 
 from acx.algebra import make_structure
 from acx.discretize import Stencil, snap_policy
-from acx.lattice import LatticeDomain, ScalarField
+from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.linpot import (
+    BallReplacement,
     LinpotError,
+    TransposedBump,
+    ViscosityScheme,
     bump_field,
     bump_mass,
     classical_subharmonic,
@@ -44,7 +47,7 @@ def lap():
 
 def test_viscosity_margin_of_square(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
-    v = viscosity_subharmonic(u, lap)
+    v = viscosity_subharmonic(u, ViscosityScheme(lap, box))
     assert v.subharmonic and v.margin == pytest.approx(4.0)   # 2 * dim
 
 
@@ -52,15 +55,17 @@ def test_viscosity_affine_reports_drift_pairing(box):
     p = np.array([1.0, -2.0])
     u = ScalarField.from_vectorized(box, lambda X: X @ p)
     op = diagonal_operator([1.0, 1.0])
-    assert viscosity_subharmonic(u, op).margin == pytest.approx(0.0)
+    assert viscosity_subharmonic(
+        u, ViscosityScheme(op, box)).margin == pytest.approx(0.0)
     from acx.linpot import LinearOperator
     drift = LinearOperator(2, lambda pts: (np.eye(2), np.array([2.0, 0.0])))
-    assert viscosity_subharmonic(u, drift).margin == pytest.approx(2.0)
+    assert viscosity_subharmonic(
+        u, ViscosityScheme(drift, box)).margin == pytest.approx(2.0)
 
 
 def test_viscosity_negative(box, lap):
     u = ScalarField.from_vectorized(box, lambda X: -abs2(X))
-    v = viscosity_subharmonic(u, lap)
+    v = viscosity_subharmonic(u, ViscosityScheme(lap, box))
     assert not v.subharmonic and v.margin == pytest.approx(-4.0)
 
 
@@ -70,13 +75,15 @@ def test_viscosity_negative(box, lap):
 
 def test_replacement_exact_on_affine(box, lap):
     u = ScalarField.from_vectorized(box, lambda X: 2 * X[:, 0] - X[:, 1] + 0.5)
-    h = harmonic_replacement(u, lap, np.zeros(2), 4 * box.h)
+    rep = BallReplacement(lap, box, np.zeros(2), 4 * box.h)
+    h = harmonic_replacement(u, rep)
     assert np.max(np.abs(h.values - subfield_on(u, h.domain).values)) < 1e-9
 
 
 def test_replacement_dominates_subharmonic_and_matches_linear_solve(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
-    h = harmonic_replacement(u, lap, np.zeros(2), 5 * box.h)
+    rep = BallReplacement(lap, box, np.zeros(2), 5 * box.h)
+    h = harmonic_replacement(u, rep)
     uv = subfield_on(u, h.domain)
     assert np.min(h.values - uv.values) >= -1e-9
     # independent oracle: dense solve of the same monotone system
@@ -103,11 +110,13 @@ def test_replacement_dominates_subharmonic_and_matches_linear_solve(box, lap):
 
 def test_replacement_constant_and_max_principle(box, lap):
     c = ScalarField(box, np.full(box.n_nodes, 2.2))
-    h = harmonic_replacement(c, lap, np.zeros(2), 4 * box.h)
+    rep = BallReplacement(lap, box, np.zeros(2), 4 * box.h)
+    h = harmonic_replacement(c, rep)
     assert np.max(np.abs(h.values - 2.2)) < 1e-9
     u = ScalarField.from_vectorized(
         box, lambda X: np.sin(3 * X[:, 0]) + np.cos(2 * X[:, 1]))
-    h2 = harmonic_replacement(u, lap, np.zeros(2), 5 * box.h)
+    rep = BallReplacement(lap, box, np.zeros(2), 5 * box.h)
+    h2 = harmonic_replacement(u, rep)
     interior_max = np.max(h2.values[h2.domain.interior_ids])
     boundary_max = np.max(h2.values[h2.domain.boundary_ids])
     assert interior_max <= boundary_max + 1e-8
@@ -117,7 +126,8 @@ def test_replacement_nonconvergence_is_an_error(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
     # a zero residual is out of reach in floating point
     with pytest.raises(LinpotError, match="missed its tolerance"):
-        harmonic_replacement(u, lap, np.zeros(2), 4 * box.h, tol_res=0.0)
+        harmonic_replacement(
+            u, BallReplacement(lap, box, np.zeros(2), 4 * box.h), tol_res=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +137,21 @@ def test_replacement_nonconvergence_is_an_error(box, lap):
 def test_classical_verdicts(box, lap):
     balls = default_ball_battery(box)
     u = ScalarField.from_vectorized(box, abs2)
-    assert classical_subharmonic(u, lap, balls).subharmonic
+    battery = [BallReplacement(lap, box, c, r) for c, r in balls]
+    assert classical_subharmonic(u, battery).subharmonic
     un = ScalarField(box, -u.values)
-    verdict = classical_subharmonic(un, lap, balls)
+    verdict = classical_subharmonic(un, battery)
     assert not verdict.subharmonic and verdict.witness_ball is not None
     # a discrete-harmonic field passes with near-equality
     ua = ScalarField.from_vectorized(box, lambda X: X[:, 0] - 2 * X[:, 1])
-    v = classical_subharmonic(ua, lap, balls)
+    v = classical_subharmonic(ua, battery)
     assert v.subharmonic and abs(v.max_violation) < 1e-9
 
 
 def test_classical_requires_battery(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
     with pytest.raises(LinpotError):
-        classical_subharmonic(u, lap, [])
+        classical_subharmonic(u, [])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +161,7 @@ def test_classical_requires_battery(box, lap):
 def test_pairing_of_square_matches_mass(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
     bump = bump_field(box, np.zeros(2), 0.5)
-    pair = distributional_pairing(u, lap, bump)
+    pair = distributional_pairing(u, TransposedBump(lap, bump))
     mass = float(np.sum(bump.values)) * box.h ** 2
     assert pair == pytest.approx(4.0 * mass, rel=1e-9)
     assert pair == pytest.approx(4.0 * bump_mass(2, 0.5), rel=2e-2)
@@ -159,16 +170,16 @@ def test_pairing_of_square_matches_mass(box, lap):
 def test_pairing_signs(box, lap):
     bump = bump_field(box, np.zeros(2), 0.4)
     harm = ScalarField.from_vectorized(box, lambda X: X[:, 0] ** 2 - X[:, 1] ** 2)
-    assert abs(distributional_pairing(harm, lap, bump)) < 1e-12
+    assert abs(distributional_pairing(harm, TransposedBump(lap, bump))) < 1e-12
     neg = ScalarField.from_vectorized(box, lambda X: -abs2(X))
-    assert distributional_pairing(neg, lap, bump) < 0
+    assert distributional_pairing(neg, TransposedBump(lap, bump)) < 0
 
 
 def test_pairing_rejects_support_violation(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
     wide = bump_field(box, np.zeros(2), 1.5)
     with pytest.raises(LinpotError):
-        distributional_pairing(u, lap, wide)
+        distributional_pairing(u, TransposedBump(lap, wide))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +259,93 @@ def test_structure_operator_evaluates_the_structure_once_per_use(box):
     acx.evaluate = lambda pts: calls.append(1) or evaluate(pts)
     op = operator_from_structure(Subequation(acx), np.array([[1.0 + 0j]]))
     u = ScalarField.from_vectorized(box, abs2)
-    for use in (lambda: harmonic_replacement(u, op, np.zeros(2), 4 * box.h),
-                lambda: viscosity_subharmonic(u, op),
-                lambda: distributional_pairing(
-                    u, op, bump_field(box, np.zeros(2), 0.4))):
+    for use in (lambda: harmonic_replacement(u, BallReplacement(
+                    op, box, np.zeros(2), 4 * box.h)),
+                lambda: viscosity_subharmonic(u, ViscosityScheme(op, box)),
+                lambda: distributional_pairing(u, TransposedBump(
+                    op, bump_field(box, np.zeros(2), 0.4)))):
         calls.clear()
         use()
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# build once, apply per field
+# ---------------------------------------------------------------------------
+
+def test_pairing_rejects_a_bump_on_another_region(box, lap):
+    # the 21-node unit disc has the grid of the 21-node box, not its nodes
+    disc = LatticeDomain.ball(np.zeros(2), 1.0, 21)
+    u = ScalarField.from_vectorized(box, abs2)
+    bump = TransposedBump(lap, bump_field(disc, np.zeros(2), 0.4))
+    with pytest.raises(LinpotError, match="bump must live on the field's domain"):
+        distributional_pairing(u, bump)
+    # an equal box built again is the same region
+    twin = LatticeDomain.box([-1, 1], 21, dim=2)
+    same = TransposedBump(lap, bump_field(twin, np.zeros(2), 0.5))
+    own = TransposedBump(lap, bump_field(box, np.zeros(2), 0.5))
+    assert distributional_pairing(u, same) == distributional_pairing(u, own)
+
+
+def triangle_fields(dom, count):
+    from acx.suite import _triangle_field
+
+    rng = CounterRng(5)
+    return [_triangle_field(dom, rng, sub_side=(i % 2 == 0))
+            for i in range(count)]
+
+
+def test_prebuilt_schemes_give_the_one_shot_reports(box):
+    # one scheme, battery and transposed bump per operator, reused over the
+    # fields, against fresh ones built for every call: equal bits
+    from acx.suite import _triangle_operators
+
+    balls = default_ball_battery(box, 2, seed=11)
+    bumps = [bump_field(box, np.array([0.1, -0.2]), 0.4),
+             bump_field(box, np.zeros(2), 0.5)]
+    fields = triangle_fields(box, 4)
+    for op in _triangle_operators():
+        scheme = ViscosityScheme(op, box)
+        battery = [BallReplacement(op, box, c, r) for c, r in balls]
+        transposed = [TransposedBump(op, b) for b in bumps]
+        for u in fields:
+            shared = viscosity_subharmonic(u, scheme)
+            fresh = viscosity_subharmonic(u, ViscosityScheme(op, box))
+            assert shared.subharmonic == fresh.subharmonic
+            assert shared.margin == fresh.margin
+            np.testing.assert_array_equal(shared.worst_node, fresh.worst_node)
+            for rep, (c, r) in zip(battery, balls):
+                np.testing.assert_array_equal(
+                    harmonic_replacement(u, rep).values,
+                    harmonic_replacement(u, BallReplacement(op, box, c, r)).values)
+            assert classical_subharmonic(u, battery) == classical_subharmonic(
+                u, [BallReplacement(op, box, c, r) for c, r in balls])
+            for lt, b in zip(transposed, bumps):
+                assert distributional_pairing(u, lt) == distributional_pairing(
+                    u, TransposedBump(op, b))
+    assert {viscosity_subharmonic(u, ViscosityScheme(laplacian(2), box))
+            .subharmonic for u in fields} == {True, False}
+
+
+def test_prebuilt_schemes_reject_masked_fields(box, lap):
+    mask = np.zeros(box.n_nodes, dtype=bool)
+    mask[box.node_at(np.zeros(2))] = True
+    u = ScalarField(box, abs2(box.node_coords), mask)
+    with pytest.raises(LatticeError):
+        viscosity_subharmonic(u, ViscosityScheme(lap, box))
+    with pytest.raises(LatticeError):
+        distributional_pairing(
+            u, TransposedBump(lap, bump_field(box, np.zeros(2), 0.4)))
+
+
+def test_triangle_battery_snaps_each_ball_policy_once(monkeypatch):
+    import acx.linpot as linpot_mod
+    from acx.suite import SuiteConfig, linear_triangle_battery
+
+    calls = []
+    snap = linpot_mod.snap_policy
+    monkeypatch.setattr(linpot_mod, "snap_policy",
+                        lambda *a: calls.append(1) or snap(*a))
+    out = linear_triangle_battery(SuiteConfig(linear_fields=4))
+    assert out["all_pass"] and len(out["cases"]) == 12
+    assert len(calls) == 9      # 3 operators x 3 balls

@@ -5,19 +5,23 @@ from acx.algebra import make_structure, realify
 from acx.discretize import Stencil
 from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.psh import (
+    MarginContext,
     OperatorFamily,
     PshError,
+    SliceRestriction,
     adapted_bstar,
     blaplacian,
     check_b_matrix,
     default_b_family,
     family_verdict,
     induced_slice_structure,
+    margin_verdict,
     operator_family,
     psh_margin,
     psh_via_blaplacians,
     real_form,
     restriction_check,
+    restriction_verdict,
     slice_compatible,
 )
 from acx.rng import CounterRng
@@ -153,6 +157,31 @@ def test_restriction_vacuous_when_ambient_fails():
     rep = restriction_check(u, sub, 1)
     assert not rep.ambient_psh
     assert rep.implication_holds  # vacuous
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_restriction_n3_on_a_lattice(m):
+    # the 5^6 box of test_n3_verdicts_on_a_lattice, with the compatible
+    # preset for each slice dimension
+    dom = LatticeDomain.box([-0.5, 0.5], 5, dim=6, stencil_radius=1)
+    sub = Subequation(make_structure("antilinear-slice-compatible", n=3, m=m,
+                                     eps=0.05))
+    u = ScalarField.from_vectorized(dom, abs2)
+    good = restriction_check(u, sub, m)
+    assert good.ambient_psh and good.slice_psh and good.implication_holds
+    assert good.ambient_margin > 1.5 and good.slice_margin > 1.5
+    bad = restriction_check(ScalarField(dom, -u.values), sub, m)
+    assert not bad.ambient_psh and not bad.slice_psh
+    assert bad.ambient_margin < -1.5
+
+
+def test_restriction_n3_rejects_the_m1_preset_on_a_2_slice():
+    dom = LatticeDomain.box([-0.5, 0.5], 5, dim=6, stencil_radius=1)
+    sub = Subequation(make_structure("antilinear-slice-compatible", n=3, m=1,
+                                     eps=0.05))
+    u = ScalarField.from_vectorized(dom, abs2)
+    with pytest.raises(PshError, match="almost complex submanifold"):
+        restriction_check(u, sub, 2)
 
 
 def test_restriction_rejects_incompatible_slice():
@@ -378,3 +407,106 @@ def test_report_serialization(disc, flat1):
     d = rep.to_dict()
     assert d["verdict"] == "psh"
     assert isinstance(d["worst_node"], list)
+
+
+# ---------------------------------------------------------------------------
+# build once, apply per field
+# ---------------------------------------------------------------------------
+
+def assert_same_report(a, b):
+    assert a.psh == b.psh
+    assert a.worst_margin == b.worst_margin
+    np.testing.assert_array_equal(a.worst_node, b.worst_node)
+    assert a.tol_at_worst == b.tol_at_worst
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shared_margin_context_gives_the_one_shot_reports(n):
+    # psh_margin builds a context per call; a context built once, alone or
+    # as an operator family's, gives equal reports with either tolerance
+    dom, sub, fields = battery_quadratics(n, 8)
+    contexts = (MarginContext(sub, dom), operator_family(sub, dom).margins)
+    for u in fields:
+        for tol in (1e-9, None):
+            fresh = psh_margin(u, sub, tol=tol)
+            for ctx in contexts:
+                assert_same_report(margin_verdict(u, ctx, tol=tol), fresh)
+    assert {psh_margin(u, sub).psh for u in fields} == {True, False}
+
+
+def restriction_fields(dom):
+    x = dom.node_coords
+    quad = (x ** 2).sum(axis=1)
+    crease = np.maximum(quad, quad + 0.01 * x[:, 0])
+    mixed = x[:, 0] ** 2 + x[:, 1] ** 2 - 3 * (x[:, 2] ** 2 + x[:, 3] ** 2)
+    return [ScalarField(dom, v) for v in (quad, -quad, crease, mixed)]
+
+
+def test_shared_restriction_gives_the_one_shot_reports():
+    dom = LatticeDomain.ball(np.zeros(4), 0.8, 13)
+    sub = Subequation(make_structure("antilinear-slice-compatible", n=2, m=1,
+                                     eps=0.1))
+    rc = SliceRestriction(sub, dom, 1)
+    reports = []
+    for u in restriction_fields(dom):
+        for slack in (1.0, 0.0):
+            shared = restriction_verdict(u, rc, slack)
+            assert shared == restriction_check(u, sub, 1, slack)
+            reports.append(shared)
+    assert {r.ambient_psh for r in reports} == {True, False}
+
+
+def test_prebuilt_contexts_reject_masked_fields(disc, flat1):
+    mask = np.zeros(disc.n_nodes, dtype=bool)
+    mask[disc.node_at(np.zeros(2))] = True
+    u = ScalarField(disc, abs2(disc.node_coords), mask)
+    with pytest.raises(LatticeError):
+        margin_verdict(u, MarginContext(flat1, disc))
+    with pytest.raises(LatticeError):
+        family_verdict(u, operator_family(flat1, disc))
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    mask = np.zeros(dom.n_nodes, dtype=bool)
+    mask[dom.node_at(np.zeros(4))] = True
+    u4 = ScalarField(dom, abs2(dom.node_coords), mask)
+    sub2 = Subequation(make_structure("standard", n=2))
+    with pytest.raises(LatticeError):
+        restriction_verdict(u4, SliceRestriction(sub2, dom, 1))
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (a function or a method)."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+def test_restriction_battery_builds_once(monkeypatch):
+    from acx import lattice, suite
+    from acx.suite import SuiteConfig, restriction_battery
+
+    evaluations = []
+
+    def structure(*args, **kwargs):
+        acx = make_structure(*args, **kwargs)
+        evaluate = acx.evaluate
+        acx.evaluate = lambda pts: evaluations.append(1) or evaluate(pts)
+        return acx
+
+    monkeypatch.setattr(suite, "make_structure", structure)
+    tables = counting(monkeypatch, lattice.JetTable, "__init__")
+    out = restriction_battery(SuiteConfig(restriction_fields=6))
+    assert out["all_pass"]
+    # slice compatibility, the ambient frame and the induced slice frame
+    assert len(evaluations) <= 3
+    assert len(tables) == 2
+
+
+def test_agreement_battery_builds_at_most_four_jet_tables(monkeypatch):
+    from acx import lattice
+    from acx.suite import SuiteConfig, blaplacian_agreement_battery
+
+    tables = counting(monkeypatch, lattice.JetTable, "__init__")
+    assert blaplacian_agreement_battery(SuiteConfig(quadratics=6))["all_pass"]
+    assert len(tables) <= 4
