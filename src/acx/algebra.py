@@ -167,14 +167,6 @@ class HermitianForm:
     def hermitian_residual(self) -> float:
         return float(np.max(np.abs(self.j.T @ self.real @ self.j - self.real)))
 
-    def is_j0(self, tol: float = TOL_ALG) -> bool:
-        return np.max(np.abs(self.j - standard_j(self.dim // 2))) <= tol
-
-    def complexified(self) -> np.ndarray:
-        if not self.is_j0():
-            raise AlgebraError("complex counterpart requires the standard structure")
-        return complexify(self.real)
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.real)[0])
 

@@ -28,7 +28,7 @@ from .lattice import (
     read_boundary_csv,
 )
 from .linpot import ess_usc_regularize
-from .psh import psh_margin, psh_via_blaplacians, restriction_check, slice_compatible
+from .psh import psh_margin, psh_via_blaplacians, restriction_check
 from .serialize import write_report
 from .subeq import (
     Subequation,
@@ -222,14 +222,7 @@ def cmd_restrict_check(args) -> int:
     domain = _domain_from(cfg["domain"])
     field = import_csv(cfg["field_csv"], domain)
     acx = _structure_from(cfg["structure"])
-    m = int(cfg["slice_m"])
-    comp = slice_compatible(acx, m)
-    if not comp.compatible:
-        raise InputError(
-            "slice is not an almost complex submanifold: the antilinear "
-            f"factor's lower-left block has residual {comp.f21_residual:.3e} "
-            "on the slice (it must vanish there)")
-    report = restriction_check(field, Subequation(acx), m)
+    report = restriction_check(field, Subequation(acx), int(cfg["slice_m"]))
     payload = {"schema": "acx/1", "command": "restrict-check",
                **asdict(report)}
     if args.out:

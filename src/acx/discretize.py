@@ -12,8 +12,10 @@ remainder's eigenvalues lambda_k - lambda_min.  The snap's error therefore
 scales with the anisotropy lambda_max - lambda_min rather than with |S|,
 and it vanishes where S is isotropic, which is exactly where the
 eigenvectors are ill-defined.  Drift terms are discretized by monotone
-upwinding along the axis columns.  All neighbor weights are nonnegative,
-which is the degenerate-ellipticity contract of every scheme built here.
+upwinding along the axis columns.  ``snap_policy`` turns all of it into
+one nonnegative weight per neighbor x +- h w, which is the
+degenerate-ellipticity (monotonicity) contract of every scheme built here
+(Barles & Souganidis 1991; Oberman 2006).
 Near-boundary interior nodes auto-restrict to the directions whose full
 offsets stay inside the region (at worst the unit box, which is always
 available).
@@ -34,11 +36,12 @@ blocks of at most _SCORE_BYTES of scores.  A constant field is scored
 once, and a node where its best direction is unavailable takes the first
 available entry of the stable descending order of the scores.
 
-A frozen policy is a matrix-free linear operator on the interior values
-with diagonal -ucoeff; boundary values enter through the values it is
-applied to.  ``solve_frozen`` solves it with Jacobi-preconditioned
-BiCGSTAB (van der Vorst 1992; Saad, Iterative Methods for Sparse Linear
-Systems, 2003) to a max-norm residual.
+A frozen policy is those weights: a matrix-free linear operator on the
+interior values with nonnegative off-diagonal entries and diagonal
+-ucoeff, the row sum of the weights; boundary values enter through the
+values it is applied to.  ``solve_frozen`` solves it with
+Jacobi-preconditioned BiCGSTAB (van der Vorst 1992; Saad, Iterative
+Methods for Sparse Linear Systems, 2003) to a max-norm residual.
 """
 
 from __future__ import annotations
@@ -109,56 +112,43 @@ class Stencil:
 
 @dataclass
 class Policy:
-    """Frozen nonnegative-weight scheme: one (direction, weight) list per
-    interior node plus an optional upwind drift.  With a drift, the first
-    d columns must be the axes e_1, ..., e_d: their neighbors are the
-    drift's upwind neighbors."""
+    """Frozen monotone scheme: per interior node, k stencil directions w
+    and the nonnegative weights of the neighbors x + h w (``wplus``) and
+    x - h w (``wminus``).  Its value is
+    sum_k wplus (u(x + hw) - u(x)) + wminus (u(x - hw) - u(x)), and its
+    diagonal coefficient ``ucoeff`` is the row sum of the weights."""
 
     stencil: Stencil
     dir_idx: np.ndarray          # (Ni, k) indices into stencil.dirs
-    weights: np.ndarray          # (Ni, k) nonnegative
-    drift: np.ndarray | None     # (Ni, d) or None
+    wplus: np.ndarray            # (Ni, k) nonnegative
+    wminus: np.ndarray           # (Ni, k) nonnegative
 
     def __post_init__(self):
-        st = self.stencil
-        self.plus, self.minus = st.domain.stencil_neighbors(self.dir_idx)
+        self.plus, self.minus = self.stencil.domain.stencil_neighbors(
+            self.dir_idx)
         if np.any(self.plus < 0) or np.any(self.minus < 0):
             raise ValueError("policy selected an unavailable direction")
-        d = st.domain.dim
-        if self.drift is not None and np.any(self.dir_idx[:, :d] != st.axes):
-            raise ValueError("a drift needs the axes in the first d columns")
-        self.norms2 = st.norms2[self.dir_idx]
-        h = st.domain.h
-        coeff = (2.0 * self.weights / (h ** 2 * self.norms2)).sum(axis=1)
-        if self.drift is not None:
-            coeff = coeff + np.abs(self.drift).sum(axis=1) / h
-        self.ucoeff = coeff
+        self.ucoeff = (self.wplus + self.wminus).sum(axis=1)
 
     def value(self, values: np.ndarray) -> np.ndarray:
-        st = self.stencil
-        h = st.domain.h
-        center = values[st.nodes]
-        vp, vm = values[self.plus], values[self.minus]
-        sec = vp + vm - 2.0 * center[:, None]
-        out = (self.weights * sec / (h ** 2 * self.norms2)).sum(axis=1)
-        if self.drift is not None:
-            d = self.drift.shape[1]
-            fwd = (vp[:, :d] - center[:, None]) / h
-            bwd = (center[:, None] - vm[:, :d]) / h
-            out = out + (np.maximum(self.drift, 0.0) * fwd
-                         + np.minimum(self.drift, 0.0) * bwd).sum(axis=1)
-        return out
+        center = values[self.stencil.nodes][:, None]
+        return (self.wplus * (values[self.plus] - center)
+                + self.wminus * (values[self.minus] - center)).sum(axis=1)
 
 
 def snap_policy(stencil: Stencil, s_field: np.ndarray,
                 drift: np.ndarray | None = None) -> Policy:
-    """Isotropic split and eigenvector snap of an SPD field.
+    """Monotone scheme of the operator tr(S D^2 u) + drift . Du.
 
     ``s_field`` has shape (Ni, d, d) or (1, d, d) for a constant coefficient;
     eigenvalues are clipped at zero so the policy stays monotone even for
     marginally indefinite input.  The policy's first d columns are the axes,
-    weighted by lambda_min; the other d - 1 are the snapped eigenvectors of
-    the remainder, weighted by lambda_k - lambda_min.
+    with second-order weight lambda_min; the other d - 1 are the snapped
+    eigenvectors of the remainder, with lambda_k - lambda_min.  A weight
+    lambda on the direction w puts lambda / (h^2 |w|^2) on both neighbors.
+    The upwinded drift ``drift`` (Ni, d) adds max(b_i, 0) / h to the
+    x + h e_i weight of axis column i and max(-b_i, 0) / h to its x - h e_i
+    weight.
     """
     st = stencil
     ni = st.nodes.size
@@ -167,8 +157,8 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
     vals = np.clip(vals, 0.0, None)
     # eigh sorts ascending: lambda_min's eigenvector has no remainder weight
     vecs = vecs[:, :, 1:]
-    weights = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
-                              vals[:, 1:] - vals[:, :1]], axis=1)
+    lam = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
+                          vals[:, 1:] - vals[:, :1]], axis=1)
     units_t = st.units.T.copy()
 
     if s_field.shape[0] == 1:
@@ -188,7 +178,6 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
                 rows = bad[miss[:, k]]
                 dir_idx[rows, k] = order[k, np.argmax(
                     st.allowed[rows][:, order[k]], axis=1)]
-        weights = np.broadcast_to(weights, (ni, 2 * d - 1)).copy()
     else:
         dir_idx, exact = _chamber_snap(st, vecs)
         node, col = np.nonzero(~exact)
@@ -198,8 +187,15 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
             scores = _masked_scores(vecs[rows, :, cols] @ units_t,
                                     st.allowed[rows])             # (c, T)
             dir_idx[rows, cols] = np.argmax(scores, axis=1)
-    axes = np.broadcast_to(st.axes, (ni, d))
-    return Policy(st, np.concatenate([axes, dir_idx], axis=1), weights, drift)
+    dir_idx = np.concatenate([np.broadcast_to(st.axes, (ni, d)), dir_idx],
+                             axis=1)
+    h = st.domain.h
+    wplus = wminus = lam / (h ** 2 * st.norms2[dir_idx])
+    if drift is not None:
+        up = np.pad(drift / h, ((0, 0), (0, d - 1)))
+        wplus = wplus + np.maximum(up, 0.0)
+        wminus = wminus + np.maximum(-up, 0.0)
+    return Policy(st, dir_idx, wplus, wminus)
 
 
 def _chamber_snap(st: Stencil, vecs: np.ndarray):

@@ -171,8 +171,9 @@ def harmonic_replacement(u: ScalarField, rep: BallReplacement,
     on the ball's boundary nodes, via one linear solve of its monotone
     scheme.  The discrete maximum principle holds for the output.
     Non-convergence is an error (replacement results are never interpreted
-    heuristically)."""
+    heuristically).  A field masked on any ball node is rejected."""
     _require_region(u, rep.domain, "the field is not on the ball's domain")
+    u._require_unmasked(rep.ids)
     start = u.values[rep.ids]
     scale = max(1.0, float(np.max(np.abs(start))))
     try:

@@ -300,8 +300,8 @@ class SliceRestriction:
             acx, m, points=slice_domain.node_coords)
         if not self.compatibility.compatible:
             raise PshError(
-                "slice is not an almost complex submanifold: the antilinear "
-                "factor has f21 residual "
+                f"slice C^{m} x {{0}} is not an almost complex submanifold: "
+                "the antilinear factor has f21 residual "
                 f"{self.compatibility.f21_residual:.3e} on the slice")
         self.ambient = MarginContext(Subequation(acx), domain)
         self.slice = MarginContext(
@@ -338,21 +338,21 @@ def restriction_check(u: ScalarField, sub: Subequation, m: int,
 
 class OperatorFamily:
     """Monotone discretizations of the linear operators L_B on a stencil's
-    interior nodes: one per fixed member B of ``family`` plus, for n > 1,
-    the per-node adapted witness of a field (for n = 1 unit determinant
-    forces B = 1, the identity member).  L_B has the coefficient field
+    interior nodes: one per member B of the fixed net
+    :func:`default_b_family` (``members``) plus, for n > 1, the per-node
+    adapted witness of a field (for n = 1 unit determinant forces B = 1,
+    the identity member).  L_B has the coefficient field
     S = g B_r g^T and the drift b_k = <S, E(e_k)>; the structure is
     evaluated once for the node set, in the frame of the family's margin
     context ``margins``, whose jet table the adapted witness reads."""
 
-    def __init__(self, sub: Subequation, stencil: Stencil,
-                 family: list[np.ndarray]):
+    def __init__(self, sub: Subequation, stencil: Stencil):
         self.sub = sub
         self.stencil = stencil
-        self.members = family
+        self.members = default_b_family(sub.n)
         self.margins = MarginContext(sub, stencil.domain)
         self.frame = self.margins.frame
-        self.fixed = [self._snap(real_form(b)) for b in family]
+        self.fixed = [self._snap(real_form(b)) for b in self.members]
         self.bstar = None       # adapted witness of the last adapted_policy
 
     @staticmethod
@@ -396,8 +396,8 @@ class OperatorFamily:
         def pick(name):
             return np.stack([getattr(p, name) for p in pols])[active, rows]
 
-        drift = None if pols[0].drift is None else pick("drift")
-        return Policy(self.stencil, pick("dir_idx"), pick("weights"), drift)
+        return Policy(self.stencil, pick("dir_idx"), pick("wplus"),
+                      pick("wminus"))
 
 
 def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
@@ -434,23 +434,10 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     return float(total)
 
 
-def operator_family(sub: Subequation, domain: LatticeDomain,
-                    family: list[np.ndarray] | None = None) -> OperatorFamily:
+def operator_family(sub: Subequation, domain: LatticeDomain) -> OperatorFamily:
     """The B-family operators of ``sub`` on ``domain``, built once for every
-    field on it.  The family (the fixed net by default) must be non-empty
-    and contain the identity; given members must be hermitian, positive
-    definite and of unit determinant."""
-    if family is None:
-        fam = default_b_family(sub.n)
-    else:
-        fam = list(family)
-        if not fam:
-            raise PshError("B-family must be non-empty")
-        if not any(np.max(np.abs(np.asarray(b) - np.eye(sub.n))) < 1e-12
-                   for b in fam):
-            raise PshError("B-family must contain the identity")
-        fam = [check_b_matrix(b) for b in fam]
-    return OperatorFamily(sub, Stencil(domain), fam)
+    field on it."""
+    return OperatorFamily(sub, Stencil(domain))
 
 
 def blap_min_field(u: ScalarField, ops: OperatorFamily):
@@ -483,13 +470,13 @@ def family_verdict(u: ScalarField, ops: OperatorFamily,
 
 
 def psh_via_blaplacians(u: ScalarField, sub: Subequation,
-                        family: list[np.ndarray] | None = None,
                         tol: np.ndarray | float | None = None) -> PshReport:
     """Family characterization of the psh cone: psh iff every member
-    operator is nonnegative.  The family always contains the identity and,
-    for n > 1, the per-node adapted witness, which guarantees detection of
-    indefinite hessians (for n = 1 the identity is the only unit-determinant
-    form); the verdict agrees with the direct margin up to the scheme
-    tolerance.  To test many fields on one domain, build the family once
-    with :func:`operator_family` and call :func:`family_verdict`."""
-    return family_verdict(u, operator_family(sub, u.domain, family), tol)
+    operator is nonnegative.  The family is the fixed net, which contains
+    the identity, and, for n > 1, the per-node adapted witness, which
+    guarantees detection of indefinite hessians (for n = 1 the identity is
+    the only unit-determinant form); the verdict agrees with the direct
+    margin up to the scheme tolerance.  To test many fields on one domain,
+    build the family once with :func:`operator_family` and call
+    :func:`family_verdict`."""
+    return family_verdict(u, operator_family(sub, u.domain), tol)

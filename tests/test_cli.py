@@ -138,7 +138,7 @@ def test_check_psh_exit_codes(tmp_path):
     assert main(["check-psh", "--config", cfg_miss, *out]) == 1
 
 
-def test_restrict_check_exit_codes(tmp_path):
+def test_restrict_check_exit_codes(tmp_path, capsys):
     domain = LatticeDomain.ball(np.zeros(4), 0.8, 9)
     u = ScalarField.from_vectorized(domain, abs2)
     export_csv(u, tmp_path / "amb.csv")
@@ -156,7 +156,10 @@ def test_restrict_check_exit_codes(tmp_path):
         "structure": {"preset": "antilinear-linear-eps", "n": 2,
                       "eps": 0.1, "generator": 4},
         "slice_m": 1})
+    capsys.readouterr()
     assert main(["restrict-check", "--config", incompatible, *out]) == 1
+    err = capsys.readouterr().err
+    assert "slice C^1 x {0} is not an almost complex submanifold" in err
 
 
 def test_dual_check(tmp_path):

@@ -123,18 +123,22 @@ def test_snap_matches_brute_force_scoring(name):
     for s_field in fields:
         want = brute_dir_idx(st, s_field)
         pol = snap_policy(st, s_field)
-        # the axes carry lambda_min, the snapped remainder lambda_k - lambda_min
+        # the axes carry lambda_min, the snapped remainder lambda_k - lambda_min,
+        # each as lambda / (h^2 |w|^2) on both neighbors
         lam = np.broadcast_to(np.clip(np.linalg.eigh(s_field)[0], 0, None),
                               (st.nodes.size, d))
         np.testing.assert_array_equal(pol.dir_idx[:, :d],
                                       np.broadcast_to(st.axes, (st.nodes.size, d)))
-        np.testing.assert_array_equal(pol.weights[:, :d],
-                                      np.repeat(lam[:, :1], d, axis=1))
-        np.testing.assert_allclose(pol.weights[:, d:], lam[:, 1:] - lam[:, :1],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pol.wplus, pol.wminus)
+        scale = dom.h ** 2 * st.norms2[pol.dir_idx]
+        np.testing.assert_array_equal(pol.wplus[:, :d],
+                                      np.repeat(lam[:, :1], d, axis=1)
+                                      / scale[:, :d])
+        np.testing.assert_allclose(pol.wplus[:, d:] * scale[:, d:],
+                                   lam[:, 1:] - lam[:, :1], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(pol.dir_idx[:, d:], want)
         full = np.concatenate([pol.dir_idx[:, :d], want], axis=1)
-        ref = Policy(st, full, pol.weights, None)
+        ref = Policy(st, full, pol.wplus, pol.wminus)
         np.testing.assert_array_equal(pol.plus, ref.plus)
         np.testing.assert_array_equal(pol.minus, ref.minus)
         offs = st.dirs[full]
@@ -164,8 +168,9 @@ def test_policy_rejects_unavailable_direction():
     dir_idx = np.zeros((st.nodes.size, 4), dtype=np.int64)
     dir_idx[:] = np.flatnonzero(st.allowed.all(axis=0))[:4]
     dir_idx[row, 0] = t
+    ones = np.ones((st.nodes.size, 4))
     with pytest.raises(ValueError, match="unavailable direction"):
-        Policy(st, dir_idx, np.ones((st.nodes.size, 4)), None)
+        Policy(st, dir_idx, ones, ones)
 
 
 GATHER_DOMAINS = [
@@ -192,7 +197,8 @@ def test_policy_neighbors_are_the_offset_gather(kind, d, rho):
     np.testing.assert_array_equal((plus >= 0) & (minus >= 0), st.allowed)
     # unavailable entries take the first axis, which every node has
     dir_idx = np.where(st.allowed, every, st.axes[0])
-    pol = Policy(st, dir_idx, np.zeros(dir_idx.shape), None)
+    zeros = np.zeros(dir_idx.shape)
+    pol = Policy(st, dir_idx, zeros, zeros)
     np.testing.assert_array_equal(pol.plus[st.allowed], plus[st.allowed])
     np.testing.assert_array_equal(pol.minus[st.allowed], minus[st.allowed])
     if rho > 1:
@@ -283,6 +289,32 @@ def test_neighbor_ids_off_grid_and_exterior_are_minus_one():
     assert dom.neighbor_ids(corner, np.array([0, 1]))[0] >= 0
 
 
+def test_drift_is_upwinded_into_the_axis_weights():
+    # the drift adds max(b_i, 0) / h to the x + h e_i weight of axis column
+    # i and max(-b_i, 0) / h to its x - h e_i weight; nothing else moves
+    dom = DOMAINS["ball4"]()
+    st = Stencil(dom)
+    rng = CounterRng(29)
+    ni, d, h = st.nodes.size, dom.dim, dom.h
+    field = np.stack([rng.spd(d) for _ in range(ni)])
+    drift = rng.uniforms((ni, d), -2.0, 2.0)
+    pol = snap_policy(st, field, drift)
+    plain = snap_policy(st, field)
+    assert np.all(pol.wplus >= 0.0) and np.all(pol.wminus >= 0.0)
+    np.testing.assert_allclose(pol.ucoeff, (pol.wplus + pol.wminus).sum(axis=1),
+                               rtol=1e-14)
+    np.testing.assert_array_equal(pol.dir_idx, plain.dir_idx)
+    np.testing.assert_allclose(pol.wplus[:, :d] - pol.wminus[:, :d], drift / h,
+                               rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(pol.wplus[:, d:], pol.wminus[:, d:])
+    np.testing.assert_array_equal(pol.wplus[:, d:], plain.wplus[:, d:])
+    # second differences vanish on an affine field: the value is drift . grad
+    grad = rng.uniforms((d,), -1.0, 1.0)
+    values = 0.7 + dom.node_coords @ grad
+    np.testing.assert_allclose(pol.value(values), drift @ grad,
+                               rtol=0, atol=1e-12)
+
+
 def dense_system(pol: Policy, values: np.ndarray):
     """(A, c) with pol.value(u) = A u[interior] + c for every u that equals
     ``values`` off the interior, column by column."""
@@ -310,6 +342,7 @@ def test_solve_frozen_matches_dense_solve(name):
     rhs = rng.normals((ni,))
     amat, c = dense_system(pol, values)
     assert np.max(np.abs(amat - amat.T)) > 0.1          # non-symmetric
+    assert np.all(amat - np.diag(np.diag(amat)) >= 0.0)  # monotone
     np.testing.assert_allclose(np.diag(amat), -pol.ucoeff, rtol=1e-13)
     want = np.linalg.solve(amat, rhs - c)
     got = solve_frozen(pol, values, rhs, 1e-11)

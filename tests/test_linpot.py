@@ -328,14 +328,27 @@ def test_prebuilt_schemes_give_the_one_shot_reports(box):
 
 
 def test_prebuilt_schemes_reject_masked_fields(box, lap):
+    # a masked spike of 5 at the centre: every route rejects it rather than
+    # read it (the classical route used to report a violation of 4.91)
+    centre = box.node_at(np.zeros(2))
     mask = np.zeros(box.n_nodes, dtype=bool)
-    mask[box.node_at(np.zeros(2))] = True
-    u = ScalarField(box, abs2(box.node_coords), mask)
+    mask[centre] = True
+    vals = abs2(box.node_coords)
+    vals[centre] = 5.0
+    u = ScalarField(box, vals, mask)
     with pytest.raises(LatticeError):
         viscosity_subharmonic(u, ViscosityScheme(lap, box))
     with pytest.raises(LatticeError):
         distributional_pairing(
             u, TransposedBump(lap, bump_field(box, np.zeros(2), 0.4)))
+    covering = BallReplacement(lap, box, np.zeros(2), 0.4)
+    with pytest.raises(LatticeError):
+        harmonic_replacement(u, covering)
+    with pytest.raises(LatticeError):
+        classical_subharmonic(u, [covering])
+    # a ball clear of the masked node reads only unmasked nodes
+    clear = BallReplacement(lap, box, np.array([0.5, 0.5]), 0.3)
+    assert classical_subharmonic(u, [clear]).subharmonic
 
 
 def test_triangle_battery_snaps_each_ball_policy_once(monkeypatch):

@@ -268,7 +268,7 @@ def test_blap_min_field_matches_per_node_blaplacian_with_drift():
                                      generator=3))
     u = ScalarField.from_vectorized(
         dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
-    ops = OperatorFamily(sub, Stencil(dom), default_b_family(2))
+    ops = OperatorFamily(sub, Stencil(dom))
     best, witness = ops.min_value(u.values)
     assert np.any(ops.frame.e_tensor != 0.0)
     rng = CounterRng(12)
@@ -287,18 +287,6 @@ def test_via_blaplacians_rejects_masked_stencil(disc, flat1):
     u = ScalarField(disc, abs2(disc.node_coords), mask)
     with pytest.raises(LatticeError):
         psh_via_blaplacians(u, flat1)
-
-
-def test_via_blaplacians_requires_identity_and_rejects_empty(disc, flat1):
-    u = ScalarField.from_vectorized(disc, abs2)
-    with pytest.raises(PshError):
-        psh_via_blaplacians(u, flat1, family=[])
-    fam2 = default_b_family(2)[1:]
-    dom4 = LatticeDomain.ball(np.zeros(4), 1.0, 9)
-    sub2 = Subequation(make_structure("standard", n=2))
-    u4 = ScalarField.from_vectorized(dom4, abs2)
-    with pytest.raises(PshError):
-        psh_via_blaplacians(u4, sub2, family=fam2)
 
 
 def test_agreement_battery_builds_one_family_per_dimension(monkeypatch):
