@@ -59,7 +59,6 @@ from .psh import (
     blaplacian,
     family_verdict,
     margin_verdict,
-    operator_family,
     psh_margin,
     psh_via_blaplacians,
     restriction_check,

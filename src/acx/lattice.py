@@ -25,7 +25,6 @@ EXTERIOR, BOUNDARY, INTERIOR = 0, 1, 2
 _GATHER_BLOCK = 1 << 20
 
 _CLASS_NAMES = {EXTERIOR: "exterior", BOUNDARY: "boundary", INTERIOR: "interior"}
-_CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
 
 class LatticeError(ValueError):

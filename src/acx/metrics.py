@@ -331,14 +331,15 @@ class Example95Report:
     hessian_origin: list
 
 
-def example95_report(c: float, r: float, step: float | None = None) -> Example95Report:
+def example95_report(c: float, r: float) -> Example95Report:
     """Separation of hermitian and standard plurisubharmonicity on the
     spherical metric: for phi = (1/2)|X|^2 - C x the metric hessian at the
     origin is the identity (hermitian-psh nearby) while the surface
-    Laplacian along the shifted sphere is 2 - 2C/r, negative for C > r."""
+    Laplacian along the shifted sphere is 2 - 2C/r, negative for C > r.
+    Derivatives are differenced with step r/64."""
     if c < 0 or r <= 0:
         raise MetricError("C must be nonnegative and r positive")
-    step = r / 64.0 if step is None else step
+    step = r / 64.0
     metric = spherical_metric_r4()
     surface = sphere_through_origin(r)
 

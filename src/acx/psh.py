@@ -29,7 +29,6 @@ from .lattice import (
     INTERIOR,
     JetTable,
     LatticeDomain,
-    LatticeError,
     ScalarField,
     slice_lattice,
     unit_offsets,
@@ -58,14 +57,14 @@ def real_form(b: np.ndarray) -> np.ndarray:
     return _REAL_FORM_SCALE * realify(b)
 
 
-def check_b_matrix(b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def check_b_matrix(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
-    if np.max(np.abs(b - b.conj().T)) > tol:
+    if np.max(np.abs(b - b.conj().T)) > 1e-8:
         raise PshError("B must be hermitian")
     w = np.linalg.eigvalsh(b)
     if w[0] <= 0:
         raise PshError("B must be positive definite")
-    if abs(np.linalg.det(b).real - 1.0) > 100 * tol:
+    if abs(np.linalg.det(b).real - 1.0) > 1e-6:
         raise PshError("B must have unit determinant")
     return b
 
@@ -91,7 +90,7 @@ def default_b_family(n: int) -> list[np.ndarray]:
     return fam
 
 
-def adapted_bstar(ac: np.ndarray, clip: float = _BSTAR_CLIP) -> np.ndarray:
+def adapted_bstar(ac: np.ndarray) -> np.ndarray:
     """Equality witness of the arithmetic-geometric determinant bound,
     B* = det(A)^{1/n} A^{-1}, with eigenvalues of A floored at 1e-8 and then
     clipped to a bounded band around their geometric mean before inversion.
@@ -103,7 +102,8 @@ def adapted_bstar(ac: np.ndarray, clip: float = _BSTAR_CLIP) -> np.ndarray:
     n = ac.shape[-1]
     floored = np.clip(vals, _BSTAR_FLOOR, None)
     gm = np.prod(floored, axis=-1) ** (1.0 / n)
-    banded = np.clip(floored, gm[:, None] / clip, gm[:, None] * clip)
+    banded = np.clip(floored, gm[:, None] / _BSTAR_CLIP,
+                     gm[:, None] * _BSTAR_CLIP)
     scale = np.prod(banded, axis=-1) ** (1.0 / n)
     inv = (scale[:, None] / banded)
     return np.einsum("nak,nk,nbk->nab", vecs, inv, vecs.conj())
@@ -115,22 +115,17 @@ def adapted_bstar(ac: np.ndarray, clip: float = _BSTAR_CLIP) -> np.ndarray:
 
 class MarginContext:
     """The field-independent part of the direct margin of ``sub`` on
-    ``domain``: the nodes (interior, all of them by default), the jet table
-    that differences a field there, the structure evaluated there once, in
+    ``domain``: its interior nodes (``nodes``), the jet table that
+    differences a field there, the structure evaluated there once, in
     ``frame``, and, built on first use, the unit-box neighbours that the
     default tolerance reads.  Build it once for every field on the domain."""
 
-    def __init__(self, sub: Subequation, domain: LatticeDomain,
-                 nodes: np.ndarray | None = None):
+    def __init__(self, sub: Subequation, domain: LatticeDomain):
         if domain.dim != sub.d:
             raise PshError("field dimension does not match the structure")
         self.sub = sub
         self.domain = domain
-        nodes = domain.interior_ids if nodes is None else np.asarray(
-            nodes, dtype=np.int64)
-        if np.any(domain.node_class[nodes] != INTERIOR):
-            raise LatticeError("jets require interior nodes")
-        self.nodes = nodes
+        self.nodes = domain.interior_ids
         self.table = JetTable(domain, self.nodes)
         self.frame = sub.acx.at(domain.node_coords[self.nodes])
 
@@ -253,24 +248,19 @@ class SliceCompatibility:
 
 
 def slice_compatible(acx: AlmostComplexField, m: int,
-                     points: np.ndarray | None = None,
-                     tol: float = 1e-7) -> SliceCompatibility:
-    """True iff the antilinear factor has vanishing 21-block along the slice
-    (the almost complex submanifold condition), double-checked through its
-    analytic shadow: the first-order term built from purely-transverse
-    covectors vanishes on slice directions."""
+                     points: np.ndarray) -> SliceCompatibility:
+    """True iff the antilinear factor has vanishing 21-block, up to 1e-7, at
+    the slice ``points`` of C^m (the almost complex submanifold condition),
+    double-checked through its analytic shadow: the first-order term built
+    from purely-transverse covectors vanishes on slice directions."""
     if not 1 <= m < acx.n:
         raise PshError("slice dimension must satisfy 1 <= m < n")
     ds = 2 * m
-    if points is None:
-        ax = np.linspace(-1.0, 1.0, 5)
-        mesh = np.meshgrid(*([ax] * ds), indexing="ij")
-        points = np.stack([q.ravel() for q in mesh], axis=1)
     frame = acx.at(_embed(points, acx.d))
     _, f = antilinear_normalize_matrix(frame.g, acx.j0)
     worst_f21 = float(np.max(np.abs(f[:, ds:, :ds])))
     worst_e = float(np.max(np.abs(frame.e_tensor[:, ds:, :ds, :ds])))
-    return SliceCompatibility(worst_f21 <= tol and worst_e <= tol,
+    return SliceCompatibility(worst_f21 <= 1e-7 and worst_e <= 1e-7,
                               worst_f21, worst_e)
 
 
@@ -296,8 +286,7 @@ class SliceRestriction:
     def __init__(self, sub: Subequation, domain: LatticeDomain, m: int):
         acx = sub.acx
         slice_domain, self.ids = slice_lattice(domain, m)
-        self.compatibility = slice_compatible(
-            acx, m, points=slice_domain.node_coords)
+        self.compatibility = slice_compatible(acx, m, slice_domain.node_coords)
         if not self.compatibility.compatible:
             raise PshError(
                 f"slice C^{m} x {{0}} is not an almost complex submanifold: "
@@ -308,28 +297,28 @@ class SliceRestriction:
             Subequation(induced_slice_structure(acx, m)), slice_domain)
 
 
-def restriction_verdict(u: ScalarField, rc: SliceRestriction,
-                        slack_coeff: float = 1.0) -> RestrictionReport:
-    """Ambient-psh implies slice-psh, up to a consistency slack linear in h.
+def restriction_verdict(u: ScalarField,
+                        rc: SliceRestriction) -> RestrictionReport:
+    """Ambient-psh implies slice-psh, up to a consistency slack: the slice
+    tolerance at the worst node plus h.
 
     The restriction statement concerns the homogeneous cone, so any
     right-hand side on the structure's equation is ignored here.
     """
     amb = margin_verdict(u, rc.ambient)
     sli = margin_verdict(u.take(rc.slice.domain, rc.ids), rc.slice)
-    slack = sli.tol_at_worst + slack_coeff * u.domain.h
+    slack = sli.tol_at_worst + u.domain.h
     implication = (not amb.psh) or (sli.worst_margin >= -slack)
     return RestrictionReport(True, amb.worst_margin, sli.worst_margin,
                              amb.psh, sli.psh, bool(implication), slack)
 
 
-def restriction_check(u: ScalarField, sub: Subequation, m: int,
-                      slack_coeff: float = 1.0) -> RestrictionReport:
+def restriction_check(u: ScalarField, sub: Subequation,
+                      m: int) -> RestrictionReport:
     """:func:`restriction_verdict` of ``u`` on a fresh
     :class:`SliceRestriction`; to check many fields on one domain, build
     that once."""
-    return restriction_verdict(u, SliceRestriction(sub, u.domain, m),
-                               slack_coeff)
+    return restriction_verdict(u, SliceRestriction(sub, u.domain, m))
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +326,21 @@ def restriction_check(u: ScalarField, sub: Subequation, m: int,
 # ---------------------------------------------------------------------------
 
 class OperatorFamily:
-    """Monotone discretizations of the linear operators L_B on a stencil's
-    interior nodes: one per member B of the fixed net
-    :func:`default_b_family` (``members``) plus, for n > 1, the per-node
-    adapted witness of a field (for n = 1 unit determinant forces B = 1,
-    the identity member).  L_B has the coefficient field
-    S = g B_r g^T and the drift b_k = <S, E(e_k)>; the structure is
-    evaluated once for the node set, in the frame of the family's margin
-    context ``margins``, whose jet table the adapted witness reads."""
+    """Monotone discretizations of the linear operators L_B on the interior
+    nodes of ``domain``, through its :class:`Stencil` (``stencil``): one per
+    member B of the fixed net :func:`default_b_family` (``members``) plus,
+    for n > 1, the per-node adapted witness of a field (for n = 1 unit
+    determinant forces B = 1, the identity member).  L_B has the
+    coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>; the
+    structure is evaluated once for the node set, in the frame of the
+    family's margin context ``margins``, whose jet table the adapted
+    witness reads.  Build it once for every field on the domain."""
 
-    def __init__(self, sub: Subequation, stencil: Stencil):
+    def __init__(self, sub: Subequation, domain: LatticeDomain):
         self.sub = sub
-        self.stencil = stencil
+        self.stencil = Stencil(domain)
         self.members = default_b_family(sub.n)
-        self.margins = MarginContext(sub, stencil.domain)
+        self.margins = MarginContext(sub, domain)
         self.frame = self.margins.frame
         self.fixed = [self._snap(real_form(b)) for b in self.members]
         self.bstar = None       # adapted witness of the last adapted_policy
@@ -434,12 +424,6 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     return float(total)
 
 
-def operator_family(sub: Subequation, domain: LatticeDomain) -> OperatorFamily:
-    """The B-family operators of ``sub`` on ``domain``, built once for every
-    field on it."""
-    return OperatorFamily(sub, Stencil(domain))
-
-
 def blap_min_field(u: ScalarField, ops: OperatorFamily):
     """Minimum of the discretized family operators over interior nodes.
 
@@ -477,6 +461,6 @@ def psh_via_blaplacians(u: ScalarField, sub: Subequation,
     guarantees detection of indefinite hessians (for n = 1 the identity is
     the only unit-determinant form); the verdict agrees with the direct
     margin up to the scheme tolerance.  To test many fields on one domain,
-    build the family once with :func:`operator_family` and call
+    build the family once with :class:`OperatorFamily` and call
     :func:`family_verdict`."""
-    return family_verdict(u, operator_family(sub, u.domain), tol)
+    return family_verdict(u, OperatorFamily(sub, u.domain), tol)

@@ -31,10 +31,10 @@ from .linpot import (
     viscosity_subharmonic,
 )
 from .psh import (
+    OperatorFamily,
     SliceRestriction,
     family_verdict,
     margin_verdict,
-    operator_family,
     psh_margin,
     restriction_verdict,
 )
@@ -160,7 +160,7 @@ def blaplacian_agreement_battery(config: SuiteConfig) -> dict:
                else LatticeDomain.box([-1, 1], 9, dim=4))
         sub = Subequation(make_structure("standard", n=n))
         # one family, and its margin context, for every field
-        ops = operator_family(sub, dom)
+        ops = OperatorFamily(sub, dom)
         band = 0.2 if n == 1 else 0.4
         agree = 0
         for i in range(config.quadratics):

@@ -1,10 +1,14 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used in the module that imports it, and every
+module-level private name of the package is read in its own module.
 
 The check parses each module of ``src/acx`` (the package ``__init__.py``
-re-exports by design and is left out), ``scripts/`` and ``tests/`` with
-``ast``.  A name counts as used when it is read anywhere in the module,
-including annotations and the head of an attribute chain.  ``from
-__future__`` imports and import lines marked ``# noqa: F401`` are exempt.
+re-exports by design and is left out of the import check), ``scripts/`` and
+``tests/`` with ``ast``.  A name counts as used when it is read anywhere in
+the module, including annotations and the head of an attribute chain.
+``from __future__`` imports and import lines marked ``# noqa: F401`` are
+exempt.  A private name is one bound at module level (``_X = ...``,
+``def _f``, ``class _C``) that starts with one underscore and is not a
+dunder.
 """
 
 import ast
@@ -13,10 +17,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "acx").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "acx").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py")))
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -34,9 +44,31 @@ def unused_imports(path: Path) -> list[str]:
                 continue
             name = alias.asname or alias.name.split(".")[0]
             imported.setdefault(name, alias.lineno)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = read_names(tree)
     return [f"line {line}: {name}"
             for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def unread_private_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for head in node.targets for t in ast.walk(head)
+                       if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [getattr(node.target, "id", "")]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                bound.setdefault(name, node.lineno)
+    used = read_names(tree)
+    return [f"line {line}: {name}"
+            for name, line in sorted(bound.items(), key=lambda kv: kv[1])
             if name not in used]
 
 
@@ -55,3 +87,26 @@ def test_the_check_sees_an_unused_import(tmp_path):
                       "def f(x: sys.Thing):\n"
                       "    return d(x)\n")
     assert unused_imports(module) == ["line 2: os"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_private_names_are_read(path):
+    assert unread_private_names(path) == []
+
+
+def test_the_check_sees_an_unread_private_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("__all__ = ['f']\n"
+                      "_SCALE = 2.0\n"
+                      "_CODES = {v: k for k, v in {1: 'a'}.items()}\n"
+                      "_A, (_B, c) = 1, (2, 3)\n"
+                      "def _helper(x):\n"
+                      "    return _SCALE * x + _B\n"
+                      "class _Unused:\n"
+                      "    _inner = 1\n"
+                      "def f(x):\n"
+                      "    _local = _helper(x)\n"
+                      "    return _local\n")
+    assert unread_private_names(module) == [
+        "line 3: _CODES", "line 4: _A", "line 7: _Unused"]

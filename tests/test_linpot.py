@@ -154,6 +154,22 @@ def test_classical_requires_battery(box, lap):
         classical_subharmonic(u, [])
 
 
+@pytest.mark.parametrize("spike", [1e6, np.inf, np.nan])
+def test_classical_tolerance_ignores_masked_nodes(box, lap, spike):
+    # a superharmonic field fails on a centred ball; a masked value at the
+    # corner (1, 1), off the ball, must not widen the tolerance
+    battery = [BallReplacement(lap, box, np.zeros(2), 4 * box.h)]
+    vals = -abs2(box.node_coords)
+    plain = classical_subharmonic(ScalarField(box, vals), battery)
+    assert not plain.subharmonic and plain.max_violation > 0.05
+    corner = box.node_at(np.ones(2))
+    mask = np.zeros(box.n_nodes, dtype=bool)
+    mask[corner] = True
+    vals[corner] = spike
+    masked = classical_subharmonic(ScalarField(box, vals, mask), battery)
+    assert masked == plain
+
+
 # ---------------------------------------------------------------------------
 # distributional route
 # ---------------------------------------------------------------------------

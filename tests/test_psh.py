@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from acx.algebra import make_structure, realify
-from acx.discretize import Stencil
 from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.psh import (
     MarginContext,
@@ -16,7 +15,6 @@ from acx.psh import (
     family_verdict,
     induced_slice_structure,
     margin_verdict,
-    operator_family,
     psh_margin,
     psh_via_blaplacians,
     real_form,
@@ -102,21 +100,26 @@ def test_psh_margin_invariant_under_unitary_rotation(flat1):
 # slices
 # ---------------------------------------------------------------------------
 
+def slice_grid():
+    """The 5^2 grid of [-1, 1]^2, where the slice checks read."""
+    return LatticeDomain.box([-1, 1], 5, dim=2).node_coords
+
+
 def test_slice_compatibility_of_flat_structure():
-    comp = slice_compatible(make_structure("standard", n=2), 1)
+    comp = slice_compatible(make_structure("standard", n=2), 1, slice_grid())
     assert comp.compatible and comp.f21_residual == 0.0
 
 
 def test_slice_compatibility_of_compatible_preset():
     acx = make_structure("antilinear-slice-compatible", n=2, m=1, eps=0.1)
-    comp = slice_compatible(acx, 1)
+    comp = slice_compatible(acx, 1, slice_grid())
     assert comp.compatible
     assert comp.e_block_residual <= 1e-7
 
 
 def test_slice_incompatibility_detected():
     acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=4)
-    comp = slice_compatible(acx, 1)
+    comp = slice_compatible(acx, 1, slice_grid())
     assert not comp.compatible and comp.f21_residual > 1e-3
 
 
@@ -268,7 +271,7 @@ def test_blap_min_field_matches_per_node_blaplacian_with_drift():
                                      generator=3))
     u = ScalarField.from_vectorized(
         dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
-    ops = OperatorFamily(sub, Stencil(dom))
+    ops = OperatorFamily(sub, dom)
     best, witness = ops.min_value(u.values)
     assert np.any(ops.frame.e_tensor != 0.0)
     rng = CounterRng(12)
@@ -290,7 +293,7 @@ def test_via_blaplacians_rejects_masked_stencil(disc, flat1):
 
 
 def test_agreement_battery_builds_one_family_per_dimension(monkeypatch):
-    import acx.psh as psh_mod
+    import acx.suite as suite_mod
     from acx.suite import SuiteConfig, blaplacian_agreement_battery
 
     built = []
@@ -300,7 +303,7 @@ def test_agreement_battery_builds_one_family_per_dimension(monkeypatch):
             built.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(psh_mod, "OperatorFamily", Counting)
+    monkeypatch.setattr(suite_mod, "OperatorFamily", Counting)
     out = blaplacian_agreement_battery(SuiteConfig(quadratics=6))
     assert out["all_pass"]
     assert len(built) == 2
@@ -330,7 +333,7 @@ def test_shared_family_gives_the_fresh_family_reports(n):
     # one family reused across fields against a new family per field, with
     # and without the default tolerance: every report field is equal
     dom, sub, fields = battery_quadratics(n, 8)
-    ops = operator_family(sub, dom)
+    ops = OperatorFamily(sub, dom)
     for u in fields:
         for tol in (1e-9, None):
             shared = family_verdict(u, ops, tol=tol)
@@ -349,7 +352,7 @@ def test_shared_family_gives_the_fresh_family_reports(n):
 def test_family_rejects_a_field_on_another_domain(flat1):
     a = LatticeDomain.ball(np.zeros(2), 1.0, 17)
     b = LatticeDomain.ball(np.zeros(2), 1.0, 17)
-    ops = operator_family(flat1, a)
+    ops = OperatorFamily(flat1, a)
     with pytest.raises(PshError, match="domain"):
         family_verdict(ScalarField.from_vectorized(b, abs2), ops)
     assert family_verdict(ScalarField.from_vectorized(a, abs2), ops).psh
@@ -413,7 +416,7 @@ def test_shared_margin_context_gives_the_one_shot_reports(n):
     # psh_margin builds a context per call; a context built once, alone or
     # as an operator family's, gives equal reports with either tolerance
     dom, sub, fields = battery_quadratics(n, 8)
-    contexts = (MarginContext(sub, dom), operator_family(sub, dom).margins)
+    contexts = (MarginContext(sub, dom), OperatorFamily(sub, dom).margins)
     for u in fields:
         for tol in (1e-9, None):
             fresh = psh_margin(u, sub, tol=tol)
@@ -437,10 +440,9 @@ def test_shared_restriction_gives_the_one_shot_reports():
     rc = SliceRestriction(sub, dom, 1)
     reports = []
     for u in restriction_fields(dom):
-        for slack in (1.0, 0.0):
-            shared = restriction_verdict(u, rc, slack)
-            assert shared == restriction_check(u, sub, 1, slack)
-            reports.append(shared)
+        shared = restriction_verdict(u, rc)
+        assert shared == restriction_check(u, sub, 1)
+        reports.append(shared)
     assert {r.ambient_psh for r in reports} == {True, False}
 
 
@@ -451,7 +453,7 @@ def test_prebuilt_contexts_reject_masked_fields(disc, flat1):
     with pytest.raises(LatticeError):
         margin_verdict(u, MarginContext(flat1, disc))
     with pytest.raises(LatticeError):
-        family_verdict(u, operator_family(flat1, disc))
+        family_verdict(u, OperatorFamily(flat1, disc))
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
     mask = np.zeros(dom.n_nodes, dtype=bool)
     mask[dom.node_at(np.zeros(4))] = True
