@@ -10,18 +10,20 @@ so the residual at an interior node is
 
     Theta(u)(x) = min_B [ L_B u(x) - n (beta(x) f(x))^{1/n} ]
 
-with the minimum running over a fixed net of forms plus the per-node
-adapted equality witness.  Each L_B is discretized monotonically (axis
-second differences for the isotropic part of its coefficient, snapped
-eigenvector second differences for the rest, upwinded drift; see
-``acx.discretize``).  For f = 0 the minimum does not reduce to the
-homogeneous cone equation lambda_min(A_C) = 0.  Where A_C is degenerate
-the infimum over unit-determinant B is not attained, and the clipped
-adapted witness (``psh.adapted_bstar``) stops short of it: for n = 2 and
-A_C of rank one it gives lambda_max(A_C) / _BSTAR_CLIP, so the residual at
-the exact solution |z1|^2 + Re(z1 z2) is 0.25 on every lattice, and
-homogeneous solves for n >= 2 stall.  The open fix is the rank-one witness
-on the eigenvector of lambda_min(A_C) (ROADMAP item 3).
+with the minimum running over two forms: the identity, which is the
+whole family for n = 1 and gives tr A where the witness is clipped, and,
+for n > 1, the per-node adapted equality witness.  Each L_B is
+discretized monotonically (axis second differences for the isotropic
+part of its coefficient, snapped eigenvector second differences for the
+rest, upwinded drift; see ``acx.discretize``).  For f = 0 the minimum
+does not reduce to the homogeneous cone equation lambda_min(A_C) = 0.
+Where A_C is degenerate the infimum over unit-determinant B is not
+attained, and the clipped adapted witness (``psh.adapted_bstar``) stops
+short of it: for n = 2 and A_C of rank one it gives
+lambda_max(A_C) / _BSTAR_CLIP, so the residual at the exact solution
+|z1|^2 + Re(z1 z2) is 0.25 on every lattice, and homogeneous solves for
+n >= 2 stall.  The open fix is the rank-one witness on the eigenvector of
+lambda_min(A_C) (ROADMAP item 3).
 
 The discrete equation Theta(u) = 0 is solved by Howard's policy iteration
 (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), which
@@ -108,7 +110,7 @@ class SolveReport:
 
 class BellmanOperator:
     """Discrete Bellman residual over the operator family of the problem:
-    frozen fixed-net policies and a refreshable adapted policy, less the
+    the frozen identity policy and a refreshable adapted policy, less the
     right-hand side."""
 
     def __init__(self, problem: DirichletProblem):
@@ -128,7 +130,7 @@ class BellmanOperator:
 
     def residual(self, values: np.ndarray, adapted: Policy | None = None):
         """(theta, active): Bellman residual over interior nodes and the
-        index of the active member per node (the adapted one comes last)."""
+        active member per node (True where the adapted one is active)."""
         best, active = self.family.min_value(values, adapted)
         return best - self.rhs, active
 

@@ -47,7 +47,6 @@ class PshError(ValueError):
 _BSTAR_FLOOR = 1e-8
 _BSTAR_CLIP = 4.0   # anisotropy bound around the geometric mean
 _REAL_FORM_SCALE = 1.0 / 16.0  # pins L_B u = tr_C(A_C B) on exact jets
-_NET_UNITARIES = 2  # unitaries per diagonal profile of the fixed net
 
 
 def real_form(b: np.ndarray) -> np.ndarray:
@@ -67,27 +66,6 @@ def check_b_matrix(b: np.ndarray) -> np.ndarray:
     if abs(np.linalg.det(b).real - 1.0) > 1e-6:
         raise PshError("B must have unit determinant")
     return b
-
-
-def default_b_family(n: int) -> list[np.ndarray]:
-    """Fixed Bellman net: the identity plus unitary-conjugated diagonal
-    profiles diag(t, 1/t, 1, ...) for t in {2, 4}, each conjugated by the
-    same _NET_UNITARIES quasi-random unitaries; they are generated from a
-    fixed counter seed so the net is reproducible."""
-    from .rng import CounterRng
-
-    fam = [np.eye(n, dtype=complex)]
-    if n == 1:
-        return fam  # unit determinant forces B = 1
-    rng = CounterRng(0x5EED)
-    us = [rng.unitary(n) for _ in range(_NET_UNITARIES)]
-    for t in (2.0, 4.0):
-        diag = np.ones(n)
-        diag[0] = t
-        diag[1] = 1.0 / t
-        for u in us:
-            fam.append(u @ np.diag(diag).astype(complex) @ u.conj().T)
-    return fam
 
 
 def adapted_bstar(ac: np.ndarray) -> np.ndarray:
@@ -327,10 +305,11 @@ def restriction_check(u: ScalarField, sub: Subequation,
 
 class OperatorFamily:
     """Monotone discretizations of the linear operators L_B on the interior
-    nodes of ``domain``, through its :class:`Stencil` (``stencil``): one per
-    member B of the fixed net :func:`default_b_family` (``members``) plus,
-    for n > 1, the per-node adapted witness of a field (for n = 1 unit
-    determinant forces B = 1, the identity member).  L_B has the
+    nodes of ``domain``, through its :class:`Stencil` (``stencil``), for
+    the two members of the Bellman family: the identity (``identity``),
+    which is the whole family for n = 1, where unit determinant forces
+    B = 1, and gives tr A where the witness is clipped; and, for n > 1, the
+    per-node adapted witness B* of a field (``bstar``).  L_B has the
     coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>; the
     structure is evaluated once for the node set, in the frame of the
     family's margin context ``margins``, whose jet table the adapted
@@ -339,10 +318,9 @@ class OperatorFamily:
     def __init__(self, sub: Subequation, domain: LatticeDomain):
         self.sub = sub
         self.stencil = Stencil(domain)
-        self.members = default_b_family(sub.n)
         self.margins = MarginContext(sub, domain)
         self.frame = self.margins.frame
-        self.fixed = [self._snap(real_form(b)) for b in self.members]
+        self.identity = self._snap(real_form(np.eye(sub.n, dtype=complex)))
         self.bstar = None       # adapted witness of the last adapted_policy
 
     @staticmethod
@@ -367,24 +345,25 @@ class OperatorFamily:
         self.bstar = adapted_bstar(complexify_batch(hp))
         return self._snap(real_form(self.bstar))
 
-    def policies(self, adapted=None) -> list:
-        return self.fixed if adapted is None else self.fixed + [adapted]
-
     def min_value(self, values: np.ndarray, adapted=None):
         """Per-node minimum of the member operators on ``values`` and the
-        index of the active member (the adapted one comes last)."""
-        stacked = np.stack([p.value(values) for p in self.policies(adapted)])
-        active = np.argmin(stacked, axis=0)
-        return stacked[active, np.arange(stacked.shape[1])], active
+        active member: True where the ``adapted`` policy is strictly below
+        the identity, False where the identity is active."""
+        best = self.identity.value(values)
+        if adapted is None:
+            return best, np.zeros(best.size, dtype=bool)
+        other = adapted.value(values)
+        return np.minimum(best, other), other < best
 
     def active_policy(self, active: np.ndarray, adapted=None) -> Policy:
         """One frozen policy taking at each node the columns of its active
-        member, as indexed by ``min_value``."""
-        pols = self.policies(adapted)
-        rows = np.arange(active.size)
+        member, as flagged by ``min_value``."""
+        if adapted is None:
+            return self.identity
 
         def pick(name):
-            return np.stack([getattr(p, name) for p in pols])[active, rows]
+            return np.where(active[:, None], getattr(adapted, name),
+                            getattr(self.identity, name))
 
         return Policy(self.stencil, pick("dir_idx"), pick("wplus"),
                       pick("wminus"))
@@ -427,27 +406,26 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
 def blap_min_field(u: ScalarField, ops: OperatorFamily):
     """Minimum of the discretized family operators over interior nodes.
 
-    Returns (values, witness_index): witness_index < 0 flags the per-node
-    adapted witness ``ops.bstar`` (n > 1) as the minimizer, otherwise it
-    indexes ``ops.members``.
+    Returns (values, adapted): ``adapted`` is True where the per-node
+    adapted witness ``ops.bstar`` (n > 1) is the minimizer and False where
+    the identity is.
     """
     ops.margins.check(u)
-    best, active = ops.min_value(u.values, ops.adapted_policy(u.values))
-    return best, np.where(active == len(ops.members), -1, active)
+    return ops.min_value(u.values, ops.adapted_policy(u.values))
 
 
 def family_verdict(u: ScalarField, ops: OperatorFamily,
                    tol: np.ndarray | float | None = None) -> PshReport:
-    """psh iff every member operator of ``ops`` is nonnegative on ``u`` at
+    """psh iff both member operators of ``ops`` are nonnegative on ``u`` at
     every interior node, up to the node tolerance; a failing report carries
-    the minimizing member at the worst node as its witness."""
-    best, witness = blap_min_field(u, ops)
+    the minimizing member at the worst node, I or B*, as its witness."""
+    best, adapted = blap_min_field(u, ops)
     nodes = ops.stencil.nodes
     verdict, worst, tols = _read(u, ops.margins, best, tol)
     wit = None
     if not verdict:
-        wit = (ops.members[witness[worst]] if witness[worst] >= 0
-               else ops.bstar[worst])
+        wit = (ops.bstar[worst] if adapted[worst]
+               else np.eye(ops.sub.n, dtype=complex))
     return PshReport(verdict, float(best[worst]),
                      u.domain.node_coords[nodes[worst]],
                      float(tols[worst]), wit)
@@ -456,11 +434,16 @@ def family_verdict(u: ScalarField, ops: OperatorFamily,
 def psh_via_blaplacians(u: ScalarField, sub: Subequation,
                         tol: np.ndarray | float | None = None) -> PshReport:
     """Family characterization of the psh cone: psh iff every member
-    operator is nonnegative.  The family is the fixed net, which contains
-    the identity, and, for n > 1, the per-node adapted witness, which
-    guarantees detection of indefinite hessians (for n = 1 the identity is
-    the only unit-determinant form); the verdict agrees with the direct
-    margin up to the scheme tolerance.  To test many fields on one domain,
-    build the family once with :class:`OperatorFamily` and call
-    :func:`family_verdict`."""
+    operator is nonnegative.  The family is the identity and, for n > 1,
+    the per-node adapted witness B* (for n = 1 the identity is the only
+    unit-determinant form).  Inside the witness's clip band the verdict
+    agrees with the direct margin up to the scheme tolerance.  Outside it
+    an indefinite hessian can go undetected: B* has its eigenvalues within
+    a factor _BSTAR_CLIP = 4 of their geometric mean, so for n = 2 a
+    complex hessian with eigenvalues lambda_min < 0 < lambda_max reads psh
+    once lambda_max >= 16 |lambda_min| (on the flat 9^4 box,
+    a |z1|^2 + b |z2|^2 with (a, b) = (-0.05, 1) reads +0.05 here and
+    -0.1 through :func:`psh_margin`; ROADMAP item 3).  To test many fields
+    on one domain, build the family once with :class:`OperatorFamily` and
+    call :func:`family_verdict`."""
     return family_verdict(u, OperatorFamily(sub, u.domain), tol)

@@ -69,8 +69,3 @@ class CounterRng:
     def hermitian(self, n: int, scale: float = 1.0) -> np.ndarray:
         m = self.complex_normals((n, n))
         return scale * 0.5 * (m + m.conj().T)
-
-    def unitary(self, n: int) -> np.ndarray:
-        q, r = np.linalg.qr(self.complex_normals((n, n)))
-        # Fix the phase so the factorization is unique, hence reproducible.
-        return q * (np.diag(r) / np.abs(np.diag(r)))

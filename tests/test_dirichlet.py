@@ -72,7 +72,7 @@ def test_adapted_member_is_consistent_at_an_exact_solution(nodes):
     adapted = op.adapted_policy(values)
     theta, active = op.residual(values, adapted)
     assert np.max(np.abs(theta)) <= 1e-12
-    assert np.any(active == len(op.family.fixed))   # the adapted member
+    assert np.any(active == 1)   # the adapted member: index 1, after I
     _, rep = solve(prob)
     band = 10 * prob.tol_res()
     assert rep.converged

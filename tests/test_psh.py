@@ -11,7 +11,6 @@ from acx.psh import (
     adapted_bstar,
     blaplacian,
     check_b_matrix,
-    default_b_family,
     family_verdict,
     induced_slice_structure,
     margin_verdict,
@@ -230,13 +229,29 @@ def test_blaplacian_rejections(disc, flat1):
                    np.array([[1.0 + 0j]]))                          # boundary
 
 
-def test_b_family_contents():
-    fam1 = default_b_family(1)
-    assert len(fam1) == 1 and np.allclose(fam1[0], np.eye(1))
-    fam2 = default_b_family(2)
-    assert any(np.allclose(b, np.eye(2)) for b in fam2)
-    for b in fam2:
-        check_b_matrix(b)
+@pytest.mark.parametrize("name,kwargs", [
+    ("standard", {}),
+    ("antilinear-linear-eps", {"eps": 0.1, "generator": 3}),
+])
+@pytest.mark.parametrize("field,identity", [
+    (lambda X: -abs2(X), True),
+    (lambda X: X[:, 0] ** 2 + X[:, 1] ** 2 - 2 * X[:, 2] ** 2, False),
+])
+def test_via_blaplacians_n2_witness(name, kwargs, field, identity):
+    # the reported n = 2 witness is a unit-determinant form whose own
+    # operator, at the worst node, is the worst margin: the identity on a
+    # negative definite field, the adapted witness on a saddle
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    sub = Subequation(make_structure(name, n=2, **kwargs))
+    v = ScalarField.from_vectorized(dom, field)
+    rep = psh_via_blaplacians(v, sub)
+    assert not rep.psh
+    check_b_matrix(rep.witness_b)
+    assert np.allclose(rep.witness_b, np.eye(2)) == identity
+    node = dom.node_at(rep.worst_node)
+    ref = blaplacian(v, sub, node, rep.witness_b)
+    assert abs(ref - rep.worst_margin) <= 1e-12
+    assert ref < 0
 
 
 def test_adapted_bstar_unit_determinant_and_floor():
@@ -272,15 +287,16 @@ def test_blap_min_field_matches_per_node_blaplacian_with_drift():
     u = ScalarField.from_vectorized(
         dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
     ops = OperatorFamily(sub, dom)
-    best, witness = ops.min_value(u.values)
+    best, adapted = ops.min_value(u.values, ops.adapted_policy(u.values))
     assert np.any(ops.frame.e_tensor != 0.0)
     rng = CounterRng(12)
     for _ in range(8):
         row = int(rng.uniform(0, best.size - 1e-9))
         node = int(dom.interior_ids[row])
-        ref = [blaplacian(u, sub, node, b) for b in ops.members]
+        ref = [blaplacian(u, sub, node, b)
+               for b in (np.eye(2, dtype=complex), ops.bstar[row])]
         assert abs(best[row] - min(ref)) <= 1e-12
-        assert witness[row] == int(np.argmin(ref))
+        assert adapted[row] == int(np.argmin(ref))
 
 
 def test_via_blaplacians_rejects_masked_stencil(disc, flat1):
