@@ -8,7 +8,6 @@ from .algebra import (
     antilinear_normalize,
     complexify,
     hermitian_part,
-    lower_order_E,
     make_structure,
     pullback,
     real_hessian,

@@ -47,6 +47,8 @@ def standard_j(n: int) -> np.ndarray:
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise AlgebraError("points must be finite")
     if pts.ndim == 1:
         if pts.shape[0] != d:
             raise AlgebraError(f"point has dimension {pts.shape[0]}, expected {d}")
@@ -309,10 +311,6 @@ class StructureFrame:
             return np.zeros((n, d, d, d))
         nmat = np.swapaxes(self.j, 1, 2)[:, None] @ np.swapaxes(self.dj, 1, 2)
         return 0.5 * (nmat + np.swapaxes(nmat, 2, 3))
-
-
-def lower_order_E(acx: AlmostComplexField, x, p) -> np.ndarray:
-    return acx.e_form(x, p)
 
 
 def real_hessian(acx: AlmostComplexField, x, jet) -> HermitianForm:

@@ -60,6 +60,12 @@ def _load_config(path) -> dict:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _require(cfg: dict, command: str, keys) -> None:
+    for key in keys:
+        if key not in cfg:
+            raise InputError(f"{command} config missing field '{key}'")
+
+
 def _domain_from(cfg: dict) -> LatticeDomain:
     try:
         kind = cfg["kind"]
@@ -151,9 +157,7 @@ def _scheme_from(cfg: dict | None) -> SchemeOptions:
 
 
 def _problem_from(cfg: dict) -> DirichletProblem:
-    for key in ("domain", "structure", "boundary"):
-        if key not in cfg:
-            raise InputError(f"problem config missing field '{key}'")
+    _require(cfg, "problem", ("domain", "structure", "boundary"))
     domain = _domain_from(cfg["domain"])
     acx = _structure_from(cfg["structure"])
     sub = Subequation(acx, rhs=_rhs_from(cfg.get("rhs")))
@@ -189,9 +193,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check_psh(args) -> int:
     cfg = _load_config(args.config)
-    for key in ("field_csv", "domain", "structure"):
-        if key not in cfg:
-            raise InputError(f"check-psh config missing field '{key}'")
+    _require(cfg, "check-psh", ("field_csv", "domain", "structure"))
     domain = _domain_from(cfg["domain"])
     field = import_csv(cfg["field_csv"], domain)
     acx = _structure_from(cfg["structure"])
@@ -216,9 +218,8 @@ def cmd_check_psh(args) -> int:
 
 def cmd_restrict_check(args) -> int:
     cfg = _load_config(args.config)
-    for key in ("field_csv", "domain", "structure", "slice_m"):
-        if key not in cfg:
-            raise InputError(f"restrict-check config missing field '{key}'")
+    _require(cfg, "restrict-check",
+             ("field_csv", "domain", "structure", "slice_m"))
     domain = _domain_from(cfg["domain"])
     field = import_csv(cfg["field_csv"], domain)
     acx = _structure_from(cfg["structure"])
@@ -236,9 +237,7 @@ def cmd_restrict_check(args) -> int:
 
 def cmd_dual_check(args) -> int:
     cfg = _load_config(args.config)
-    for key in ("structure", "point", "jet"):
-        if key not in cfg:
-            raise InputError(f"dual-check config missing field '{key}'")
+    _require(cfg, "dual-check", ("structure", "point", "jet"))
     acx = _structure_from(cfg["structure"])
     sub = Subequation(acx, rhs=_rhs_from(cfg.get("rhs")))
     x = np.asarray(cfg["point"], dtype=float)
@@ -296,9 +295,7 @@ def cmd_metric_demo(args) -> int:
 
 def cmd_regularize(args) -> int:
     cfg = _load_config(args.config)
-    for key in ("field_csv", "domain"):
-        if key not in cfg:
-            raise InputError(f"regularize config missing field '{key}'")
+    _require(cfg, "regularize", ("field_csv", "domain"))
     domain = _domain_from(cfg["domain"])
     field = import_csv(cfg["field_csv"], domain)
     out = _outdir(args)

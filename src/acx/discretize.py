@@ -32,9 +32,9 @@ unequal c entries.  Then every other direction scores at least
 1e-12 / |c| lower in exact arithmetic, far above the roundoff of the
 scores.  The other eigenvectors (near ties and unavailable directions)
 are scored against every available direction, lowest index on a tie, in
-blocks of at most _SCORE_BYTES of scores.  A constant field is scored
-once, and a node where its best direction is unavailable takes the first
-available entry of the stable descending order of the scores.
+blocks of at most _SCORE_BYTES of scores.  A constant field takes the same
+path with one eigendecomposition and one chamber snap shared by every node;
+only the availability of the chosen direction is checked per node.
 
 A frozen policy is those weights: a matrix-free linear operator on the
 interior values with nonnegative off-diagonal entries and diagonal
@@ -55,7 +55,6 @@ from .lattice import LatticeDomain
 
 # bytes of one block of fallback scores (rows x directions, float64)
 _SCORE_BYTES = 8 << 20
-_HEAD = 16
 _TIE = 1e-12
 
 
@@ -161,32 +160,15 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
                           vals[:, 1:] - vals[:, :1]], axis=1)
     units_t = st.units.T.copy()
 
-    if s_field.shape[0] == 1:
-        scores = np.abs(vecs[0].T @ units_t)          # (d - 1, T)
-        base = np.argmax(scores, axis=1)              # (d - 1,)
-        dir_idx = np.broadcast_to(base, (ni, d - 1)).copy()
-        ok = np.all(st.allowed[:, base], axis=1)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            # first available entry of a stable descending order (argmax's
-            # lowest-index rule on ties); nearly always among the first few
-            order = np.argsort(-scores, axis=1, kind="stable")
-            head = st.allowed[bad[:, None, None], order[None, :, :_HEAD]]
-            dir_idx[bad] = order[np.arange(d - 1), np.argmax(head, axis=2)]
-            miss = ~head.any(axis=2)
-            for k in np.flatnonzero(miss.any(axis=0)):
-                rows = bad[miss[:, k]]
-                dir_idx[rows, k] = order[k, np.argmax(
-                    st.allowed[rows][:, order[k]], axis=1)]
-    else:
-        dir_idx, exact = _chamber_snap(st, vecs)
-        node, col = np.nonzero(~exact)
-        block = max(1, _SCORE_BYTES // (8 * units_t.shape[1]))
-        for lo in range(0, node.size, block):
-            rows, cols = node[lo:lo + block], col[lo:lo + block]
-            scores = _masked_scores(vecs[rows, :, cols] @ units_t,
-                                    st.allowed[rows])             # (c, T)
-            dir_idx[rows, cols] = np.argmax(scores, axis=1)
+    dir_idx, exact = _chamber_snap(st, vecs)
+    node, col = np.nonzero(~exact)
+    vecs = np.broadcast_to(vecs, (ni, d, d - 1))
+    block = max(1, _SCORE_BYTES // (8 * units_t.shape[1]))
+    for lo in range(0, node.size, block):
+        rows, cols = node[lo:lo + block], col[lo:lo + block]
+        scores = _masked_scores(vecs[rows, :, cols] @ units_t,
+                                st.allowed[rows])             # (c, T)
+        dir_idx[rows, cols] = np.argmax(scores, axis=1)
     dir_idx = np.concatenate([np.broadcast_to(st.axes, (ni, d)), dir_idx],
                              axis=1)
     h = st.domain.h
@@ -199,9 +181,10 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
 
 
 def _chamber_snap(st: Stencil, vecs: np.ndarray):
-    """(dir_idx, exact), both (N, k), for the k eigenvector columns of
-    ``vecs`` (N, d, k): the best direction found through the chamber, and
-    whether it is provably the one scoring every available direction gives
+    """(dir_idx, exact), both (Ni, k), for the k eigenvector columns of
+    ``vecs`` (Ni or 1, d, k), one row per interior node or one shared by
+    all: the best direction found through the chamber, and whether it is
+    provably the one scoring every direction available at the node gives
     (see the module docstring)."""
     n, d, k = vecs.shape
     v = vecs.transpose(0, 2, 1).reshape(n * k, d)   # one eigenvector per row
@@ -225,9 +208,10 @@ def _chamber_snap(st: Stencil, vecs: np.ndarray):
                      & (c[:, :-1] != c[:, 1:]), axis=1)
     w = np.empty_like(c)
     np.put_along_axis(w, order, np.where(v < 0, -c, c), axis=1)
-    idx = st.index_of(w)
-    exact &= st.allowed[rows // k, idx]
-    return idx.reshape(n, k), exact.reshape(n, k)
+    idx = st.index_of(w).reshape(n, k)
+    exact = exact.reshape(n, k) & st.allowed[
+        np.arange(st.nodes.size)[:, None], idx]
+    return np.broadcast_to(idx, exact.shape).copy(), exact
 
 
 def _masked_scores(products: np.ndarray, allowed: np.ndarray) -> np.ndarray:

@@ -261,7 +261,8 @@ def bump_mass(dim: int, radius: float) -> float:
 
 class TransposedBump:
     """L^t phi of a test bump phi at the interior nodes of its domain, with
-    the transpose operator assembled by centered differences:
+    the transpose operator assembled from the centered jets of the products
+    (the jet table of the viscosity route):
     L^t phi = sum_ij D_ij(a_ij phi) - sum_i D_i(b_i phi).
 
     The bump must be supported on interior nodes; they own their unit box,
@@ -275,22 +276,14 @@ class TransposedBump:
             raise LinpotError("bump support touches the boundary layer")
         avals, bvals = op.at(dom.node_coords)
         phi = bump.values
-        h = dom.h
-        interior = dom.interior_ids
-        lt = np.zeros(interior.size)
-        table = JetTable(dom, interior)
-        pairs = {(i, j): ids for i, j, *ids in table.pairs}
+        table = JetTable(dom, dom.interior_ids)
+        lt = np.zeros(table.nodes.size)
         for i in range(dom.dim):
-            pi = avals[:, i, i] * phi
-            ip, im = table.ip[:, i], table.im[:, i]
-            lt += (pi[ip] + pi[im] - 2 * pi[interior]) / h ** 2
+            lt += table.jets(avals[:, i, i] * phi)[1][:, i, i]
             for j in range(i + 1, dom.dim):
-                pp, pm, mp, mm = pairs[i, j]
-                pij = avals[:, i, j] * phi
-                lt += 2 * (pij[pp] - pij[pm] - pij[mp] + pij[mm]) / (4 * h ** 2)
+                lt += 2 * table.jets(avals[:, i, j] * phi)[1][:, i, j]
             if bvals is not None:
-                qi = bvals[:, i] * phi
-                lt -= (qi[ip] - qi[im]) / (2 * h)
+                lt -= table.jets(bvals[:, i] * phi)[0][:, i]
         self.domain = dom
         self.values = lt
 

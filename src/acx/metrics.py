@@ -117,16 +117,49 @@ def hermitian_hessian(metric: HermitianMetric, j: np.ndarray, u: ScalarField,
     """J-invariant part Hess + J^T Hess J; requires a J-orthogonal metric."""
     x = u.domain.node_coords[node]
     metric.validate(x[None], j)
-    hess = riemannian_hessian(metric, u, node)
-    return hess + j.T @ hess @ j
+    return _hermitian_part(riemannian_hessian(metric, u, node), j)
 
 
 def hermitian_psh_margin(metric: HermitianMetric, j: np.ndarray,
                          u: ScalarField, node: int) -> float:
     """Smallest eigenvalue of the averaged J-invariant metric hessian
     (same normalization as the intrinsic membership margins)."""
-    hc = hermitian_hessian(metric, j, u, node)
+    return _hermitian_margin(hermitian_hessian(metric, j, u, node))
+
+
+def _hermitian_part(hess: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Hess + J^T Hess J, twice the J-invariant part of a hessian."""
+    return hess + j.T @ hess @ j
+
+
+def _hermitian_margin(hc: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * hc)[0])
+
+
+def _centered(f, x, step: float):
+    """(value, gradient, hessian) of f at x by centered differences: the
+    3-point first and second differences along each axis and the 4-point
+    cross formula, O(step^2) and exact on quadratics.  A vector-valued f
+    gives a gradient (d, m) and a hessian (d, d, m)."""
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    e = step * np.eye(d)
+
+    def at(y):
+        return np.asarray(f(y), dtype=float)
+
+    f0 = at(x)
+    fp = [at(x + ei) for ei in e]
+    fm = [at(x - ei) for ei in e]
+    grad = np.stack([(fp[i] - fm[i]) / (2 * step) for i in range(d)])
+    hess = np.empty((d, d) + f0.shape)
+    for i in range(d):
+        hess[i, i] = (fp[i] + fm[i] - 2 * f0) / step ** 2
+        for j in range(i + 1, d):
+            hess[i, j] = hess[j, i] = (
+                at(x + e[i] + e[j]) - at(x + e[i] - e[j])
+                - at(x - e[i] + e[j]) + at(x - e[i] - e[j])) / (4 * step ** 2)
+    return f0, grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +215,12 @@ def coordinate_complex_line(offset=(0.0, 0.0)) -> ParamSurface:
     return ParamSurface("complex-line", point, {"offset": tuple(c)})
 
 
-def _surface_frames(surface: ParamSurface, w, step: float):
-    """Tangents, parameter second derivatives and base point by centered
-    differences in the chart."""
-    p, q = float(w[0]), float(w[1])
-    f = surface.point
-    x0 = np.asarray(f(p, q), dtype=float)
-    tp = (np.asarray(f(p + step, q)) - np.asarray(f(p - step, q))) / (2 * step)
-    tq = (np.asarray(f(p, q + step)) - np.asarray(f(p, q - step))) / (2 * step)
-    dpp = (np.asarray(f(p + step, q)) + np.asarray(f(p - step, q))
-           - 2 * x0) / step ** 2
-    dqq = (np.asarray(f(p, q + step)) + np.asarray(f(p, q - step))
-           - 2 * x0) / step ** 2
-    dpq = (np.asarray(f(p + step, q + step)) - np.asarray(f(p + step, q - step))
-           - np.asarray(f(p - step, q + step)) + np.asarray(f(p - step, q - step))
-           ) / (4 * step ** 2)
-    return x0, tp, tq, dpp, dqq, dpq
-
-
 def mean_curvature(metric: HermitianMetric, surface: ParamSurface, w,
                    step: float = 1e-3) -> np.ndarray:
     """Mean curvature vector: metric trace of the second fundamental form,
     computed from the chart and the analytic Christoffels.  For the round
     sphere in the euclidean metric the magnitude is 2/r with inward normal."""
-    x0, tp, tq, dpp, dqq, dpq = _surface_frames(surface, w, step)
+    x0, (tp, tq), d2 = _centered(surface.chart, w, step)
     m = metric.m_at(x0[None])[0]
     gam = metric.gamma_at(x0[None])[0]
 
@@ -219,8 +234,8 @@ def mean_curvature(metric: HermitianMetric, surface: ParamSurface, w,
         raise MetricError("degenerate tangent frame")
     ginv = np.linalg.inv(gsurf)
     second = np.stack([
-        np.stack([cov(dpp, tp, tp), cov(dpq, tp, tq)], axis=0),
-        np.stack([cov(dpq, tq, tp), cov(dqq, tq, tq)], axis=0),
+        np.stack([cov(d2[0, 0], tp, tp), cov(d2[0, 1], tp, tq)], axis=0),
+        np.stack([cov(d2[1, 0], tq, tp), cov(d2[1, 1], tq, tq)], axis=0),
     ], axis=0)                                    # [a, b, k]
     trace = np.einsum("ab,abk->k", ginv, second)
     # subtract the tangential part (metric-orthogonal projection)
@@ -234,41 +249,21 @@ def laplace_beltrami(metric: HermitianMetric, surface: ParamSurface,
                      step: float = 1e-3) -> float:
     """Surface Laplacian in a conformal chart: (phi_pp + phi_qq) / mu with
     mu the conformal factor of the induced metric (checked within
-    tolerance)."""
-    x0, tp, tq, _, _, _ = _surface_frames(surface, w, step)
+    tolerance), the trace of the centered hessian of phi o chart."""
+    x0, (tp, tq), _ = _centered(surface.chart, w, step)
     m = metric.m_at(x0[None])[0]
     mu_p = tp @ m @ tp
     mu_q = tq @ m @ tq
     cross = tp @ m @ tq
     if abs(mu_p - mu_q) > 1e-6 * (mu_p + mu_q) or abs(cross) > 1e-6 * mu_p:
         raise MetricError("chart is not conformal at the evaluation point")
-    p, q = float(w[0]), float(w[1])
-    f = surface.point
-
-    def val(pp, qq):
-        return float(phi(np.asarray(f(pp, qq), dtype=float)))
-
-    lap = (val(p + step, q) + val(p - step, q) + val(p, q + step)
-           + val(p, q - step) - 4 * val(p, q)) / step ** 2
-    return lap / mu_p
+    _, _, hess = _centered(lambda y: phi(surface.chart(y)), w, step)
+    return float(np.trace(hess)) / mu_p
 
 
 def _hessian_of_callable(metric: HermitianMetric, phi, x: np.ndarray,
                          step: float) -> np.ndarray:
-    d = x.size
-    a = np.empty((d, d))
-    grad = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        grad[i] = (phi(x + e) - phi(x - e)) / (2 * step)
-        a[i, i] = (phi(x + e) + phi(x - e) - 2 * phi(x)) / step ** 2
-        for j in range(i + 1, d):
-            e2 = np.zeros(d)
-            e2[j] = step
-            a[i, j] = a[j, i] = (
-                phi(x + e + e2) - phi(x + e - e2) - phi(x - e + e2)
-                + phi(x - e - e2)) / (4 * step ** 2)
+    _, grad, a = _centered(phi, x, step)
     gam = metric.gamma_at(x[None])[0]
     return a - np.einsum("kij,k->ij", gam, grad), grad
 
@@ -289,7 +284,7 @@ def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
     shifted sphere, where the left side is evaluated as the intrinsic curve
     hessian |v|^2 Delta_Sigma(phi|_Sigma)."""
     w = np.asarray(w, dtype=float)
-    x0, tp, tq, _, _, _ = _surface_frames(surface, w, step)
+    x0, (tp, _), _ = _centered(surface.chart, w, step)
     m = metric.m_at(x0[None])[0]
     v = tp / math.sqrt(tp @ m @ tp)      # metric-unit tangent
     vnorm2 = float(v @ m @ v)
@@ -298,8 +293,7 @@ def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
         if not acx.constant_identity:
             raise MetricError("complex-line case requires the flat structure")
         hess_amb, _ = _hessian_of_callable(euclidean_metric(4), phi, x0, step)
-        j0 = standard_j(2)
-        lhs = float(v @ (hess_amb + j0.T @ hess_amb @ j0) @ v) / 2.0
+        lhs = float(v @ _hermitian_part(hess_amb, standard_j(2)) @ v) / 2.0
     elif surface.kind == "sphere-through-origin":
         if np.max(np.abs(w)) > 1e-12:
             raise MetricError(
@@ -309,8 +303,7 @@ def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
         raise MetricError("surface is not a preset holomorphic curve")
 
     hess, grad = _hessian_of_callable(metric, phi, x0, step)
-    j0 = standard_j(metric.dim // 2)
-    hc = hess + j0.T @ hess @ j0
+    hc = _hermitian_part(hess, standard_j(metric.dim // 2))
     term1 = 0.5 * float(v @ hc @ v)
     hvec = mean_curvature(metric, surface, w, step)
     term2 = 0.5 * vnorm2 * float(hvec @ grad)
@@ -348,13 +341,11 @@ def example95_report(c: float, r: float) -> Example95Report:
 
     origin = np.zeros(4)
     hess, grad = _hessian_of_callable(metric, phi, origin, step)
-    j0 = standard_j(2)
-    hc = hess + j0.T @ hess @ j0
-    margin = float(np.linalg.eigvalsh(0.5 * hc)[0])
+    margin = _hermitian_margin(_hermitian_part(hess, standard_j(2)))
 
     # identity route: tangential trace of the hessian plus the mean
     # curvature derivative
-    _, tp, tq, _, _, _ = _surface_frames(surface, (0.0, 0.0), step)
+    _, (tp, tq), _ = _centered(surface.chart, np.zeros(2), step)
     e1 = tp / np.linalg.norm(tp)
     e2 = tq / np.linalg.norm(tq)
     tr_tan = float(e1 @ hess @ e1 + e2 @ hess @ e2)

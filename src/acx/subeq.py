@@ -51,12 +51,11 @@ class ReducedJet:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         if self.p.ndim != 1:
             raise SubequationError("jet covector must be a vector")
+        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.a))):
+            raise SubequationError("jet entries must be finite")
         check_symmetric(self.a, 1e-8)
         if self.a.shape[0] != self.p.shape[0]:
             raise SubequationError("jet components have mismatched dimension")
-
-    def __neg__(self) -> "ReducedJet":
-        return ReducedJet(-self.p, -self.a)
 
     def scale(self, t: float) -> "ReducedJet":
         return ReducedJet(t * self.p, t * self.a)
@@ -109,6 +108,8 @@ class Subequation:
             return np.zeros(pts.shape[0])
         out = np.asarray(self.rhs(pts), dtype=float)
         out = np.broadcast_to(out, (pts.shape[0],)).copy()
+        if not np.all(np.isfinite(out)):
+            raise SubequationError("right-hand side f must be finite")
         if np.any(out < 0):
             raise SubequationError("right-hand side f must be >= 0")
         return out
@@ -130,6 +131,8 @@ def constant_rhs(c: float) -> Callable[[np.ndarray], np.ndarray]:
 def radial_rhs(radii, values, center=None) -> Callable[[np.ndarray], np.ndarray]:
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
+        raise SubequationError("radial table entries must be finite")
     if np.any(values < 0):
         raise SubequationError("radial table values must be >= 0")
 

@@ -74,8 +74,9 @@ def test_solve_input_errors_exit_one(tmp_path):
     ({"scheme": {"tol_res": None}}, "NoneType"),
     ({"domain": dict(DISC_DOMAIN, nodes_per_axis=None)}, "NoneType"),
     ({"rhs": {"kind": "constant", "value": [1]}}, "list"),
+    ({"rhs": {"kind": "constant", "value": "nan"}}, "finite"),
 ], ids=["dimension", "non-finite-boundary", "null-tol-res", "null-nodes",
-        "list-rhs-value"])
+        "list-rhs-value", "nan-rhs"])
 def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
                                             change, hint):
     path = write_json(tmp_path / "p.json",
@@ -116,7 +117,7 @@ def test_check_psh_round_trip_margins(tmp_path, solve_cfg):
     assert abs(float(-np.max(margins)) - report["dual_margin"]) <= 1e-12
 
 
-def test_check_psh_exit_codes(tmp_path):
+def test_check_psh_exit_codes(tmp_path, capsys):
     domain = LatticeDomain.ball(np.zeros(2), 1.0, 17)
     good = ScalarField.from_vectorized(domain, abs2)
     export_csv(good, tmp_path / "good.csv")
@@ -136,6 +137,13 @@ def test_check_psh_exit_codes(tmp_path):
     assert main(["check-psh", "--config", cfg_blap, *out]) == 0
     cfg_miss = write_json(tmp_path / "cm.json", base)
     assert main(["check-psh", "--config", cfg_miss, *out]) == 1
+    # f > 0 is false for NaN, so a NaN rhs would pass as f = 0
+    cfg_nan = write_json(tmp_path / "cn.json", dict(
+        base, field_csv=str(tmp_path / "good.csv"),
+        rhs={"kind": "constant", "value": "nan"}))
+    capsys.readouterr()
+    assert main(["check-psh", "--config", cfg_nan, *out]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_restrict_check_exit_codes(tmp_path, capsys):
@@ -162,14 +170,23 @@ def test_restrict_check_exit_codes(tmp_path, capsys):
     assert "slice C^1 x {0} is not an almost complex submanifold" in err
 
 
-def test_dual_check(tmp_path):
-    cfg = write_json(tmp_path / "dual.json", {
-        "structure": {"preset": "standard", "n": 1},
-        "point": [0.0, 0.0],
-        "jet": [0.0, 0.0, 2.0, 0.0, 2.0],
-    })
-    assert main(["dual-check", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--quiet"]) == 0
+def test_dual_check(tmp_path, capsys):
+    base = {"structure": {"preset": "standard", "n": 1},
+            "point": [0.0, 0.0],
+            "jet": [0.0, 0.0, 2.0, 0.0, 2.0]}
+    cfg = write_json(tmp_path / "dual.json", base)
+    out = ["--out", str(tmp_path / "out"), "--quiet"]
+    assert main(["dual-check", "--config", cfg, *out]) == 0
+    # a NaN jet entry or point is an input error, on every structure
+    eps = {"preset": "antilinear-linear-eps", "n": 1, "eps": 0.1,
+           "generator": 0}
+    nan = float("nan")
+    for change in ({"jet": [0.0, nan, 2.0, 0.0, 2.0]}, {"point": [nan, 0.0]},
+                   {"point": [nan, 0.0], "structure": eps}):
+        cfg = write_json(tmp_path / "dual.json", dict(base, **change))
+        capsys.readouterr()
+        assert main(["dual-check", "--config", cfg, *out]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 def test_equivalence_suite_determinism_and_exits(tmp_path):

@@ -6,6 +6,7 @@ from acx.discretize import Stencil, snap_policy
 from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.linpot import (
     BallReplacement,
+    LinearOperator,
     LinpotError,
     TransposedBump,
     ViscosityScheme,
@@ -21,6 +22,7 @@ from acx.linpot import (
     operator_from_structure,
     subfield_on,
     viscosity_subharmonic,
+    viscosity_values,
 )
 from acx.psh import blaplacian
 from acx.rng import CounterRng
@@ -57,7 +59,6 @@ def test_viscosity_affine_reports_drift_pairing(box):
     op = diagonal_operator([1.0, 1.0])
     assert viscosity_subharmonic(
         u, ViscosityScheme(op, box)).margin == pytest.approx(0.0)
-    from acx.linpot import LinearOperator
     drift = LinearOperator(2, lambda pts: (np.eye(2), np.array([2.0, 0.0])))
     assert viscosity_subharmonic(
         u, ViscosityScheme(drift, box)).margin == pytest.approx(2.0)
@@ -196,6 +197,34 @@ def test_pairing_rejects_support_violation(box, lap):
     wide = bump_field(box, np.zeros(2), 1.5)
     with pytest.raises(LinpotError):
         distributional_pairing(u, TransposedBump(lap, wide))
+
+
+def _cross_drift_operator():
+    # constant off-diagonal a, drift varying in both components
+    return LinearOperator(2, lambda pts: (
+        np.array([[1.5, 0.4], [0.4, 0.8]]),
+        np.stack([np.sin(2 * pts[:, 1]) + 0.3,
+                  pts[:, 0] * pts[:, 1] - 0.5 * pts[:, 0]], axis=1)))
+
+
+def _structure_operator():
+    acx = make_structure("antilinear-linear-eps", n=1, eps=0.1, generator=1)
+    return operator_from_structure(Subequation(acx), np.array([[1.0 + 0j]]))
+
+
+@pytest.mark.parametrize("make_op", [_cross_drift_operator,
+                                     _structure_operator])
+def test_transposed_bump_is_the_adjoint_of_the_viscosity_scheme(box, make_op):
+    # summation by parts: every term of L^t (the cross terms with their
+    # factor 2 and the drift with its sign) pairs with the centered L
+    op = make_op()
+    bump = bump_field(box, np.array([0.1, -0.05]), 0.45)
+    u = ScalarField.from_vectorized(
+        box, lambda X: np.exp(0.5 * X[:, 0]) * np.cos(X[:, 1]) + X[:, 0] * X[:, 1])
+    lhs = distributional_pairing(u, TransposedBump(op, bump))
+    rhs = float(np.sum(viscosity_values(u, ViscosityScheme(op, box))
+                       * bump.values[box.interior_ids]) * box.h ** 2)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
