@@ -147,6 +147,26 @@ def complexify_batch(b: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
+def hermitian_eigvals2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (lo, hi) of an (N, 2, 2) hermitian stack in closed form:
+    mid -+ hypot((a00 - a11)/2, |a01|)."""
+    a00, a11 = a[:, 0, 0].real, a[:, 1, 1].real
+    mid = 0.5 * (a00 + a11)
+    rad = np.hypot(0.5 * (a00 - a11), np.abs(a[:, 0, 1]))
+    return mid - rad, mid + rad
+
+
+def hermitian_min_eig(a: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of an (N, n, n) hermitian stack:
+    the entry for n = 1, the closed form for n = 2, LAPACK for n >= 3."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[:, 0, 0].real
+    if n == 2:
+        return hermitian_eigvals2(a)[0]
+    return np.linalg.eigvalsh(a)[:, 0]
+
+
 def det_relation_constant(n: int) -> float:
     """Pinned constant in det_R(B) = kappa * (det_C B_C)^2."""
     return 16.0 ** n

@@ -20,7 +20,7 @@ from .algebra import (
     AlmostComplexField,
     StructureFrame,
     antilinear_normalize_matrix,
-    complexify_batch,
+    hermitian_eigvals2,
     linear_antilinear_split,
     realify,
 )
@@ -33,7 +33,7 @@ from .lattice import (
     slice_lattice,
     unit_offsets,
 )
-from .subeq import Subequation, margins_for_jets, transformed_hermitian
+from .subeq import Subequation, hermitian_forms, margins_for_forms
 
 
 class PshError(ValueError):
@@ -75,9 +75,12 @@ def adapted_bstar(ac: np.ndarray) -> np.ndarray:
     The floor keeps the witness defined at the degenerate edge; the clip
     bounds the witness's anisotropy, and with it the part of its operator
     that goes through the stencil snap.  Unit determinant holds by
-    construction for any clipped spectrum."""
-    vals, vecs = np.linalg.eigh(ac)
+    construction for any clipped spectrum.  For n = 2 the witness is taken
+    in closed form (:func:`_bstar2`)."""
     n = ac.shape[-1]
+    if n == 2:
+        return _bstar2(ac)
+    vals, vecs = np.linalg.eigh(ac)
     floored = np.clip(vals, _BSTAR_FLOOR, None)
     gm = np.prod(floored, axis=-1) ** (1.0 / n)
     banded = np.clip(floored, gm[:, None] / _BSTAR_CLIP,
@@ -85,6 +88,36 @@ def adapted_bstar(ac: np.ndarray) -> np.ndarray:
     scale = np.prod(banded, axis=-1) ** (1.0 / n)
     inv = (scale[:, None] / banded)
     return np.einsum("nak,nk,nbk->nab", vecs, inv, vecs.conj())
+
+
+def _bstar2(ac: np.ndarray) -> np.ndarray:
+    """:func:`adapted_bstar` of an (N, 2, 2) stack without eigenvectors.
+    With eigenvalues l1 <= l2 and floored values f1 <= f2, the witness has
+    eigenvalues r = min(sqrt(f2 / f1), clip) on l1's eigenvector and 1/r on
+    l2's.  Where neither the floor nor the clip acts it is
+    adj(A) / sqrt(det A).  Elsewhere it is the interpolating polynomial
+    r I + (1/r - r) / (l2 - l1) (A - l1 I), whose divisor is positive: the
+    floor acts only on l1 < 1e-8 <= l2, the clip only where l2 >= 16 f1,
+    and where both eigenvalues are floored r = 1 and the witness is I."""
+    lo, hi = hermitian_eigvals2(ac)
+    r = np.minimum(np.sqrt(np.maximum(hi, _BSTAR_FLOOR)
+                           / np.maximum(lo, _BSTAR_FLOOR)), _BSTAR_CLIP)
+    plain = (lo >= _BSTAR_FLOOR) & (r < _BSTAR_CLIP)
+    out = np.empty_like(ac)
+    a = ac[plain]
+    a00, a11, a01 = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
+    root = np.sqrt(a00 * a11 - np.abs(a01) ** 2)
+    # real over real on the diagonal, so that A = cI gives I exactly
+    out[plain, 0, 0] = a11 / root
+    out[plain, 1, 1] = a00 / root
+    out[plain, 0, 1] = -a01 / root
+    out[plain, 1, 0] = -np.conj(a01) / root
+    bent = ~plain
+    r, lo, gap = r[bent], lo[bent], (hi - lo)[bent]
+    slope = np.divide(1.0 / r - r, gap, out=np.zeros_like(r), where=gap > 0)
+    shifted = ac[bent] - lo[:, None, None] * np.eye(2)
+    out[bent] = r[:, None, None] * np.eye(2) + slope[:, None, None] * shifted
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +129,9 @@ class MarginContext:
     ``domain``: its interior nodes (``nodes``), the jet table that
     differences a field there, the structure evaluated there once, in
     ``frame``, and, built on first use, the unit-box neighbours that the
-    default tolerance reads.  Build it once for every field on the domain."""
+    default tolerance reads.  Build it once for every field on the domain.
+    The complex hessians of the last field read, through :meth:`forms`,
+    are kept until a field with other values is read."""
 
     def __init__(self, sub: Subequation, domain: LatticeDomain):
         if domain.dim != sub.d:
@@ -106,12 +141,24 @@ class MarginContext:
         self.nodes = domain.interior_ids
         self.table = JetTable(domain, self.nodes)
         self.frame = sub.acx.at(domain.node_coords[self.nodes])
+        self._kept = None      # (values, forms) of the last forms call
 
     @cached_property
     def unit_box(self) -> np.ndarray:
         """Region ids of every node's unit box, -1 off the region."""
         return self.domain.neighbor_ids(self.nodes[:, None],
                                         unit_offsets(self.domain.dim))
+
+    def forms(self, values: np.ndarray) -> np.ndarray:
+        """Complex hessians A_C of the jets of ``values`` at the context's
+        nodes, shape (N, n, n).  A repeat call with equal values returns
+        the kept (read-only) array without differencing again."""
+        if self._kept is not None and np.array_equal(self._kept[0], values):
+            return self._kept[1]
+        ac = hermitian_forms(self.frame, *self.table.jets(values))
+        ac.flags.writeable = False
+        self._kept = (np.array(values, dtype=float), ac)
+        return ac
 
     def check(self, u: ScalarField) -> None:
         """Reject a field on another domain or masked where the jets read."""
@@ -124,7 +171,7 @@ def field_margins(u: ScalarField, ctx: MarginContext):
     """Membership margins (margin, eig, det) of the finite-difference jets
     of ``u`` at the context's nodes."""
     ctx.check(u)
-    return margins_for_jets(ctx.sub, ctx.frame, *ctx.table.jets(u.values))
+    return margins_for_forms(ctx.sub, ctx.frame, ctx.forms(u.values))
 
 
 def default_field_tol(u: ScalarField, ctx: MarginContext) -> np.ndarray:
@@ -338,11 +385,11 @@ class OperatorFamily:
 
     def adapted_policy(self, values: np.ndarray):
         """Policy of the adapted witness B* of ``values`` (None for n = 1),
-        from the jets of ``margins``' table."""
+        from the complex hessians of ``margins``, which a margin read of
+        the same values shares."""
         if self.sub.n == 1:
             return None
-        hp = transformed_hermitian(self.frame, *self.margins.table.jets(values))
-        self.bstar = adapted_bstar(complexify_batch(hp))
+        self.bstar = adapted_bstar(self.margins.forms(values))
         return self._snap(real_form(self.bstar))
 
     def min_value(self, values: np.ndarray, adapted=None):

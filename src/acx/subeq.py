@@ -6,12 +6,16 @@ object
     H' = ((g^T (A + E(p)) g) + J0^T (g^T (A + E(p)) g) J0,
 
 equivalently the pullback of the J(x)-hermitian part (the two orders agree
-exactly by the pullback commutation identity).  The eigenvalue margin is
-reported for the averaged part H'/2; the determinant margin of the
-inhomogeneous equation is measured after the n-th-root rescaling
-det^(1/n) so both slacks carry the same units.  With the package's pinned
-normalizations, the flat-structure equation reads det_C(u_zz̄) >= f
-verbatim and the margin of the jet (0, 2I) is exactly 2.
+exactly by the pullback commutation identity).  H' is J0-hermitian: it is
+the real form of the n x n complex hessian A_C = complexify(H'), whose
+eigenvalues are those of H' divided by 4, each counted once instead of
+twice.  Both slacks are computed on A_C.  The eigenvalue margin is reported
+for the averaged part H'/2, whose smallest eigenvalue is 2 lambda_min(A_C);
+the determinant margin of the inhomogeneous equation is measured on
+det A_C after the n-th-root rescaling det^(1/n) so both slacks carry the
+same units.  With the package's pinned normalizations, the flat-structure
+equation reads det_C(u_zz̄) >= f verbatim and the margin of the jet
+(0, 2I) is exactly 2.
 
 Identically -infinity functions have no jets and are not representable
 here; callers treat that case separately.  All operations are pure
@@ -29,8 +33,8 @@ from .algebra import (
     AlmostComplexField,
     StructureFrame,
     check_symmetric,
-    complexify,
     complexify_batch,
+    hermitian_min_eig,
     standard_j,
 )
 
@@ -135,6 +139,8 @@ def radial_rhs(radii, values, center=None) -> Callable[[np.ndarray], np.ndarray]
         raise SubequationError("radial table entries must be finite")
     if np.any(values < 0):
         raise SubequationError("radial table values must be >= 0")
+    if np.any(np.diff(radii) <= 0):
+        raise SubequationError("radial table radii must strictly increase")
 
     def f(pts):
         pts = np.atleast_2d(pts)
@@ -167,15 +173,20 @@ def transformed_hermitian(frame: StructureFrame, ps, as_) -> np.ndarray:
     return m + np.matmul(np.matmul(j0.T, m), j0)
 
 
-def margins_for_jets(sub: Subequation, frame: StructureFrame, ps, as_):
-    """Eigenvalue and determinant slacks for a batch of jets at the frame's
-    points.
+def hermitian_forms(frame: StructureFrame, ps, as_) -> np.ndarray:
+    """Batched A_C = complexify(H') for jets (ps, as_) at the frame's
+    points; shape (N, n, n)."""
+    return complexify_batch(transformed_hermitian(frame, ps, as_))
+
+
+def margins_for_forms(sub: Subequation, frame: StructureFrame, ac):
+    """Eigenvalue and determinant slacks of the complex hessians ``ac``
+    (from :func:`hermitian_forms`) at the frame's points.
 
     Returns (margin, eig_margin, det_margin); det entries are +inf where the
     equation is homogeneous or f vanishes.
     """
-    hp = transformed_hermitian(frame, ps, as_)
-    eig = 0.5 * np.linalg.eigvalsh(hp)[:, 0]
+    eig = 2.0 * hermitian_min_eig(ac)
     det_margin = np.full(frame.pts.shape[0], np.inf)
     if not sub.homogeneous:
         f = sub.f_at(frame.pts)
@@ -183,12 +194,17 @@ def margins_for_jets(sub: Subequation, frame: StructureFrame, ps, as_):
         active = f > 0
         if np.any(active):
             n = sub.n
-            ac = complexify_batch(hp[active])
-            detc = np.linalg.det(ac).real
+            detc = np.linalg.det(ac[active]).real
             det_margin[active] = (_signed_root(detc, n)
                                   - (beta[active] * f[active]) ** (1.0 / n))
     margin = np.minimum(eig, det_margin)
     return margin, eig, det_margin
+
+
+def margins_for_jets(sub: Subequation, frame: StructureFrame, ps, as_):
+    """:func:`margins_for_forms` of the jets (ps, as_) at the frame's
+    points."""
+    return margins_for_forms(sub, frame, hermitian_forms(frame, ps, as_))
 
 
 @dataclass(frozen=True)
@@ -228,14 +244,14 @@ def strict_contains(sub: Subequation, x, jet: ReducedJet, c: float) -> bool:
         raise SubequationError("strictness level c must be positive")
     frame = sub.acx.at(x)
     nu = 2.0 * np.linalg.norm(frame.g[0], 2) ** 2
-    hp = transformed_hermitian(frame, jet.p[None], jet.a[None])[0]
-    lam_min = float(np.linalg.eigvalsh(hp)[0])
-    if lam_min < c * nu:
+    ac = hermitian_forms(frame, jet.p[None], jet.a[None])
+    # lambda_min(H') = 4 lambda_min(A_C)
+    if 4.0 * float(hermitian_min_eig(ac)[0]) < c * nu:
         return False
     if not sub.homogeneous:
         f = float(sub.f_at(frame.pts)[0])
         beta = float(sub.beta_of(frame)[0])
-        detc = float(np.linalg.det(complexify(hp)).real)
+        detc = float(np.linalg.det(ac[0]).real)
         if detc < beta * f + (c / np.sqrt(sub.n)) ** sub.n:
             return False
     return True

@@ -9,6 +9,8 @@ from acx.algebra import (
     antilinear_normalize,
     complexify,
     det_relation_constant,
+    hermitian_eigvals2,
+    hermitian_min_eig,
     hermitian_part,
     make_structure,
     pullback,
@@ -415,3 +417,42 @@ def test_unknown_preset_rejected():
         make_structure("nonsense", n=1)
     with pytest.raises(AlgebraError):
         make_structure("standard", n=4)
+
+
+# ---------------------------------------------------------------------------
+# closed-form hermitian eigenvalues
+# ---------------------------------------------------------------------------
+
+def hermitian_cases(n, seed):
+    """Seeded (N, n, n) hermitian stack with the cases a closed form can get
+    wrong: random (indefinite), diagonal, scalar, rank-deficient, and an
+    eigenvalue ratio of 1e-8 : 1 of either sign."""
+    rng = CounterRng(seed)
+    cases = [rng.hermitian(n) for _ in range(30)]
+    cases += [np.diag(rng.normals(n)).astype(complex) for _ in range(5)]
+    cases += [c * np.eye(n, dtype=complex) for c in (-2.0, 0.0, 1e-9, 3.7)]
+    for _ in range(5):
+        v = rng.complex_normals(n)
+        cases.append(np.outer(v, v.conj()))
+    u = np.linalg.qr(rng.complex_normals((n, n)))[0]
+    for lo in (1e-8, -1e-8):
+        spectrum = np.linspace(lo, 1.0, n)
+        cases.append(u @ np.diag(spectrum) @ u.conj().T)
+    return np.stack(cases)
+
+
+def test_hermitian_eigvals2_matches_lapack():
+    a = hermitian_cases(2, 71)
+    lo, hi = hermitian_eigvals2(a)
+    ref = np.linalg.eigvalsh(a)
+    bound = 1e-13 * np.linalg.norm(a, axis=(1, 2))
+    assert np.all(np.abs(lo - ref[:, 0]) <= bound)
+    assert np.all(np.abs(hi - ref[:, 1]) <= bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_min_eig_matches_lapack(n):
+    a = hermitian_cases(n, 72 + n)
+    ref = np.linalg.eigvalsh(a)[:, 0]
+    bound = 1e-13 * np.linalg.norm(a, axis=(1, 2))
+    assert np.all(np.abs(hermitian_min_eig(a) - ref) <= bound)

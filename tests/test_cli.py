@@ -75,8 +75,10 @@ def test_solve_input_errors_exit_one(tmp_path):
     ({"domain": dict(DISC_DOMAIN, nodes_per_axis=None)}, "NoneType"),
     ({"rhs": {"kind": "constant", "value": [1]}}, "list"),
     ({"rhs": {"kind": "constant", "value": "nan"}}, "finite"),
+    ({"rhs": {"kind": "radial-table", "radii": [1.0, 0.0],
+              "values": [2.0, 0.0]}}, "strictly increase"),
 ], ids=["dimension", "non-finite-boundary", "null-tol-res", "null-nodes",
-        "list-rhs-value", "nan-rhs"])
+        "list-rhs-value", "nan-rhs", "reversed-radial-table"])
 def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
                                             change, hint):
     path = write_json(tmp_path / "p.json",

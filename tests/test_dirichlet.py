@@ -13,6 +13,7 @@ from acx.dirichlet import (
     solve,
 )
 from acx.lattice import LatticeDomain, ScalarField
+from acx.psh import MarginContext, field_margins
 from acx.rng import CounterRng
 from acx.subeq import Subequation, constant_rhs
 
@@ -330,3 +331,25 @@ def test_solve_builds_one_jet_table(monkeypatch):
         dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2))
     assert rep.converged and rep.iterations > 1
     assert len(built) == 1
+
+
+def test_solve_certificates_reuse_the_last_refresh(monkeypatch):
+    # the certificate reads the complex hessians of the last adapted
+    # refresh: one jet gathering per refresh, and the same margins, bit
+    # for bit, as a fresh margin context
+    from acx import lattice
+
+    jets = []
+    gather = lattice.JetTable.jets
+    monkeypatch.setattr(lattice.JetTable, "jets",
+                        lambda self, v: jets.append(1) or gather(self, v))
+    acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    prob = DirichletProblem(dom, Subequation(acx, rhs=constant_rhs(1.0)),
+                            abs2)
+    u, rep = solve(prob)
+    assert rep.converged
+    assert len(jets) == rep.iterations + 1
+    margins, _, _ = field_margins(u, MarginContext(prob.sub, dom))
+    assert rep.subsolution_margin == float(np.min(margins))
+    assert rep.dual_margin == float(-np.max(margins))

@@ -12,6 +12,7 @@ from acx.psh import (
     blaplacian,
     check_b_matrix,
     family_verdict,
+    field_margins,
     induced_slice_structure,
     margin_verdict,
     psh_margin,
@@ -22,7 +23,7 @@ from acx.psh import (
     slice_compatible,
 )
 from acx.rng import CounterRng
-from acx.subeq import Subequation
+from acx.subeq import Subequation, transformed_hermitian
 
 
 def abs2(X):
@@ -264,6 +265,88 @@ def test_adapted_bstar_unit_determinant_and_floor():
     bd = adapted_bstar(degenerate)
     assert np.isfinite(bd).all()
     assert np.linalg.det(bd[0]).real == pytest.approx(1.0)
+
+
+def eigh_bstar(ac):
+    """The eigendecomposition formula of the adapted witness: eigenvalues
+    floored at 1e-8, clipped to [gm / 4, 4 gm] around their geometric mean
+    gm, then B* = det^{1/n} V diag(1 / banded) V^*."""
+    vals, vecs = np.linalg.eigh(ac)
+    n = ac.shape[-1]
+    floored = np.clip(vals, 1e-8, None)
+    gm = np.prod(floored, axis=-1) ** (1.0 / n)
+    banded = np.clip(floored, gm[:, None] / 4.0, gm[:, None] * 4.0)
+    inv = np.prod(banded, axis=-1)[:, None] ** (1.0 / n) / banded
+    return np.einsum("nak,nk,nbk->nab", vecs, inv, vecs.conj())
+
+
+def test_adapted_bstar_closed_form_matches_the_eigendecomposition():
+    # where the floor acts and the clip does not, the witness depends on
+    # l2 / 1e-8, which any eigensolver knows only to eps |A| / l2; those
+    # cases keep |A| near l2
+    rng = CounterRng(46)
+    spectra = [
+        (1.0, 2.0), (0.3, 4.7), (1.0, 15.9),            # inside the band
+        (1.0, 16.1), (0.01, 50.0), (1e-6, 1.0),         # clipped
+        (5e-9, 1e-7), (-5e-8, 1e-7),                    # one floored
+        (-0.5, 2.0), (0.0, 1.0),                        # ... and clipped
+        (-1.0, -0.5), (-2.0, 5e-9),                     # both floored
+    ]
+    acs = []
+    for lo, hi in spectra:
+        u = np.linalg.qr(rng.complex_normals((2, 2)))[0]
+        acs.append(u @ np.diag([lo, hi]) @ u.conj().T)
+    acs += [rng.hermitian(2) for _ in range(20)]      # indefinite and not
+    acs = np.stack(acs)
+    bstar, ref = adapted_bstar(acs), eigh_bstar(acs)
+    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(bstar - ref) <= 1e-13 * scale)
+    assert np.all(np.abs(np.linalg.det(bstar) - 1.0) <= 1e-12)
+    # a scalar hessian, floored or not, has the identity as its witness
+    scalar = np.array([c * np.eye(2, dtype=complex)
+                       for c in (-2.0, 0.0, 1e-12, 1e-8, 0.3, 3.7, 1e6)])
+    assert np.array_equal(adapted_bstar(scalar),
+                          np.broadcast_to(np.eye(2), scalar.shape))
+
+
+def test_adapted_bstar_n3_keeps_the_eigendecomposition():
+    rng = CounterRng(47)
+    acs = np.stack([rng.hermitian(3) for _ in range(10)]
+                   + [np.diag([-1.0, 0.5, 20.0]).astype(complex)])
+    assert np.array_equal(adapted_bstar(acs), eigh_bstar(acs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_margins_are_the_real_form_eigenvalues(n):
+    # the eigenvalue slack is 2 lambda_min(A_C), the smallest eigenvalue of
+    # the averaged real form H' / 2, on the 5^4 and 5^6 boxes of a
+    # non-flat structure
+    dom = LatticeDomain.box([-0.5, 0.5], 5, dim=2 * n, stencil_radius=1)
+    sub = Subequation(make_structure("antilinear-slice-compatible", n=n, m=1,
+                                     eps=0.05))
+    x = dom.node_coords
+    u = ScalarField(dom, abs2(x) * np.cos(x[:, 0] - 2.0 * x[:, -1])
+                    - 0.7 * x[:, 1] * x[:, 2])
+    ctx = MarginContext(sub, dom)
+    _, eig, _ = field_margins(u, ctx)
+    hp = transformed_hermitian(ctx.frame, *ctx.table.jets(u.values))
+    real_form_min = 0.5 * np.linalg.eigvalsh(hp)[:, 0]
+    assert eig.min() < 0 < eig.max()
+    assert np.max(np.abs(eig - real_form_min)) <= 1e-12
+
+
+def test_margin_context_forms_follow_in_place_changes():
+    dom = LatticeDomain.box([-1, 1], 5, dim=4)
+    sub = Subequation(make_structure("standard", n=2))
+    ctx = MarginContext(sub, dom)
+    values = abs2(dom.node_coords)
+    first = ctx.forms(values)
+    assert ctx.forms(values.copy()) is first
+    assert not first.flags.writeable
+    values *= 3.0
+    again = ctx.forms(values)
+    assert np.array_equal(again, MarginContext(sub, dom).forms(values))
+    assert np.allclose(again, 3.0 * first)
 
 
 def test_via_blaplacians_verdicts(disc, flat1):
@@ -516,3 +599,15 @@ def test_agreement_battery_builds_at_most_four_jet_tables(monkeypatch):
     tables = counting(monkeypatch, lattice.JetTable, "__init__")
     assert blaplacian_agreement_battery(SuiteConfig(quadratics=6))["all_pass"]
     assert len(tables) <= 4
+
+
+def test_agreement_battery_differences_each_field_once(monkeypatch):
+    # the direct margin and the family's adapted witness read the same
+    # complex hessians of a field: one jet gathering per field, for n = 1
+    # (the margin alone) and for n = 2 (margin and witness)
+    from acx import lattice
+    from acx.suite import SuiteConfig, blaplacian_agreement_battery
+
+    jets = counting(monkeypatch, lattice.JetTable, "jets")
+    assert blaplacian_agreement_battery(SuiteConfig(quadratics=6))["all_pass"]
+    assert len(jets) == 2 * 6

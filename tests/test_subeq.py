@@ -15,6 +15,7 @@ from acx.subeq import (
     jet_to_flat,
     margins_for_jets,
     positivity_closed,
+    radial_rhs,
     strict_contains,
 )
 
@@ -254,3 +255,14 @@ def test_margins_batch_matches_single():
     for k, jet in enumerate(jets):
         single = contains(sub, pts[k], jet)
         assert batch[k] == pytest.approx(single.margin)
+
+
+def test_radial_rhs_interpolates_and_rejects_radii_that_do_not_increase():
+    f = radial_rhs([0.0, 1.0], [0.0, 2.0])
+    assert np.allclose(f(np.array([[0.5, 0.0], [0.0, 0.25]])), [1.0, 0.5])
+    # np.interp reads a non-increasing table without complaint (the
+    # reversed table gives 0 at both radii), so the table is refused
+    for radii, values in (([1.0, 0.0], [2.0, 0.0]),
+                          ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0])):
+        with pytest.raises(SubequationError, match="strictly increase"):
+            radial_rhs(radii, values)
