@@ -147,13 +147,51 @@ def complexify_batch(b: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
+def _hermitian2_parts(a: np.ndarray):
+    """(mid, half, rad) of an (N, 2, 2) hermitian stack: the mean
+    (a00 + a11)/2 of the diagonal, half its difference (a00 - a11)/2 and
+    the eigenvalue radius hypot(half, |a01|)."""
+    a00, a11 = a[:, 0, 0].real, a[:, 1, 1].real
+    half = 0.5 * (a00 - a11)
+    return 0.5 * (a00 + a11), half, np.hypot(half, np.abs(a[:, 0, 1]))
+
+
 def hermitian_eigvals2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (lo, hi) of an (N, 2, 2) hermitian stack in closed form:
     mid -+ hypot((a00 - a11)/2, |a01|)."""
-    a00, a11 = a[:, 0, 0].real, a[:, 1, 1].real
-    mid = 0.5 * (a00 + a11)
-    rad = np.hypot(0.5 * (a00 - a11), np.abs(a[:, 0, 1]))
+    mid, _, rad = _hermitian2_parts(a)
     return mid - rad, mid + rad
+
+
+def hermitian_eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of an (N, 2, 2) hermitian stack in closed form, in
+    ``np.linalg.eigh``'s layout: eigenvalues (N, 2) ascending, as
+    :func:`hermitian_eigvals2` gives them, and unit eigenvectors as the
+    columns of (N, 2, 2).
+
+    With half = (a00 - a11)/2 and t = |half| + hypot(half, |a01|), the
+    eigenvectors are (t, conj a01) for hi and (-a01, t) for lo where
+    half > 0, and (t, -conj a01) for lo and (a01, t) for hi elsewhere, each
+    divided by hypot(t, |a01|).  So the phase follows one rule: the entry
+    of larger modulus is real and positive, and on a tie (a00 = a11) lo
+    takes the first entry and hi the second, as ``eigh`` does for a
+    diagonal matrix.  The divisor is at least t >= hypot(half, |a01|),
+    half the eigenvalue gap; where A = cI (t = 0) the eigenvectors are the
+    identity's columns."""
+    mid, half, rad = _hermitian2_parts(a)
+    a01 = a[:, 0, 1]
+    t = np.abs(half) + rad
+    t = np.where(t > 0.0, t, 1.0)
+    norm = np.hypot(t, np.abs(a01))
+    t, a01 = t / norm, a01 / norm
+    vecs = np.empty(a.shape, dtype=complex)
+    first = half > 0.0
+    # columns (lo, hi): a lo eigenvector leans on axis 1 where half > 0
+    vecs[:, 0, 0] = np.where(first, -a01, t)
+    vecs[:, 1, 0] = np.where(first, t, -np.conj(a01))
+    vecs[:, 0, 1] = np.where(first, t, a01)
+    vecs[:, 1, 1] = np.where(first, np.conj(a01), t)
+    return np.stack([mid - rad, mid + rad], axis=1), vecs
 
 
 def hermitian_min_eig(a: np.ndarray) -> np.ndarray:

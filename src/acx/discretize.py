@@ -12,10 +12,16 @@ remainder's eigenvalues lambda_k - lambda_min.  The snap's error therefore
 scales with the anisotropy lambda_max - lambda_min rather than with |S|,
 and it vanishes where S is isotropic, which is exactly where the
 eigenvectors are ill-defined.  Drift terms are discretized by monotone
-upwinding along the axis columns.  ``snap_policy`` turns all of it into
+upwinding along the axis columns.  ``snap_eigen`` turns all of it into
 one nonnegative weight per neighbor x +- h w, which is the
 degenerate-ellipticity (monotonicity) contract of every scheme built here
-(Barles & Souganidis 1991; Oberman 2006).
+(Barles & Souganidis 1991; Oberman 2006).  It reads the eigenpairs of S
+in ``np.linalg.eigh``'s layout, and ``snap_policy`` is it on the pairs
+``eigh`` computes.  A caller that knows them in closed form passes them
+to ``snap_eigen`` instead: a flat member's S = real_form(B) has every
+eigenvalue twice, so ``eigh`` would pick the basis of each doubled
+eigenplane by roundoff, while B's complex eigenvectors pick it by one
+rule (``psh.real_form_eigh``).
 Near-boundary interior nodes auto-restrict to the directions whose full
 offsets stay inside the region (at worst the unit box, which is always
 available).
@@ -147,14 +153,22 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
     lambda on the direction w puts lambda / (h^2 |w|^2) on both neighbors.
     The upwinded drift ``drift`` (Ni, d) adds max(b_i, 0) / h to the
     x + h e_i weight of axis column i and max(-b_i, 0) / h to its x - h e_i
-    weight.
+    weight.  The eigenpairs come from ``np.linalg.eigh``; a caller that
+    has them in closed form calls :func:`snap_eigen` directly.
     """
+    return snap_eigen(stencil, *np.linalg.eigh(s_field), drift)
+
+
+def snap_eigen(stencil: Stencil, vals: np.ndarray, vecs: np.ndarray,
+               drift: np.ndarray | None = None) -> Policy:
+    """:func:`snap_policy` of the coefficient field with eigenvalues
+    ``vals`` (Ni or 1, d), ascending, and unit eigenvectors in the columns
+    of ``vecs`` (Ni or 1, d, d), the layout of ``np.linalg.eigh``."""
     st = stencil
     ni = st.nodes.size
     d = st.domain.dim
-    vals, vecs = np.linalg.eigh(s_field)
     vals = np.clip(vals, 0.0, None)
-    # eigh sorts ascending: lambda_min's eigenvector has no remainder weight
+    # ascending eigenvalues: lambda_min's eigenvector has no remainder weight
     vecs = vecs[:, :, 1:]
     lam = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
                           vals[:, 1:] - vals[:, :1]], axis=1)

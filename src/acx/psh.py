@@ -20,11 +20,12 @@ from .algebra import (
     AlmostComplexField,
     StructureFrame,
     antilinear_normalize_matrix,
+    hermitian_eigh2,
     hermitian_eigvals2,
     linear_antilinear_split,
-    realify,
+    rep_complex,
 )
-from .discretize import Policy, Stencil, snap_policy
+from .discretize import Policy, Stencil, snap_eigen, snap_policy
 from .lattice import (
     INTERIOR,
     JetTable,
@@ -46,14 +47,35 @@ class PshError(ValueError):
 
 _BSTAR_FLOOR = 1e-8
 _BSTAR_CLIP = 4.0   # anisotropy bound around the geometric mean
-_REAL_FORM_SCALE = 1.0 / 16.0  # pins L_B u = tr_C(A_C B) on exact jets
+_REAL_FORM_SCALE = 0.25  # pins L_B u = tr_C(A_C B) on exact jets
 
 
 def real_form(b: np.ndarray) -> np.ndarray:
     """Real 2n x 2n form of a hermitian B (or of a stack of them),
     normalized so the associated operator pairs with the complexified
-    hessian without extra factors."""
-    return _REAL_FORM_SCALE * realify(b)
+    hessian without extra factors: rep_complex(conj B) / 4, which is
+    ``realify(B) / 16``."""
+    return _REAL_FORM_SCALE * rep_complex(np.conj(b))
+
+
+def real_form_eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``real_form(b)`` for an (N, n, n) hermitian stack, in
+    ``np.linalg.eigh``'s layout: eigenvalues (N, 2n) ascending and unit
+    eigenvectors in the columns of (N, 2n, 2n).  Each eigenpair
+    (lambda, v) of conj(B) gives lambda / 4 twice, on the interleaved real
+    vectors of v and of i v, which are two columns of rep_complex(V).  The
+    complex eigenpairs are the entry for n = 1, the closed form
+    :func:`hermitian_eigh2` for n = 2, whose phase rule fixes the basis of
+    every doubled eigenplane, and ``eigh`` of the n x n stack for n >= 3."""
+    n = b.shape[-1]
+    bc = np.conj(b)
+    if n == 1:
+        vals, vecs = bc.real[:, 0], np.ones_like(bc)
+    elif n == 2:
+        vals, vecs = hermitian_eigh2(bc)
+    else:
+        vals, vecs = np.linalg.eigh(bc)
+    return np.repeat(_REAL_FORM_SCALE * vals, 2, axis=1), rep_complex(vecs)
 
 
 def check_b_matrix(b: np.ndarray) -> np.ndarray:
@@ -367,7 +389,7 @@ class OperatorFamily:
         self.stencil = Stencil(domain)
         self.margins = MarginContext(sub, domain)
         self.frame = self.margins.frame
-        self.identity = self._snap(real_form(np.eye(sub.n, dtype=complex)))
+        self.identity = self._snap(np.eye(sub.n, dtype=complex)[None])
         self.bstar = None       # adapted witness of the last adapted_policy
 
     @staticmethod
@@ -380,8 +402,15 @@ class OperatorFamily:
         s = g @ br @ g.transpose(0, 2, 1)
         return s, np.einsum("nkab,nab->nk", frame.e_tensor, s)
 
-    def _snap(self, br):
-        return snap_policy(self.stencil, *self.coefficients(self.frame, br))
+    def _snap(self, b):
+        """Policy of the member B, constant (1, n, n) or per node (N, n, n).
+        On a flat frame S = real_form(B), whose eigenpairs come from B's
+        (:func:`real_form_eigh`); elsewhere ``eigh`` diagonalizes
+        S = g B_r g^T."""
+        if self.frame.flat:
+            return snap_eigen(self.stencil, *real_form_eigh(b))
+        return snap_policy(self.stencil,
+                           *self.coefficients(self.frame, real_form(b)))
 
     def adapted_policy(self, values: np.ndarray):
         """Policy of the adapted witness B* of ``values`` (None for n = 1),
@@ -390,7 +419,7 @@ class OperatorFamily:
         if self.sub.n == 1:
             return None
         self.bstar = adapted_bstar(self.margins.forms(values))
-        return self._snap(real_form(self.bstar))
+        return self._snap(self.bstar)
 
     def min_value(self, values: np.ndarray, adapted=None):
         """Per-node minimum of the member operators on ``values`` and the
@@ -421,7 +450,8 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     node at a time: with S = g B_r g^T (eigenvalues clipped at zero), the
     axis second differences weighted by lambda_min, the directional second
     differences along the (stencil-snapped) other eigendirections weighted
-    by lambda_k - lambda_min, and an upwinded drift."""
+    by lambda_k - lambda_min, and an upwinded drift.  On a flat frame the
+    eigenpairs are :func:`real_form_eigh`'s, as in :class:`OperatorFamily`."""
     from .lattice import directional_second, upwind_first
 
     bmat = check_b_matrix(b)
@@ -431,11 +461,14 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     if dom.node_class[node] != INTERIOR:
         raise PshError("B-Laplacian requires an interior node")
     frame = sub.acx.at(dom.node_coords[node])
-    g = frame.g[0]
-    s = g @ real_form(bmat) @ g.T
+    if frame.flat:
+        vals, vecs = (x[0] for x in real_form_eigh(bmat[None]))
+    else:
+        g = frame.g[0]
+        s = g @ real_form(bmat) @ g.T
+        vals, vecs = np.linalg.eigh(s)
     st = Stencil(dom)
     row = st.node_row(node)
-    vals, vecs = np.linalg.eigh(s)
     vals = np.clip(vals, 0.0, None)
     total = 0.0
     for e in np.eye(dom.dim, dtype=np.int64):

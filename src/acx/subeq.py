@@ -61,12 +61,6 @@ class ReducedJet:
         if self.a.shape[0] != self.p.shape[0]:
             raise SubequationError("jet components have mismatched dimension")
 
-    def scale(self, t: float) -> "ReducedJet":
-        return ReducedJet(t * self.p, t * self.a)
-
-    def add(self, other: "ReducedJet") -> "ReducedJet":
-        return ReducedJet(self.p + other.p, self.a + other.a)
-
 
 def jet_to_flat(jet: ReducedJet) -> np.ndarray:
     """Flat record: p then the upper triangle of A, row-major."""

@@ -9,6 +9,7 @@ from acx.algebra import (
     antilinear_normalize,
     complexify,
     det_relation_constant,
+    hermitian_eigh2,
     hermitian_eigvals2,
     hermitian_min_eig,
     hermitian_part,
@@ -456,3 +457,36 @@ def test_hermitian_min_eig_matches_lapack(n):
     ref = np.linalg.eigvalsh(a)[:, 0]
     bound = 1e-13 * np.linalg.norm(a, axis=(1, 2))
     assert np.all(np.abs(hermitian_min_eig(a) - ref) <= bound)
+
+
+def test_hermitian_eigh2_matches_lapack():
+    # eigenpairs against eigh on the closed form's hard cases, both orders
+    # of a diagonal and entries scaled by 1e-8 and 1e8; eigenvectors agree
+    # with eigh's only up to phase, so they are checked by reconstruction
+    base = hermitian_cases(2, 75)
+    diag = np.array([np.diag([1.0, 3.0]), np.diag([3.0, 1.0]),
+                     np.diag([-2.0, 0.5]), np.diag([0.5, -2.0])], dtype=complex)
+    a = np.concatenate([base, diag, 1e-8 * base, 1e8 * base])
+    vals, vecs = hermitian_eigh2(a)
+    scale = np.linalg.norm(a, axis=(1, 2))
+    ref = np.linalg.eigvalsh(a)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * scale[:, None])
+    rebuilt = np.einsum("nak,nk,nbk->nab", vecs, vals, vecs.conj())
+    assert np.all(np.abs(rebuilt - a).max(axis=(1, 2)) <= 1e-13 * scale)
+    gram = np.einsum("nak,nal->nkl", vecs.conj(), vecs)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-14
+    # the phase rule: the entry of larger modulus is real and positive
+    big = np.argmax(np.abs(vecs), axis=1)
+    lead = np.take_along_axis(vecs, big[:, None, :], axis=1)[:, 0]
+    assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
+    # diagonal stacks give eigh's columns exactly: e_1, e_2 for
+    # a00 < a11, and e_2, e_1 for a00 > a11; cI gives the identity
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for k, want in enumerate([np.eye(2), swap, np.eye(2), swap]):
+        np.testing.assert_array_equal(vecs[base.shape[0] + k], want)
+    scalar = hermitian_eigh2(3.7 * np.eye(2, dtype=complex)[None])[1][0]
+    np.testing.assert_array_equal(scalar, np.eye(2))
+    # equal moduli (a00 = a11): lo's first entry and hi's second are real
+    tie = hermitian_eigh2(np.array([[[1.0, 2j], [-2j, 1.0]]]))[1][0]
+    lead = np.array([tie[0, 0], tie[1, 1]])
+    assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)

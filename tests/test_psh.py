@@ -18,6 +18,7 @@ from acx.psh import (
     psh_margin,
     psh_via_blaplacians,
     real_form,
+    real_form_eigh,
     restriction_check,
     restriction_verdict,
     slice_compatible,
@@ -316,6 +317,75 @@ def test_adapted_bstar_n3_keeps_the_eigendecomposition():
     assert np.array_equal(adapted_bstar(acs), eigh_bstar(acs))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_form_eigh_rebuilds_the_real_form(n):
+    # eigh's layout: ascending eigenvalues, orthonormal real columns that
+    # rebuild real_form(b); each eigenvalue of B / 4 appears twice
+    rng = CounterRng(48 + n)
+    b = np.stack([rng.hermitian(n) for _ in range(20)]
+                 + [c * np.eye(n, dtype=complex) for c in (1.0, -2.5)])
+    vals, vecs = real_form_eigh(b)
+    s = real_form(b)
+    scale = np.abs(s).max(axis=(1, 2))
+    assert np.all(np.diff(vals, axis=1) >= 0.0)
+    assert np.all(np.abs(vals - np.linalg.eigvalsh(s))
+                  <= 1e-13 * scale[:, None])
+    rebuilt = np.einsum("nak,nk,nbk->nab", vecs, vals, vecs)
+    assert np.all(np.abs(rebuilt - s).max(axis=(1, 2)) <= 1e-13 * scale)
+    gram = vecs.transpose(0, 2, 1) @ vecs
+    assert np.abs(gram - np.eye(2 * n)).max() <= 1e-13
+
+
+def test_flat_adapted_snap_does_not_follow_roundoff():
+    # a quadratic's complex hessian is constant up to roundoff, so the
+    # adapted member's directions are one row at every node where every
+    # direction is available; eigh on the 4 x 4 real form, whose every
+    # eigenvalue is doubled, let roundoff pick dozens of distinct rows
+    from acx.suite import _quadratic_with_margin
+
+    dom = LatticeDomain.box([-1, 1], 9, dim=4)
+    q = _quadratic_with_margin(2, CounterRng(31339), 0.7)
+    x = dom.node_coords
+    u = ScalarField(dom, 0.5 * np.einsum("ni,ij,nj->n", x, q, x))
+    ops = OperatorFamily(Subequation(make_structure("standard", n=2)), dom)
+    pol = ops.adapted_policy(u.values)
+    full = ops.stencil.allowed.all(axis=1)
+    assert np.count_nonzero(full) == 625
+    ac = ops.margins.forms(u.values)[full]
+    assert 0.0 < np.abs(ac - ac[0]).max() <= 1e-13
+    assert np.unique(pol.dir_idx[full], axis=0).shape[0] == 1
+
+
+def count_eigh(monkeypatch):
+    """Shapes of the stacks passed to np.linalg.eigh, which discretize and
+    psh both reach as an attribute of numpy's linalg module."""
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs:
+                        shapes.append(np.shape(a)) or eigh(a, *args, **kwargs))
+    return shapes
+
+
+def test_flat_n2_family_runs_no_eigh(monkeypatch):
+    shapes = count_eigh(monkeypatch)
+    dom, sub, fields = battery_quadratics(2, 2)
+    ops = OperatorFamily(sub, dom)
+    reports = [family_verdict(u, ops, tol=1e-9) for u in fields]
+    assert [rep.psh for rep in reports] == [True, False]
+    assert shapes == []
+
+
+def test_non_flat_refresh_runs_one_eigh(monkeypatch):
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    sub = Subequation(make_structure("antilinear-linear-eps", n=2, eps=0.1,
+                                     generator=3))
+    ops = OperatorFamily(sub, dom)
+    u = ScalarField.from_vectorized(dom, abs2)
+    shapes = count_eigh(monkeypatch)
+    ops.adapted_policy(u.values)
+    assert shapes == [(dom.interior_ids.size, 4, 4)]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_margins_are_the_real_form_eigenvalues(n):
     # the eigenvalue slack is 2 lambda_min(A_C), the smallest eigenvalue of
@@ -380,6 +450,24 @@ def test_blap_min_field_matches_per_node_blaplacian_with_drift():
                for b in (np.eye(2, dtype=complex), ops.bstar[row])]
         assert abs(best[row] - min(ref)) <= 1e-12
         assert adapted[row] == int(np.argmin(ref))
+
+
+def test_flat_adapted_policy_matches_per_node_blaplacian():
+    # the flat n = 2 adapted member against the per-node reference, which
+    # reads the same closed-form eigenpairs
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    sub = Subequation(make_structure("standard", n=2))
+    u = ScalarField.from_vectorized(
+        dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
+    ops = OperatorFamily(sub, dom)
+    value = ops.adapted_policy(u.values).value(u.values)
+    rng = CounterRng(13)
+    for _ in range(5):
+        row = int(rng.uniform(0, value.size - 1e-9))
+        node = int(dom.interior_ids[row])
+        assert not np.allclose(ops.bstar[row], np.eye(2))
+        ref = blaplacian(u, sub, node, ops.bstar[row])
+        assert abs(value[row] - ref) <= 1e-12
 
 
 def test_via_blaplacians_rejects_masked_stencil(disc, flat1):

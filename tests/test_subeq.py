@@ -198,10 +198,12 @@ def test_fibre_convexity_and_cone():
     j1 = psh_jet(2, 80, 0.6)
     j2 = psh_jet(2, 81, 0.1)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        mix = j1.scale(t).add(j2.scale(1 - t))
+        mix = ReducedJet(t * j1.p + (1 - t) * j2.p,
+                         t * j1.a + (1 - t) * j2.a)
         assert contains(sub, np.zeros(4), mix, tol=1e-9).inside
     for t in (0.0, 0.5, 2.0, 10.0):
-        assert contains(sub, np.zeros(4), j1.scale(t), tol=1e-9).inside
+        assert contains(sub, np.zeros(4), ReducedJet(t * j1.p, t * j1.a),
+                        tol=1e-9).inside
 
 
 def test_inhomogeneous_with_zero_rhs_matches_homogeneous():
@@ -229,7 +231,9 @@ def test_monotonicity_under_admissible_sums():
             member = ReducedJet(member.p, member.a + 0.2 * np.eye(2))
         cone = psh_jet(1, 2000 + seed, rng.uniform(0.0, 1.0))
         assert contains(hom, x, cone).inside
-        assert contains(sub, x, member.add(cone), tol=1e-9).inside
+        assert contains(sub, x, ReducedJet(member.p + cone.p,
+                                           member.a + cone.a),
+                        tol=1e-9).inside
 
 
 # ---------------------------------------------------------------------------
