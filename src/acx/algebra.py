@@ -124,27 +124,21 @@ def complexify(b: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     """Hermitian n x n counterpart of a J0-hermitian real symmetric form.
 
     Only defined on J0-hermitian input; the entry formula is
-    B_C[j, k] = (B[x_j, x_k] + i B[x_j, y_k]) / 4.
+    B_C[j, k] = (B[x_j, x_k] + i B[x_j, y_k]) / 4, hermitianized.
     """
     b = np.asarray(b, dtype=float)
     j0 = standard_j(b.shape[0] // 2)
     check_symmetric(b, tol)
     if np.max(np.abs(j0.T @ b @ j0 - b)) > max(tol, tol * np.max(np.abs(b))):
         raise AlgebraError("form is not J0-hermitian; complexification undefined")
-    return complexify_batch(b[None])[0]
+    out = _COMPLEXIFY_SCALE * (b[0::2, 0::2] + 1j * b[0::2, 1::2])
+    return 0.5 * (out + np.conj(out.T))
 
 
 def realify(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`complexify`: the J0-hermitian real form of M, for
     one matrix or a stack."""
     return rep_complex(np.asarray(m, dtype=complex).conj()) / _COMPLEXIFY_SCALE
-
-
-def complexify_batch(b: np.ndarray) -> np.ndarray:
-    """Batched :func:`complexify` without the J0-hermitian guard; callers
-    must supply J0-hermitian stacks (the output is re-hermitianized)."""
-    out = _COMPLEXIFY_SCALE * (b[:, 0::2, 0::2] + 1j * b[:, 0::2, 1::2])
-    return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
 def _hermitian2_parts(a: np.ndarray):
@@ -205,6 +199,18 @@ def hermitian_min_eig(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[:, 0]
 
 
+def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of an (N, n, n) hermitian stack in ``np.linalg.eigh``'s
+    layout: the entry for n = 1, :func:`hermitian_eigh2` for n = 2, LAPACK
+    for n >= 3."""
+    n = a.shape[-1]
+    if n == 1:
+        return a.real[:, 0], np.ones_like(a)
+    if n == 2:
+        return hermitian_eigh2(a)
+    return np.linalg.eigh(a)
+
+
 def det_relation_constant(n: int) -> float:
     """Pinned constant in det_R(B) = kappa * (det_C B_C)^2."""
     return 16.0 ** n
@@ -219,10 +225,6 @@ class HermitianForm:
 
     def __post_init__(self):
         check_symmetric(self.real, 1e-8)
-
-    @property
-    def dim(self) -> int:
-        return self.real.shape[0]
 
     def hermitian_residual(self) -> float:
         return float(np.max(np.abs(self.j.T @ self.real @ self.j - self.real)))
@@ -325,8 +327,9 @@ class AlmostComplexField:
 class StructureFrame:
     """One evaluation of a structure at the points ``pts``: g, dg,
     J = g J0 g^{-1} and dJ (derivatives indexed [node, direction, row,
-    col]); J and dJ are None on the flat preset.  The first-order term E(p)
-    has one formula, :meth:`e`; the tensor E(e_k) is built on first use."""
+    col]); J and dJ are None on the flat preset.  The first-order term has
+    one formula, the tensor E(e_k) of :attr:`e_tensor`, built on first use;
+    E(p) = sum_k p_k E(e_k) contracts it (:meth:`e`)."""
 
     acx: AlmostComplexField
     pts: np.ndarray
@@ -346,7 +349,7 @@ class StructureFrame:
 
     def e(self, p) -> np.ndarray:
         """E(p) at every point for a covector p, shared (d,) or per point
-        (N, d): p is contracted into dJ, multiplied by J^T, symmetrized."""
+        (N, d): p contracted with :attr:`e_tensor`."""
         n, d = self.pts.shape
         pvec = np.asarray(p, dtype=float)
         if pvec.ndim == 1:
@@ -355,10 +358,7 @@ class StructureFrame:
             raise AlgebraError("covector p must be finite")
         if self.flat:
             return np.zeros((n, d, d))
-        # D[l, m] = sum_k p_k dJ[l][k, m];  q(v) = v^T (J^T D) v
-        dmat = np.einsum("nk,nlkm->nlm", pvec, self.dj)
-        nmat = np.einsum("nsl,nlm->nsm", np.transpose(self.j, (0, 2, 1)), dmat)
-        return 0.5 * (nmat + np.transpose(nmat, (0, 2, 1)))
+        return np.einsum("nk,nkab->nab", pvec, self.e_tensor)
 
     @cached_property
     def e_tensor(self) -> np.ndarray:

@@ -279,10 +279,6 @@ class ScalarField:
     def from_vectorized(domain: LatticeDomain, fn: Callable) -> "ScalarField":
         return ScalarField(domain, np.asarray(fn(domain.node_coords), dtype=float))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.values.copy(),
-                           None if self.mask is None else self.mask.copy())
-
     def take(self, domain: LatticeDomain, ids: np.ndarray) -> "ScalarField":
         """The field on ``domain``, whose k-th node is node ``ids[k]`` here;
         the mask comes along."""
@@ -482,6 +478,24 @@ def export_csv(field: ScalarField, path) -> None:
             w.writerow(row)
 
 
+def _read_table(path, what: str) -> tuple[list, list]:
+    """(header, rows) of a CSV; a file without a header is an error."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        if header is None:
+            raise LatticeError(f"{what} CSV has no header")
+        return header, list(r)
+
+
+def _check_width(rows: list, width: int, what: str) -> None:
+    """Reject the first row with fewer than ``width`` columns."""
+    for k, row in enumerate(rows):
+        if len(row) < width:
+            raise LatticeError(f"{what} CSV row {k + 1} has {len(row)} "
+                               f"columns, needs {width}")
+
+
 def _coords_of(rows: list, d: int) -> np.ndarray:
     return np.array([[float(v) for v in row[:d]] for row in rows],
                     dtype=float).reshape(len(rows), d)
@@ -491,14 +505,11 @@ def import_csv(path, domain: LatticeDomain) -> ScalarField:
     """Read a node CSV back onto a matching domain (row order free)."""
     values = np.full(domain.n_nodes, np.nan)
     mask = None
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        d = sum(1 for c in header
-                if c.startswith("c") and c[1:].isdigit())
-        if d != domain.dim:
-            raise LatticeError("CSV dimension does not match the domain")
-        rows = list(r)
+    header, rows = _read_table(path, "field")
+    d = sum(1 for c in header if c.startswith("c") and c[1:].isdigit())
+    if d != domain.dim:
+        raise LatticeError("CSV dimension does not match the domain")
+    _check_width(rows, d + (3 if "masked" in header else 1), "field")
     nodes = domain.nodes_at(_coords_of(rows, d))
     values[nodes] = [float(row[d]) for row in rows]
     if "masked" in header:
@@ -512,10 +523,8 @@ def import_csv(path, domain: LatticeDomain) -> ScalarField:
 def read_boundary_csv(path, domain: LatticeDomain) -> np.ndarray:
     """Boundary data table (coords..., value) -> values on boundary nodes."""
     out = np.full(domain.n_nodes, np.nan)
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        rows = list(r)
+    _, rows = _read_table(path, "boundary")
+    _check_width(rows, domain.dim + 1, "boundary")
     out[domain.nodes_at(_coords_of(rows, domain.dim))] = [
         float(row[domain.dim]) for row in rows]
     bvals = out[domain.boundary_ids]

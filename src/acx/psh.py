@@ -20,8 +20,7 @@ from .algebra import (
     AlmostComplexField,
     StructureFrame,
     antilinear_normalize_matrix,
-    hermitian_eigh2,
-    hermitian_eigvals2,
+    hermitian_eigh,
     linear_antilinear_split,
     rep_complex,
 )
@@ -62,19 +61,11 @@ def real_form_eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of ``real_form(b)`` for an (N, n, n) hermitian stack, in
     ``np.linalg.eigh``'s layout: eigenvalues (N, 2n) ascending and unit
     eigenvectors in the columns of (N, 2n, 2n).  Each eigenpair
-    (lambda, v) of conj(B) gives lambda / 4 twice, on the interleaved real
-    vectors of v and of i v, which are two columns of rep_complex(V).  The
-    complex eigenpairs are the entry for n = 1, the closed form
-    :func:`hermitian_eigh2` for n = 2, whose phase rule fixes the basis of
-    every doubled eigenplane, and ``eigh`` of the n x n stack for n >= 3."""
-    n = b.shape[-1]
-    bc = np.conj(b)
-    if n == 1:
-        vals, vecs = bc.real[:, 0], np.ones_like(bc)
-    elif n == 2:
-        vals, vecs = hermitian_eigh2(bc)
-    else:
-        vals, vecs = np.linalg.eigh(bc)
+    (lambda, v) of conj(B), from :func:`hermitian_eigh`, gives lambda / 4
+    twice, on the interleaved real vectors of v and of i v, which are two
+    columns of rep_complex(V); for n = 2 the closed form's phase rule
+    fixes the basis of every doubled eigenplane."""
+    vals, vecs = hermitian_eigh(np.conj(b))
     return np.repeat(_REAL_FORM_SCALE * vals, 2, axis=1), rep_complex(vecs)
 
 
@@ -97,12 +88,10 @@ def adapted_bstar(ac: np.ndarray) -> np.ndarray:
     The floor keeps the witness defined at the degenerate edge; the clip
     bounds the witness's anisotropy, and with it the part of its operator
     that goes through the stencil snap.  Unit determinant holds by
-    construction for any clipped spectrum.  For n = 2 the witness is taken
-    in closed form (:func:`_bstar2`)."""
+    construction for any clipped spectrum.  The eigenpairs are
+    :func:`hermitian_eigh`'s for every n (closed form for n = 2)."""
     n = ac.shape[-1]
-    if n == 2:
-        return _bstar2(ac)
-    vals, vecs = np.linalg.eigh(ac)
+    vals, vecs = hermitian_eigh(ac)
     floored = np.clip(vals, _BSTAR_FLOOR, None)
     gm = np.prod(floored, axis=-1) ** (1.0 / n)
     banded = np.clip(floored, gm[:, None] / _BSTAR_CLIP,
@@ -110,36 +99,6 @@ def adapted_bstar(ac: np.ndarray) -> np.ndarray:
     scale = np.prod(banded, axis=-1) ** (1.0 / n)
     inv = (scale[:, None] / banded)
     return np.einsum("nak,nk,nbk->nab", vecs, inv, vecs.conj())
-
-
-def _bstar2(ac: np.ndarray) -> np.ndarray:
-    """:func:`adapted_bstar` of an (N, 2, 2) stack without eigenvectors.
-    With eigenvalues l1 <= l2 and floored values f1 <= f2, the witness has
-    eigenvalues r = min(sqrt(f2 / f1), clip) on l1's eigenvector and 1/r on
-    l2's.  Where neither the floor nor the clip acts it is
-    adj(A) / sqrt(det A).  Elsewhere it is the interpolating polynomial
-    r I + (1/r - r) / (l2 - l1) (A - l1 I), whose divisor is positive: the
-    floor acts only on l1 < 1e-8 <= l2, the clip only where l2 >= 16 f1,
-    and where both eigenvalues are floored r = 1 and the witness is I."""
-    lo, hi = hermitian_eigvals2(ac)
-    r = np.minimum(np.sqrt(np.maximum(hi, _BSTAR_FLOOR)
-                           / np.maximum(lo, _BSTAR_FLOOR)), _BSTAR_CLIP)
-    plain = (lo >= _BSTAR_FLOOR) & (r < _BSTAR_CLIP)
-    out = np.empty_like(ac)
-    a = ac[plain]
-    a00, a11, a01 = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
-    root = np.sqrt(a00 * a11 - np.abs(a01) ** 2)
-    # real over real on the diagonal, so that A = cI gives I exactly
-    out[plain, 0, 0] = a11 / root
-    out[plain, 1, 1] = a00 / root
-    out[plain, 0, 1] = -a01 / root
-    out[plain, 1, 0] = -np.conj(a01) / root
-    bent = ~plain
-    r, lo, gap = r[bent], lo[bent], (hi - lo)[bent]
-    slope = np.divide(1.0 / r - r, gap, out=np.zeros_like(r), where=gap > 0)
-    shifted = ac[bent] - lo[:, None, None] * np.eye(2)
-    out[bent] = r[:, None, None] * np.eye(2) + slope[:, None, None] * shifted
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Reduced 2-jets and fibre-wise membership in the psh subequations.
 
-Membership of a jet (p, A) at x is decided on the transformed hermitian
-object
+Membership of a jet (p, A) at x is decided on the n x n complex hessian
+A_C.  It is read off the pulled-back jet M = g^T (A + E(p)) g (M = A on
+the flat preset) block by block over the coordinate pairs (x_j, y_j):
 
-    H' = ((g^T (A + E(p)) g) + J0^T (g^T (A + E(p)) g) J0,
+    A_C = ((M_xx + M_yy) + i (M_xy - M_yx)) / 4,   M_xy[j, k] = M[x_j, y_k],
 
-equivalently the pullback of the J(x)-hermitian part (the two orders agree
-exactly by the pullback commutation identity).  H' is J0-hermitian: it is
-the real form of the n x n complex hessian A_C = complexify(H'), whose
-eigenvalues are those of H' divided by 4, each counted once instead of
-twice.  Both slacks are computed on A_C.  The eigenvalue margin is reported
+hermitianized.  Its real form is the transformed hermitian object
+
+    H' = realify(A_C) = M + J0^T M J0,
+
+equivalently the pullback of the J(x)-hermitian part of A + E(p) (the two
+orders agree exactly by the pullback commutation identity); the
+eigenvalues of H' are those of A_C times 4, each counted twice instead of
+once.  Both slacks are computed on A_C.  The eigenvalue margin is reported
 for the averaged part H'/2, whose smallest eigenvalue is 2 lambda_min(A_C);
 the determinant margin of the inhomogeneous equation is measured on
 det A_C after the n-th-root rescaling det^(1/n) so both slacks carry the
@@ -33,8 +37,8 @@ from .algebra import (
     AlmostComplexField,
     StructureFrame,
     check_symmetric,
-    complexify_batch,
     hermitian_min_eig,
+    realify,
     standard_j,
 )
 
@@ -154,23 +158,22 @@ def _signed_root(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def transformed_hermitian(frame: StructureFrame, ps, as_) -> np.ndarray:
-    """Batched H' for jets (ps, as_) at the frame's points; shape (N, 2n, 2n)."""
-    as_ = np.asarray(as_, dtype=float)
-    if as_.ndim == 2:
-        as_ = as_[None]
-    if frame.flat:
-        m = as_
-    else:
-        e = frame.e(np.atleast_2d(ps))
-        m = np.matmul(np.matmul(frame.g.transpose(0, 2, 1), as_ + e), frame.g)
-    j0 = frame.acx.j0
-    return m + np.matmul(np.matmul(j0.T, m), j0)
+    """Batched H' = realify(A_C) for jets (ps, as_) at the frame's points;
+    shape (N, 2n, 2n)."""
+    return realify(hermitian_forms(frame, ps, as_))
 
 
 def hermitian_forms(frame: StructureFrame, ps, as_) -> np.ndarray:
-    """Batched A_C = complexify(H') for jets (ps, as_) at the frame's
+    """Batched A_C of the pulled-back jets M of (ps, as_) at the frame's
     points; shape (N, n, n)."""
-    return complexify_batch(transformed_hermitian(frame, ps, as_))
+    m = np.asarray(as_, dtype=float)
+    if not frame.flat:
+        e = frame.e(np.atleast_2d(ps))
+        m = np.matmul(np.matmul(frame.g.transpose(0, 2, 1), m + e), frame.g)
+    mx, my = m[:, 0::2], m[:, 1::2]
+    out = 0.25 * ((mx[..., 0::2] + my[..., 1::2])
+                  + 1j * (mx[..., 1::2] - my[..., 0::2]))
+    return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
 def margins_for_forms(sub: Subequation, frame: StructureFrame, ac):

@@ -9,6 +9,7 @@ from acx.algebra import (
     antilinear_normalize,
     complexify,
     det_relation_constant,
+    hermitian_eigh,
     hermitian_eigh2,
     hermitian_eigvals2,
     hermitian_min_eig,
@@ -203,12 +204,24 @@ def test_d_generator_matches_centered_differences():
 
 
 def test_e_tensor_is_e_on_the_covector_basis():
-    # the one contraction behind the drift against the per-covector formula
+    # E(p), a contraction of the tensor, against the dJ formula built here:
+    # the symmetric part of J^T D(p) with D(p)[l, m] = sum_k p_k dJ[l][k, m],
+    # on the covector basis and on random covectors
     rng = CounterRng(78)
     for acx in _every_structure():
         frame = acx.at(0.5 * rng.normals((6, acx.d)))
-        for k, ek in enumerate(np.eye(acx.d)):
-            assert np.max(np.abs(frame.e_tensor[:, k] - frame.e(ek))) <= 1e-14, acx.name
+        ps = np.concatenate([np.eye(acx.d), rng.normals((4, acx.d))])
+        got = np.stack([frame.e(p) for p in ps])
+        if frame.flat:
+            assert np.array_equal(got, np.zeros_like(got)), acx.name
+            continue
+        jt = np.transpose(frame.j, (0, 2, 1))
+        nmat = np.stack([jt @ np.einsum("k,nlkm->nlm", p, frame.dj)
+                         for p in ps])
+        want = 0.5 * (nmat + np.swapaxes(nmat, 2, 3))
+        scale = np.abs(want).max()
+        assert scale > 0.0, acx.name
+        assert np.abs(got - want).max() <= 1e-14 * scale, acx.name
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +470,20 @@ def test_hermitian_min_eig_matches_lapack(n):
     ref = np.linalg.eigvalsh(a)[:, 0]
     bound = 1e-13 * np.linalg.norm(a, axis=(1, 2))
     assert np.all(np.abs(hermitian_min_eig(a) - ref) <= bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_eigh_rebuilds_the_stack(n):
+    # eigh's layout for every n: ascending eigenvalues and orthonormal
+    # columns that rebuild a
+    a = hermitian_cases(n, 80 + n)
+    vals, vecs = hermitian_eigh(a)
+    scale = np.linalg.norm(a, axis=(1, 2))
+    assert np.all(np.diff(vals, axis=1) >= 0.0)
+    rebuilt = np.einsum("nak,nk,nbk->nab", vecs, vals, vecs.conj())
+    assert np.all(np.abs(rebuilt - a).max(axis=(1, 2)) <= 1e-13 * scale)
+    gram = np.einsum("nak,nal->nkl", vecs.conj(), vecs)
+    assert np.abs(gram - np.eye(n)).max() <= 1e-14
 
 
 def test_hermitian_eigh2_matches_lapack():

@@ -290,3 +290,28 @@ def test_solve_box_with_harmonic_poly_boundary(tmp_path):
     exact = np.real(z ** 2) + 0.5 * np.imag(z)
     assert np.max(np.abs(u.values - exact)) <= 1e-2
 
+
+
+@pytest.mark.parametrize("command, text, needle", [
+    ("solve", "", "no header"),
+    ("solve", "c0,c1,value\n1,0,1\n0,1\n", "row 2"),
+    ("check-psh", "", "no header"),
+    ("check-psh", "c0,c1,value,class\n0,0\n", "row 1"),
+])
+def test_malformed_csv_is_an_input_error(tmp_path, capsys, command, text,
+                                         needle):
+    # an empty file or a row without its value column exits 1 with the
+    # input-error message, never a traceback
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(text)
+    cfg = {"domain": DISC_DOMAIN, "structure": {"preset": "standard", "n": 1}}
+    if command == "solve":
+        cfg["boundary"] = {"kind": "csv", "path": str(csv_path)}
+    else:
+        cfg["field_csv"] = str(csv_path)
+    path = write_json(tmp_path / "cfg.json", cfg)
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and needle in err

@@ -24,7 +24,7 @@ from acx.linpot import (
     viscosity_subharmonic,
     viscosity_values,
 )
-from acx.psh import blaplacian
+from acx.psh import blaplacian, real_form
 from acx.rng import CounterRng
 from acx.subeq import Subequation
 
@@ -294,6 +294,18 @@ def test_operator_from_structure_matches_blaplacian(box):
         row = int(rng.uniform(0, st.nodes.size - 1e-9))
         node = int(st.nodes[row])
         assert abs(vals[row] - blaplacian(u, sub, node, b)) <= 1e-12
+
+
+def test_flat_operator_from_structure_is_the_real_form():
+    # on the standard structure a(x) = real_form(B) at every point, and
+    # there is no drift
+    dom = LatticeDomain.box([-1, 1], 5, dim=4)
+    b = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 0.75]])     # det B = 1
+    op = operator_from_structure(
+        Subequation(make_structure("standard", n=2)), b)
+    a, drift = op.at(dom.node_coords)
+    assert drift is None
+    assert np.array_equal(a, np.broadcast_to(real_form(b), a.shape))
 
 
 def test_structure_operator_evaluates_the_structure_once_per_use(box):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acx.algebra import make_structure, realify
+from acx.algebra import make_structure, realify, standard_j
 from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.psh import (
     MarginContext,
@@ -24,7 +24,7 @@ from acx.psh import (
     slice_compatible,
 )
 from acx.rng import CounterRng
-from acx.subeq import Subequation, transformed_hermitian
+from acx.subeq import Subequation
 
 
 def abs2(X):
@@ -399,7 +399,11 @@ def test_margins_are_the_real_form_eigenvalues(n):
                     - 0.7 * x[:, 1] * x[:, 2])
     ctx = MarginContext(sub, dom)
     _, eig, _ = field_margins(u, ctx)
-    hp = transformed_hermitian(ctx.frame, *ctx.table.jets(u.values))
+    ps, as_ = ctx.table.jets(u.values)
+    g = ctx.frame.g
+    m = np.transpose(g, (0, 2, 1)) @ (as_ + ctx.frame.e(ps)) @ g
+    j0 = standard_j(n)
+    hp = m + j0.T @ m @ j0
     real_form_min = 0.5 * np.linalg.eigvalsh(hp)[:, 0]
     assert eig.min() < 0 < eig.max()
     assert np.max(np.abs(eig - real_form_min)) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acx.algebra import make_structure, realify
+from acx.algebra import complexify, make_structure, realify, standard_j
 from acx.rng import CounterRng
 from acx.subeq import (
     ReducedJet,
@@ -11,12 +11,14 @@ from acx.subeq import (
     constant_rhs,
     contains,
     dual_contains,
+    hermitian_forms,
     jet_from_flat,
     jet_to_flat,
     margins_for_jets,
     positivity_closed,
     radial_rhs,
     strict_contains,
+    transformed_hermitian,
 )
 
 ORIGIN2 = np.zeros(2)
@@ -270,3 +272,26 @@ def test_radial_rhs_interpolates_and_rejects_radii_that_do_not_increase():
                           ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0])):
         with pytest.raises(SubequationError, match="strictly increase"):
             radial_rhs(radii, values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("preset", ["standard", "antilinear-linear-eps"])
+def test_hermitian_forms_complexify_the_transformed_hermitian(preset, n):
+    # A_C read off the pulled-back jets M = g^T (A + E(p)) g is, bit for
+    # bit, complexify of H' = M + J0^T M J0 built here; H' is its real form
+    rng = CounterRng(90 + n)
+    acx = make_structure(preset, n=n)
+    frame = acx.at(0.5 * rng.normals((8, acx.d)))
+    ps = rng.normals((8, acx.d))
+    as_ = np.stack([rng.symmetric(acx.d) for _ in range(8)])
+    m = as_
+    if not frame.flat:
+        g = frame.g
+        m = np.transpose(g, (0, 2, 1)) @ (as_ + frame.e(ps)) @ g
+    j0 = standard_j(n)
+    hp = m + j0.T @ m @ j0
+    ac = hermitian_forms(frame, ps, as_)
+    assert np.array_equal(ac, np.stack([complexify(h) for h in hp]))
+    scale = np.abs(hp).max()
+    assert np.abs(transformed_hermitian(frame, ps, as_) - hp).max() \
+        <= 1e-14 * scale
