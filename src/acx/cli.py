@@ -6,7 +6,8 @@ equivalence-suite | metric-demo | regularize.
 Exit codes: 0 success / criterion met, 1 input or precondition error,
 2 solver non-convergence, 3 verification failure (with witness in the
 report).  Reports are canonical JSON (byte-identical for identical config
-and seed); timings and timestamps go to the adjacent ``.meta`` file.
+and seed); timings, timestamps and a solve's witness refresh and member
+counts go to the adjacent ``.meta`` file.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     export_csv(u, out / "solution.csv")
     payload = {"schema": "acx/1", "command": "solve", **report.to_dict()}
-    wall = payload.pop("wall_clock")
-    write_report(out / "report.json", payload, meta={"wall_clock": wall})
+    meta = {k: payload.pop(k) for k in ("wall_clock", "refreshes", "members")}
+    write_report(out / "report.json", payload, meta=meta)
     if not args.quiet:
         print(f"converged={report.converged} iterations={report.iterations} "
               f"residual={report.residual:.3e}")

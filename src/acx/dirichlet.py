@@ -10,12 +10,12 @@ so the residual at an interior node is
 
     Theta(u)(x) = min_B [ L_B u(x) - n (beta(x) f(x))^{1/n} ]
 
-with the minimum running over two forms: the identity, which is the
+with the minimum running over a set of forms: the identity, which is the
 whole family for n = 1 and gives tr A where the witness is clipped, and,
-for n > 1, the per-node adapted equality witness.  Each L_B is
-discretized monotonically (axis second differences for the isotropic
-part of its coefficient, snapped eigenvector second differences for the
-rest, upwinded drift; see ``acx.discretize``).  For f = 0 the minimum
+for n > 1, adapted equality witnesses.  Each L_B is discretized
+monotonically (axis second differences for the isotropic part of its
+coefficient, snapped eigenvector second differences for the rest,
+upwinded drift; see ``acx.discretize``).  For f = 0 the minimum
 does not reduce to the homogeneous cone equation lambda_min(A_C) = 0.
 Where A_C is degenerate the infimum over unit-determinant B is not
 attained, and the clipped adapted witness (``psh.adapted_bstar``) stops
@@ -25,18 +25,33 @@ lambda_max(A_C) / _BSTAR_CLIP, so the residual at the exact solution
 n >= 2 stall.  The open fix is the rank-one witness on the eigenvector of
 lambda_min(A_C) (ROADMAP item 3).
 
-The discrete equation Theta(u) = 0 is solved by Howard's policy iteration
-(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), which
-converges from any start on a monotone scheme.  It starts at the constant
-max(datum) with boundary nodes pinned to the datum: every member operator
-vanishes on constants, lowering boundary values only lowers L_B u, and the
-right-hand side is nonnegative, so the start is a discrete supersolution.
-Each step refreshes the adapted witness at the current iterate, takes the
-active member per node, and stops once max |Theta| <= tol_res; otherwise
-it solves the linear equation of the active members, frozen into one
-policy, to 0.1 tol_res.  Every member is monotone, which keeps the step
-count nearly independent of h.  Reductions have a fixed order, so runs are
-deterministic.
+The discrete equation is solved in stages.  Within a stage the control
+set is fixed: the identity and every witness refreshed so far, each
+snapped once into a policy and kept.  Howard's policy iteration
+(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009) runs on that
+set until its residual is at most 0.1 tol_res; each step freezes the
+active member per node into one policy and solves its linear equation to
+0.1 tol_res.  Then the witness is refreshed once, at the stage's
+solution, from its centered jets.  The solve stops once max |Theta| over
+the set and the fresh witness is at most tol_res; otherwise that witness
+joins the set and the next stage starts from the same values, whose
+residual failed that check, so every stage takes at least one Howard step
+and the step cap also caps the member count.
+
+Howard's convergence claim holds for the fixed set of a stage: a minimum
+of monotone operators over a fixed set is monotone.  A minimum over a set
+that moves with u, a witness refreshed from u's own jets at every step,
+is not (raising one node can lower Theta elsewhere), so the witnesses
+only ever join the set.  A larger set gives a smaller minimum, so each
+stage's solution is a subsolution of the next stage's equation.
+
+Howard starts at the constant max(datum) with boundary nodes pinned to
+the datum: every member operator vanishes on constants, lowering boundary
+values only lowers L_B u, and the right-hand side is nonnegative, so the
+start is a discrete supersolution.  The first stage's set is the identity
+alone (the whole family for n = 1, so an n = 1 solve is one stage).
+Every member is monotone, which keeps the step count nearly independent
+of h.  Reductions have a fixed order, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +75,7 @@ class SolveError(RuntimeError):
 @dataclass
 class SchemeOptions:
     tol_res: float | None = None        # None: consistency-matched default
-    max_iterations: int = 100           # Howard steps
+    max_iterations: int = 100           # Howard steps, over all stages
 
 
 @dataclass
@@ -96,7 +111,9 @@ class DirichletProblem:
 @dataclass
 class SolveReport:
     converged: bool
-    iterations: int                     # Howard steps (linear solves)
+    iterations: int                     # Howard steps (linear solves), all stages
+    refreshes: int                      # adapted-witness refreshes
+    members: int                        # last stage's set, identity included
     residual: float
     subsolution_margin: float
     dual_margin: float
@@ -110,7 +127,8 @@ class SolveReport:
 
 class BellmanOperator:
     """Discrete Bellman residual over the operator family of the problem:
-    the frozen identity policy and a refreshable adapted policy, less the
+    the minimum of the frozen identity policy and the given member
+    policies (adapted witnesses, from ``adapted_policy``), less the
     right-hand side."""
 
     def __init__(self, problem: DirichletProblem):
@@ -128,25 +146,35 @@ class BellmanOperator:
     def adapted_policy(self, values: np.ndarray) -> Policy | None:
         return self.family.adapted_policy(values)
 
-    def residual(self, values: np.ndarray, adapted: Policy | None = None):
-        """(theta, active): Bellman residual over interior nodes and the
-        active member per node (True where the adapted one is active)."""
-        best, active = self.family.min_value(values, adapted)
+    def residual(self, values: np.ndarray, *members: Policy):
+        """(theta, active): Bellman residual over interior nodes for the
+        minimum over the identity and ``members``, and the index of the
+        active member per node (0 the identity, k ``members[k - 1]``)."""
+        best, active = self.family.min_value(values, *members)
         return best - self.rhs, active
 
 
 def bellman_residual(u: ScalarField, problem: DirichletProblem, node: int) -> float:
     """Residual Theta(u)(x) at a single interior node (fresh adapted witness)."""
     op = BellmanOperator(problem)
-    theta, _ = op.residual(u.values, op.adapted_policy(u.values))
+    fresh = () if problem.sub.n == 1 else (op.adapted_policy(u.values),)
+    theta, _ = op.residual(u.values, *fresh)
     rows = np.flatnonzero(op.nodes == node)
     if rows.size != 1:
         raise SolveError("node is not interior")
     return float(theta[rows[0]])
 
 
+def _max_abs(theta: np.ndarray) -> float:
+    out = float(np.max(np.abs(theta)))
+    if not np.isfinite(out):
+        raise SolveError("iteration produced NaN or overflow")
+    return out
+
+
 def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
-    """Howard policy iteration to the discrete Perron solution.
+    """Howard policy iteration to the discrete Perron solution, in stages
+    over a control set that only grows (see the module docstring).
 
     On convergence the output carries a subsolution certificate (membership
     margin of every interior jet above -10 tol_res) and a supersolution
@@ -164,27 +192,40 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     values = np.full(dom.n_nodes, float(np.max(bvals)))
     values[dom.boundary_ids] = bvals
 
+    cap = problem.scheme.max_iterations
+    members = []            # the stage's witnesses, each snapped once
+    refreshes = it = 0
     message = ""
     converged = False
-    it = 0
+    theta, active = op.residual(values)
     while True:
-        adapted = op.adapted_policy(values)
-        theta, active = op.residual(values, adapted)
-        residual = float(np.max(np.abs(theta)))
-        if not np.isfinite(residual):
-            raise SolveError("iteration produced NaN or overflow")
+        residual = _max_abs(theta)
+        if residual > 0.1 * tol_res and it < cap:
+            # a Howard step on the stage's fixed set
+            try:
+                values = solve_frozen(op.family.active_policy(active, *members),
+                                      values, op.rhs, 0.1 * tol_res)
+            except KrylovError as exc:
+                message = str(exc)
+                break
+            it += 1
+            theta, active = op.residual(values, *members)
+            continue
+        # the stage ends (solved, or at the step cap): refresh the witness
+        # once, at its solution
+        fresh = op.adapted_policy(values)
+        if fresh is not None:
+            refreshes += 1
+            theta, active = op.residual(values, *members, fresh)
+            residual = _max_abs(theta)
         if residual <= tol_res:
             converged = True
             break
-        if it >= problem.scheme.max_iterations:
+        if it >= cap:
             break
-        try:
-            values = solve_frozen(op.family.active_policy(active, adapted),
-                                  values, op.rhs, 0.1 * tol_res)
-        except KrylovError as exc:
-            message = str(exc)
-            break
-        it += 1
+        # the next stage starts from this minimum, above 0.1 tol_res, so
+        # it takes a Howard step: the step cap bounds the member count
+        members.append(fresh)
 
     out = ScalarField(dom, values)
     # the family's margin context holds the jets and the structure at
@@ -195,6 +236,8 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     report = SolveReport(
         converged=converged,
         iterations=it,
+        refreshes=refreshes,
+        members=1 + len(members),
         residual=residual,
         subsolution_margin=sub_margin,
         dual_margin=dual_margin,

@@ -334,10 +334,14 @@ def restriction_check(u: ScalarField, sub: Subequation,
 class OperatorFamily:
     """Monotone discretizations of the linear operators L_B on the interior
     nodes of ``domain``, through its :class:`Stencil` (``stencil``), for
-    the two members of the Bellman family: the identity (``identity``),
-    which is the whole family for n = 1, where unit determinant forces
-    B = 1, and gives tr A where the witness is clipped; and, for n > 1, the
-    per-node adapted witness B* of a field (``bstar``).  L_B has the
+    the members of the Bellman family: the identity (``identity``), which
+    is the whole family for n = 1, where unit determinant forces B = 1,
+    and gives tr A where the witness is clipped; and, for n > 1, per-node
+    adapted witnesses B* of fields (``adapted_policy``; ``bstar`` is the
+    last one).  The psh family test takes the minimum over the identity
+    and the witness of the field under test; the Dirichlet solver keeps
+    every witness it refreshes, so its minimum runs over the identity and
+    a list of snapped witnesses (:meth:`min_value`).  L_B has the
     coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>; the
     structure is evaluated once for the node set, in the frame of the
     family's margin context ``margins``, whose jet table the adapted
@@ -380,25 +384,29 @@ class OperatorFamily:
         self.bstar = adapted_bstar(self.margins.forms(values))
         return self._snap(self.bstar)
 
-    def min_value(self, values: np.ndarray, adapted=None):
-        """Per-node minimum of the member operators on ``values`` and the
-        active member: True where the ``adapted`` policy is strictly below
-        the identity, False where the identity is active."""
+    def min_value(self, values: np.ndarray, *members):
+        """Per-node minimum of the operators of the identity and the
+        policies ``members`` on ``values``, and the index of the active
+        member per node: 0 for the identity, k for ``members[k - 1]``.  A
+        tie goes to the lowest index."""
         best = self.identity.value(values)
-        if adapted is None:
-            return best, np.zeros(best.size, dtype=bool)
-        other = adapted.value(values)
-        return np.minimum(best, other), other < best
+        active = np.zeros(best.size, dtype=np.intp)
+        for k, policy in enumerate(members, 1):
+            other = policy.value(values)
+            active[other < best] = k
+            best = np.minimum(best, other)
+        return best, active
 
-    def active_policy(self, active: np.ndarray, adapted=None) -> Policy:
+    def active_policy(self, active: np.ndarray, *members) -> Policy:
         """One frozen policy taking at each node the columns of its active
-        member, as flagged by ``min_value``."""
-        if adapted is None:
+        member, indexed as by ``min_value``."""
+        if not members:
             return self.identity
+        rows = np.arange(active.size)
+        pols = (self.identity, *members)
 
         def pick(name):
-            return np.where(active[:, None], getattr(adapted, name),
-                            getattr(self.identity, name))
+            return np.stack([getattr(p, name) for p in pols])[active, rows]
 
         return Policy(self.stencil, pick("dir_idx"), pick("wplus"),
                       pick("wminus"))
@@ -445,12 +453,13 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
 def blap_min_field(u: ScalarField, ops: OperatorFamily):
     """Minimum of the discretized family operators over interior nodes.
 
-    Returns (values, adapted): ``adapted`` is True where the per-node
-    adapted witness ``ops.bstar`` (n > 1) is the minimizer and False where
-    the identity is.
+    Returns (values, adapted): ``adapted`` is 1 where the per-node adapted
+    witness ``ops.bstar`` (n > 1) is the minimizer and 0 where the identity
+    is.
     """
     ops.margins.check(u)
-    return ops.min_value(u.values, ops.adapted_policy(u.values))
+    fresh = () if ops.sub.n == 1 else (ops.adapted_policy(u.values),)
+    return ops.min_value(u.values, *fresh)
 
 
 def family_verdict(u: ScalarField, ops: OperatorFamily,

@@ -47,6 +47,28 @@ def test_solve_exit_codes_and_outputs(tmp_path, solve_cfg):
     assert (out / "solution.csv").exists()
 
 
+def test_solve_counts_go_to_the_meta_sidecar(tmp_path):
+    # the witness refresh and member counts sit beside the wall clock, so
+    # the canonical report keeps its keys
+    cfg = write_json(tmp_path / "n2.json", {
+        "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.0,
+                   "nodes_per_axis": 9},
+        "structure": {"preset": "antilinear-linear-eps", "n": 2,
+                      "eps": 0.1, "generator": 3},
+        "rhs": {"kind": "constant", "value": 1.0},
+        "boundary": {"kind": "expression", "id": "abs2"},
+    })
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"schema", "command", "converged", "iterations",
+                           "residual", "subsolution_margin", "dual_margin",
+                           "tol_res", "message"}
+    meta = json.loads((out / "report.json.meta").read_text())
+    assert set(meta) == {"wall_clock", "refreshes", "members", "timestamp"}
+    assert meta["refreshes"] >= 1 and meta["members"] >= 1
+
+
 def test_solve_nonconvergence_exit_two(tmp_path, solve_cfg):
     cfg = json.loads(open(solve_cfg).read())
     # n = 1 is linear and converges in one Howard step; a cap of 0 stops it

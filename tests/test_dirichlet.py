@@ -59,6 +59,23 @@ def quadratic_n2(c):
     return phi
 
 
+def anisotropic_n2(a):
+    """a |z1|^2 + |z2|^2 / a: complex hessian diag(a, 1/a), an exact
+    solution of det = 1 on the flat n = 2 structure that the identity
+    member alone does not solve (tr A = a + 1/a > 2)."""
+    def phi(X):
+        return a * abs2(X[:, :2]) + abs2(X[:, 2:]) / a
+    return phi
+
+
+def ball_n2(nodes, phi=abs2, preset="antilinear-linear-eps", **scheme):
+    kw = {"eps": 0.1, "generator": 3} if preset != "standard" else {}
+    sub = Subequation(make_structure(preset, n=2, **kw),
+                      rhs=constant_rhs(1.0))
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, nodes)
+    return DirichletProblem(dom, sub, phi, SchemeOptions(**scheme))
+
+
 @pytest.mark.parametrize("nodes", [9, 13])
 def test_adapted_member_is_consistent_at_an_exact_solution(nodes):
     # the adapted witness is isotropic there (complex hessian I), so its
@@ -174,35 +191,106 @@ def test_solve_evaluates_the_structure_a_fixed_number_of_times():
     # the operator family evaluates the structure once for its node set;
     # every adapted refresh and the certificate margins read that
     # evaluation, so the structure is evaluated once whatever the Howard
-    # step count (this solve needs 4 steps, so both caps stop it)
+    # step count (this solve needs 6 steps, so both caps stop it)
     def evaluations(max_iterations):
-        acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
+        prob = ball_n2(9, anisotropic_n2(2.0), max_iterations=max_iterations)
         calls = []
-        evaluate = acx.evaluate
-        acx.evaluate = lambda pts: calls.append(1) or evaluate(pts)
-        dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
-        scheme = SchemeOptions(max_iterations=max_iterations)
-        _, rep = solve(DirichletProblem(
-            dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2, scheme))
+        evaluate = prob.sub.acx.evaluate
+        prob.sub.acx.evaluate = lambda pts: calls.append(1) or evaluate(pts)
+        _, rep = solve(prob)
         assert rep.iterations == max_iterations
         return len(calls)
 
     assert evaluations(1) == evaluations(2) == 1
 
 
-def test_solve_refreshes_the_witness_once_per_howard_step(monkeypatch):
-    # one adapted refresh per step, plus the one that certifies the exit
+def count_calls(monkeypatch, owner, name):
     calls = []
-    refresh = BellmanOperator.adapted_policy
-    monkeypatch.setattr(BellmanOperator, "adapted_policy",
-                        lambda self, values: calls.append(1)
-                        or refresh(self, values))
-    acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
-    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
-    _, rep = solve(DirichletProblem(
-        dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2))
+    method = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda self, *a: calls.append(1)
+                        or method(self, *a))
+    return calls
+
+
+def test_solve_snaps_each_witness_once(monkeypatch):
+    # a stage keeps its set fixed; the witness is refreshed once per stage,
+    # at its solution, and snapped once: it certifies the exit or joins the
+    # set for good.  Every stage takes a Howard step, so the refreshes are
+    # at most the steps plus one
+    from acx.psh import OperatorFamily
+
+    refreshes = count_calls(monkeypatch, BellmanOperator, "adapted_policy")
+    snaps = count_calls(monkeypatch, OperatorFamily, "_snap")
+    _, rep = solve(ball_n2(9, anisotropic_n2(2.0)))
+    assert rep.converged and rep.refreshes > 1
+    assert len(refreshes) == rep.refreshes <= rep.iterations + 1
+    assert len(snaps) == 1 + rep.refreshes     # the identity, then witnesses
+    assert rep.members == rep.refreshes        # all but the last joined
+
+
+def test_solve_refresh_and_snap_counts(monkeypatch):
+    # the 13^4 ball of the benchmark's isotropic datum: at most 2 refreshes
+    # and 3 snaps (5 and 6 when the witness was refreshed every step)
+    from acx.psh import OperatorFamily
+
+    snaps = count_calls(monkeypatch, OperatorFamily, "_snap")
+    _, rep = solve(ball_n2(13))
     assert rep.converged
-    assert len(calls) == rep.iterations + 1
+    assert rep.refreshes <= 2 and len(snaps) <= 3
+    # one step: not converged, and the set holds at most the identity and
+    # one witness
+    _, rep = solve(ball_n2(13, anisotropic_n2(2.0), max_iterations=1))
+    assert not rep.converged and rep.iterations == 1
+    assert rep.members <= 2 and rep.message == ""
+
+
+@pytest.mark.parametrize("phi", [
+    anisotropic_n2(3.0),
+    quadratic_n2((0.2 - 0.2j, -0.2 + 0.2j, 0.2 + 0.2j)),
+], ids=["anisotropic", "quadratic"])
+def test_staged_solve_converges_with_certificates(phi):
+    # two 17^4 solves that went wrong while the witness was refreshed at
+    # every step and dropped at the next: the anisotropic one converged
+    # with a subsolution margin of -1.88 against a band of 0.078, and the
+    # quadratic one stopped at the 100-step cap (residual 1.44e-2 against
+    # a tol_res of 7.81e-3)
+    prob = ball_n2(17, phi)
+    _, rep = solve(prob)
+    band = 10 * prob.tol_res()
+    assert rep.converged
+    assert rep.subsolution_margin >= -band and rep.dual_margin >= -band
+
+
+@pytest.mark.parametrize("preset", ["standard", "antilinear-linear-eps"])
+@pytest.mark.parametrize("field", ["converged-13", "noisy-9"])
+def test_stage_residual_is_monotone(preset, field):
+    # the scheme of a stage: raising one node never lowers the residual
+    # over a fixed member set at another node (a witness refreshed from the
+    # raised values would)
+    if field == "converged-13":
+        prob = ball_n2(13, preset=preset)
+        u, rep = solve(prob)
+        assert rep.converged
+        values = u.values
+    else:
+        prob = ball_n2(9, preset=preset)
+        values = (abs2(prob.domain.node_coords)
+                  + 0.1 * CounterRng(7).normals((prob.domain.n_nodes,)))
+    x = prob.domain.node_coords
+    op = BellmanOperator(prob)
+    members = (op.adapted_policy(values),
+               op.adapted_policy(abs2(x) + 0.05 * x[:, 0] ** 3))
+    theta0, active = op.residual(values, *members)
+    assert set(np.unique(active)) >= {0, 1}
+    rng = CounterRng(11)
+    for raise_by in (1e-6, 1e-3):
+        for _ in range(10):
+            row = int(rng.uniform(0, op.nodes.size - 1e-9))
+            raised = values.copy()
+            raised[op.nodes[row]] += raise_by
+            theta1, _ = op.residual(raised, *members)
+            others = np.arange(op.nodes.size) != row
+            assert np.min(theta1[others] - theta0[others]) >= -1e-12
 
 
 def test_solve_n3_on_a_ball():
@@ -325,10 +413,7 @@ def test_solve_builds_one_jet_table(monkeypatch):
     init = lattice.JetTable.__init__
     monkeypatch.setattr(lattice.JetTable, "__init__",
                         lambda self, *a: built.append(1) or init(self, *a))
-    acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
-    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
-    _, rep = solve(DirichletProblem(
-        dom, Subequation(acx, rhs=constant_rhs(1.0)), abs2))
+    _, rep = solve(ball_n2(9, anisotropic_n2(2.0)))
     assert rep.converged and rep.iterations > 1
     assert len(built) == 1
 
@@ -339,17 +424,11 @@ def test_solve_certificates_reuse_the_last_refresh(monkeypatch):
     # for bit, as a fresh margin context
     from acx import lattice
 
-    jets = []
-    gather = lattice.JetTable.jets
-    monkeypatch.setattr(lattice.JetTable, "jets",
-                        lambda self, v: jets.append(1) or gather(self, v))
-    acx = make_structure("antilinear-linear-eps", n=2, eps=0.1, generator=3)
-    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
-    prob = DirichletProblem(dom, Subequation(acx, rhs=constant_rhs(1.0)),
-                            abs2)
+    jets = count_calls(monkeypatch, lattice.JetTable, "jets")
+    prob = ball_n2(9, anisotropic_n2(2.0))
     u, rep = solve(prob)
-    assert rep.converged
-    assert len(jets) == rep.iterations + 1
-    margins, _, _ = field_margins(u, MarginContext(prob.sub, dom))
+    assert rep.converged and rep.refreshes > 1
+    assert len(jets) == rep.refreshes
+    margins, _, _ = field_margins(u, MarginContext(prob.sub, prob.domain))
     assert rep.subsolution_margin == float(np.min(margins))
     assert rep.dual_margin == float(-np.max(margins))
