@@ -5,8 +5,10 @@ Desk-scale embodiment of the equivalences between the viscosity, classical
 Poisson/Green kernel apparatus is deliberately replaced by discrete
 harmonic replacement: Lh = 0 is solved monotonically on lattice balls with
 the candidate's boundary values, which preserves the testable content (the
-sub-mean property and the maximum principle) without materializing kernels.
-Measure-zero exceptional sets are modeled by explicit node masks.
+sub-mean property and the maximum principle).  On a ball that solve is one
+linear map of the boundary values, built by a dense solve once per
+:class:`BallReplacement`.  Measure-zero exceptional sets are modeled by
+explicit node masks.
 """
 
 from __future__ import annotations
@@ -17,10 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import KrylovError, Stencil, snap_policy, solve_frozen
+from .discretize import Stencil, snap_policy
 from .lattice import INTERIOR, JetTable, LatticeDomain, ScalarField
 from .psh import OperatorFamily, check_b_matrix, real_form
 from .subeq import Subequation
+
+
+# bytes allowed for a ball's dense replacement system: at its peak, three
+# (interior nodes, ball nodes) float64 arrays
+_DENSE_BYTES = 64 << 20
 
 
 class LinpotError(ValueError):
@@ -152,35 +159,47 @@ def subfield_on(u: ScalarField, sub_domain: LatticeDomain) -> ScalarField:
 
 class BallReplacement:
     """The field-independent part of the harmonic replacement of L on a
-    lattice ball of ``domain``: the ball, the parent node of each of its
-    nodes (``ids``) and the monotone scheme of L on it (``policy``), built
-    once for every field on ``domain``."""
+    lattice ball of ``domain``, built once for every field on ``domain``:
+    the ball, the parent node of each of its nodes (``ids``), the monotone
+    scheme of L on it (``policy``) and the dense map from the ball's
+    boundary values to its interior values (``extension``).  A ball whose
+    dense system would exceed _DENSE_BYTES is refused before anything
+    dense is allocated."""
 
     def __init__(self, op: LinearOperator, domain: LatticeDomain,
                  center, radius: float):
         self.domain = domain
-        self.ball = lattice_ball(domain, center, radius)
-        self.ids = domain.nodes_at(self.ball.node_coords)
-        st = Stencil(self.ball)
-        self.policy = snap_policy(st, *op.at(self.ball.node_coords[st.nodes]))
+        self.ball = ball = lattice_ball(domain, center, radius)
+        ni, n = ball.interior_ids.size, ball.n_nodes
+        need = 24 * ni * n
+        if need > _DENSE_BYTES:
+            raise LinpotError(
+                f"harmonic replacement on a ball of {ni} interior nodes needs "
+                f"about {need / 2 ** 20:.0f} MiB of dense matrices, "
+                f"over the {_DENSE_BYTES / 2 ** 20:.0f} MiB budget")
+        self.ids = domain.nodes_at(ball.node_coords)
+        st = Stencil(ball)
+        self.policy = pol = snap_policy(st, *op.at(ball.node_coords[st.nodes]))
+        rows = np.arange(ni)
+        amat = np.zeros((ni, n))
+        np.add.at(amat, (rows[:, None], pol.plus), pol.wplus)
+        np.add.at(amat, (rows[:, None], pol.minus), pol.wminus)
+        amat[rows, st.nodes] -= pol.ucoeff
+        self.extension = np.linalg.solve(amat[:, st.nodes],
+                                         -amat[:, ball.boundary_ids])
 
 
-def harmonic_replacement(u: ScalarField, rep: BallReplacement,
-                         tol_res: float = 1e-10) -> ScalarField:
+def harmonic_replacement(u: ScalarField, rep: BallReplacement) -> ScalarField:
     """Discrete Dirichlet solve Lh = 0 on the replacement's ball with h = u
-    on the ball's boundary nodes, via one linear solve of its monotone
-    scheme.  The discrete maximum principle holds for the output.
-    Non-convergence is an error (replacement results are never interpreted
-    heuristically).  A field masked on any ball node is rejected."""
+    on the ball's boundary nodes: the replacement's dense extension map
+    applied to those values.  The discrete maximum principle holds for the
+    output.  A field masked on any ball node is rejected."""
     _require_region(u, rep.domain, "the field is not on the ball's domain")
     u._require_unmasked(rep.ids)
-    start = u.values[rep.ids]
-    scale = max(1.0, float(np.max(np.abs(start))))
-    try:
-        values = solve_frozen(rep.policy, start, 0.0, tol_res * scale)
-    except KrylovError as exc:
-        raise LinpotError(f"harmonic replacement did not converge: {exc}") from exc
-    return ScalarField(rep.ball, values)
+    values = u.values[rep.ids]
+    ball = rep.ball
+    values[ball.interior_ids] = rep.extension @ values[ball.boundary_ids]
+    return ScalarField(ball, values)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from acx.linpot import (
 from acx.psh import blaplacian, real_form
 from acx.rng import CounterRng
 from acx.subeq import Subequation
+from acx.suite import _triangle_operators
 
 
 def abs2(X):
@@ -78,19 +79,22 @@ def test_replacement_exact_on_affine(box, lap):
     u = ScalarField.from_vectorized(box, lambda X: 2 * X[:, 0] - X[:, 1] + 0.5)
     rep = BallReplacement(lap, box, np.zeros(2), 4 * box.h)
     h = harmonic_replacement(u, rep)
-    assert np.max(np.abs(h.values - subfield_on(u, h.domain).values)) < 1e-9
+    assert np.max(np.abs(h.values - subfield_on(u, h.domain).values)) < 1e-12
 
 
-def test_replacement_dominates_subharmonic_and_matches_linear_solve(box, lap):
+@pytest.mark.parametrize("op", _triangle_operators(),
+                         ids=lambda op: op.provenance)
+def test_replacement_dominates_subharmonic_and_matches_linear_solve(box, op):
     u = ScalarField.from_vectorized(box, abs2)
-    rep = BallReplacement(lap, box, np.zeros(2), 5 * box.h)
+    rep = BallReplacement(op, box, np.zeros(2), 5 * box.h)
     h = harmonic_replacement(u, rep)
     uv = subfield_on(u, h.domain)
     assert np.min(h.values - uv.values) >= -1e-9
-    # independent oracle: dense solve of the same monotone system
+    # independent oracle: dense solve of the same monotone system, its
+    # matrix probed column by column through Policy.value
     ball = h.domain
     st = Stencil(ball)
-    pol = snap_policy(st, np.eye(2)[None])
+    pol = snap_policy(st, *op.at(ball.node_coords[st.nodes]))
     ni = st.nodes.size
     col = {int(n): k for k, n in enumerate(st.nodes)}
     amat = np.zeros((ni, ni))
@@ -106,7 +110,7 @@ def test_replacement_dominates_subharmonic_and_matches_linear_solve(box, lap):
         else:
             rhs -= colv * uv.values[j]
     dense = np.linalg.solve(amat, rhs)
-    assert np.max(np.abs(dense - h.values[st.nodes])) < 1e-7
+    assert np.max(np.abs(dense - h.values[st.nodes])) < 1e-12
 
 
 def test_replacement_constant_and_max_principle(box, lap):
@@ -123,12 +127,17 @@ def test_replacement_constant_and_max_principle(box, lap):
     assert interior_max <= boundary_max + 1e-8
 
 
-def test_replacement_nonconvergence_is_an_error(box, lap):
-    u = ScalarField.from_vectorized(box, abs2)
-    # a zero residual is out of reach in floating point
-    with pytest.raises(LinpotError, match="missed its tolerance"):
-        harmonic_replacement(
-            u, BallReplacement(lap, box, np.zeros(2), 4 * box.h), tol_res=0.0)
+def test_replacement_over_the_dense_budget_is_refused(monkeypatch):
+    # the 4 h ball of a 4-D box: 137 interior of 1281 nodes, about 4 MiB of
+    # dense system; under a 1 MiB budget it is refused before the snap
+    import acx.linpot as linpot_mod
+
+    dom = LatticeDomain.box([-1, 1], 11, dim=4)
+    monkeypatch.setattr(linpot_mod, "_DENSE_BYTES", 1 << 20)
+    monkeypatch.setattr(linpot_mod, "snap_policy", lambda *a: pytest.fail(
+        "the ball was snapped before the size guard"))
+    with pytest.raises(LinpotError, match=r"about 4 MiB .* 1 MiB budget"):
+        BallReplacement(laplacian(4), dom, np.zeros(4), 4 * dom.h)
 
 
 # ---------------------------------------------------------------------------

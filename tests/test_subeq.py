@@ -295,3 +295,41 @@ def test_hermitian_forms_complexify_the_transformed_hermitian(preset, n):
     scale = np.abs(hp).max()
     assert np.abs(transformed_hermitian(frame, ps, as_) - hp).max() \
         <= 1e-14 * scale
+
+
+CURVE_CASES = [("standard", n, {}) for n in (1, 2, 3)] + [
+    ("antilinear-linear-eps", n, {"eps": eps, "generator": gen})
+    for n in (1, 2, 3) for eps, gen in ((0.1, 0), (0.2, 1))] + [
+    ("antilinear-slice-compatible", 2, {"m": 1}),
+    ("antilinear-slice-compatible", 3, {"m": 1}),
+    ("antilinear-slice-compatible", 3, {"m": 2, "eps": 0.05})]
+
+
+@pytest.mark.parametrize("preset,n,kwargs", CURVE_CASES, ids=[
+    "-".join([p, f"n{n}"] + [f"{k}{v}" for k, v in kw.items()])
+    for p, n, kw in CURVE_CASES])
+def test_hermitian_forms_match_the_curve_laplacian(preset, n, kwargs):
+    # a J-holomorphic disc f with f(0) = x, f_s = v, f_t = J v has
+    # Delta f(0) = DJ_{Jv} v + J DJ_v v (differentiate f_t = J(f) f_s), so
+    # the Laplacian of u o f at 0 is A(v, v) + A(Jv, Jv) + p . Delta f(0);
+    # with v = g v0 it is 4 w0^T A_C conj(w0), w0 the complex vector of v0.
+    # The left side uses J and dJ only, not E(p)'s formula
+    acx = make_structure(preset, n=n, **kwargs)
+    rng = CounterRng(300 + n)
+    count = 80
+    pts = 0.5 * rng.normals((count, acx.d))
+    ps = rng.normals((count, acx.d))
+    as_ = np.stack([rng.symmetric(acx.d) for _ in range(count)])
+    v0 = rng.normals((count, acx.d))
+    frame = acx.at(pts)
+    j, dj = acx.j(pts), acx.dj(pts)
+    ac = hermitian_forms(frame, ps, as_)
+    for k in range(count):
+        v = frame.g[k] @ v0[k]
+        jv = j[k] @ v
+        lap_f = (np.einsum("k,kab", jv, dj[k]) @ v
+                 + j[k] @ np.einsum("k,kab", v, dj[k]) @ v)
+        lhs = v @ as_[k] @ v + jv @ as_[k] @ jv + ps[k] @ lap_f
+        w0 = v0[k][0::2] + 1j * v0[k][1::2]
+        rhs = 4 * w0 @ ac[k] @ np.conj(w0)
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
