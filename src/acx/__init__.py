@@ -4,8 +4,6 @@ Dirichlet solver, linear-potential equivalences and metric comparisons."""
 
 from .algebra import (
     AlmostComplexField,
-    HermitianForm,
-    antilinear_normalize,
     complexify,
     hermitian_part,
     make_structure,
@@ -18,7 +16,6 @@ from .dirichlet import (
     DirichletProblem,
     SchemeOptions,
     SolveReport,
-    bellman_residual,
     comparison_check,
     maximality_check,
     solve,
@@ -30,7 +27,6 @@ from .lattice import (
     export_csv,
     fd_jet,
     import_csv,
-    restrict_to_slice,
     upwind_first,
 )
 from .linpot import (

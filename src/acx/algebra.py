@@ -103,12 +103,13 @@ def linear_antilinear_split(g: np.ndarray, j0: np.ndarray) -> tuple[np.ndarray, 
     return h, f1
 
 
-def hermitian_part(b: np.ndarray, j: np.ndarray, tol: float = TOL_ALG) -> "HermitianForm":
-    """J-hermitian symmetrization B + J^T B J (no 1/2 factor)."""
+def hermitian_part(b: np.ndarray, j: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+    """J-hermitian symmetrization B + J^T B J (no 1/2 factor) of a
+    symmetric B, for a complex structure J."""
     b = np.asarray(b, dtype=float)
     check_symmetric(b, tol)
     check_complex_structure(j, tol)
-    return HermitianForm(b + j.T @ b @ j, j)
+    return b + j.T @ b @ j
 
 
 def pullback(b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -211,28 +212,6 @@ def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(a)
 
 
-def det_relation_constant(n: int) -> float:
-    """Pinned constant in det_R(B) = kappa * (det_C B_C)^2."""
-    return 16.0 ** n
-
-
-@dataclass(frozen=True)
-class HermitianForm:
-    """Real symmetric form tagged with the complex structure it respects."""
-
-    real: np.ndarray
-    j: np.ndarray
-
-    def __post_init__(self):
-        check_symmetric(self.real, 1e-8)
-
-    def hermitian_residual(self) -> float:
-        return float(np.max(np.abs(self.j.T @ self.real @ self.j - self.real)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.real)[0])
-
-
 # ---------------------------------------------------------------------------
 # Almost complex structure fields
 # ---------------------------------------------------------------------------
@@ -292,9 +271,6 @@ class AlmostComplexField:
 
     def j(self, x) -> np.ndarray:
         return self._read(x, "j", self.j0)
-
-    def dg(self, x) -> np.ndarray:
-        return self._read(x, "dg")
 
     def dj(self, x) -> np.ndarray:
         """Coordinate derivatives of J, indexed [node, direction, row, col]."""
@@ -371,7 +347,7 @@ class StructureFrame:
         return 0.5 * (nmat + np.swapaxes(nmat, 2, 3))
 
 
-def real_hessian(acx: AlmostComplexField, x, jet) -> HermitianForm:
+def real_hessian(acx: AlmostComplexField, x, jet) -> np.ndarray:
     """J(x)-hermitian real form of the intrinsic complex hessian:
     the J-symmetrization of A + E(p)."""
     p, a = jet.p, jet.a
@@ -379,18 +355,10 @@ def real_hessian(acx: AlmostComplexField, x, jet) -> HermitianForm:
     return hermitian_part(a + e, acx.j(x))
 
 
-def antilinear_normalize(acx: AlmostComplexField, x) -> tuple[np.ndarray, np.ndarray]:
-    """Factor g(x) = (I + f) h with h complex-linear and f complex-antilinear.
-
-    Errors if the complex-linear part is singular (chart too large).
-    """
-    g = acx.g(x)
-    return antilinear_normalize_matrix(g, acx.j0)
-
-
 def antilinear_normalize_matrix(g: np.ndarray, j0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, f) with g = (I + f) h for one generator (d, d) or a stack
-    (..., d, d); a singular complex-linear part anywhere is an error."""
+    """Factor g = (I + f) h with h complex-linear and f complex-antilinear,
+    for one generator (d, d) or a stack (..., d, d).  A singular
+    complex-linear part anywhere is an error (chart too large)."""
     h, f1 = linear_antilinear_split(g, j0)
     if np.any(np.abs(np.linalg.det(h)) < 1e-12):
         raise AlgebraError(

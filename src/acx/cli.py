@@ -261,9 +261,12 @@ def cmd_dual_check(args) -> int:
 
 def cmd_equivalence_suite(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(SIZE_KEYS))
+    if unknown:
+        raise InputError(f"unknown suite option(s) {unknown}; known: "
+                         f"{sorted(SIZE_KEYS)}")
     sizes = {k: int(cfg[k]) for k in SIZE_KEYS if k in cfg}
-    config = SuiteConfig(seed=args.seed, inject_failure=bool(
-        cfg.get("inject_failure", False)), **sizes)
+    config = SuiteConfig(seed=args.seed, **sizes)
     report = run_equivalence_suite(config)
     report["restriction"] = restriction_battery(config)
     report["all_pass"] = report["all_pass"] and report["restriction"]["all_pass"]

@@ -88,6 +88,13 @@ class DirichletProblem:
     def __post_init__(self):
         if self.domain.dim != self.sub.d:
             raise SolveError("domain dimension does not match the structure")
+        tol = self.scheme.tol_res
+        if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+            raise SolveError(
+                f"scheme.tol_res must be finite and >= 0, got {tol}")
+        if self.scheme.max_iterations < 0:
+            raise SolveError("scheme.max_iterations must be >= 0, got "
+                             f"{self.scheme.max_iterations}")
 
     def tol_res(self) -> float:
         """Consistency-matched default: second order for flat structures,
@@ -152,17 +159,6 @@ class BellmanOperator:
         active member per node (0 the identity, k ``members[k - 1]``)."""
         best, active = self.family.min_value(values, *members)
         return best - self.rhs, active
-
-
-def bellman_residual(u: ScalarField, problem: DirichletProblem, node: int) -> float:
-    """Residual Theta(u)(x) at a single interior node (fresh adapted witness)."""
-    op = BellmanOperator(problem)
-    fresh = () if problem.sub.n == 1 else (op.adapted_policy(u.values),)
-    theta, _ = op.residual(u.values, *fresh)
-    rows = np.flatnonzero(op.nodes == node)
-    if rows.size != 1:
-        raise SolveError("node is not interior")
-    return float(theta[rows[0]])
 
 
 def _max_abs(theta: np.ndarray) -> float:

@@ -411,12 +411,6 @@ def upwind_first(u: ScalarField, node: int, b) -> float:
 # Slice restriction
 # ---------------------------------------------------------------------------
 
-def restrict_to_slice(u: ScalarField, m: int) -> ScalarField:
-    """Restriction to the coordinate slice C^m x {0} (trailing coordinates
-    zero), reclassified as a domain in R^{2m}."""
-    return u.take(*slice_lattice(u.domain, m))
-
-
 def slice_lattice(dom: LatticeDomain, m: int):
     """(slice domain, ambient ids): the coordinate slice C^m x {0} of
     ``dom`` as a domain in R^{2m}, and the ambient node of each of its

@@ -147,6 +147,9 @@ def lattice_ball(domain: LatticeDomain, center, radius: float) -> LatticeDomain:
     center = np.asarray(center, dtype=float)
     domain.node_at(center)  # validates alignment
     steps = int(round(radius / domain.h))
+    if abs(radius - steps * domain.h) > 1e-9 * domain.h:
+        raise LinpotError(f"ball radius {radius} is not a whole number of "
+                          f"grid steps h = {domain.h}")
     if steps < 2:
         raise LinpotError("ball radius must cover at least two grid steps")
     return LatticeDomain.ball(center, steps * domain.h, 2 * steps + 1,

@@ -117,18 +117,7 @@ def hermitian_hessian(metric: HermitianMetric, j: np.ndarray, u: ScalarField,
     """J-invariant part Hess + J^T Hess J; requires a J-orthogonal metric."""
     x = u.domain.node_coords[node]
     metric.validate(x[None], j)
-    return hermitian_part(riemannian_hessian(metric, u, node), j).real
-
-
-def hermitian_psh_margin(metric: HermitianMetric, j: np.ndarray,
-                         u: ScalarField, node: int) -> float:
-    """Smallest eigenvalue of the averaged J-invariant metric hessian
-    (same normalization as the intrinsic membership margins)."""
-    return _hermitian_margin(hermitian_hessian(metric, j, u, node))
-
-
-def _hermitian_margin(hc: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * hc)[0])
+    return hermitian_part(riemannian_hessian(metric, u, node), j)
 
 
 def _centered(f, x, step: float):
@@ -288,7 +277,7 @@ def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
         if not acx.constant_identity:
             raise MetricError("complex-line case requires the flat structure")
         hess_amb, _ = _hessian_of_callable(euclidean_metric(4), phi, x0, step)
-        lhs = float(v @ hermitian_part(hess_amb, standard_j(2)).real @ v) / 2.0
+        lhs = float(v @ hermitian_part(hess_amb, standard_j(2)) @ v) / 2.0
     elif surface.kind == "sphere-through-origin":
         if np.max(np.abs(w)) > 1e-12:
             raise MetricError(
@@ -298,7 +287,7 @@ def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
         raise MetricError("surface is not a preset holomorphic curve")
 
     hess, grad = _hessian_of_callable(metric, phi, x0, step)
-    hc = hermitian_part(hess, standard_j(metric.dim // 2)).real
+    hc = hermitian_part(hess, standard_j(metric.dim // 2))
     term1 = 0.5 * float(v @ hc @ v)
     hvec = mean_curvature(metric, surface, w, step)
     term2 = 0.5 * vnorm2 * float(hvec @ grad)
@@ -336,7 +325,10 @@ def example95_report(c: float, r: float) -> Example95Report:
 
     origin = np.zeros(4)
     hess, grad = _hessian_of_callable(metric, phi, origin, step)
-    margin = _hermitian_margin(hermitian_part(hess, standard_j(2)).real)
+    # smallest eigenvalue of the averaged hermitian part, the normalization
+    # of the intrinsic membership margins
+    hc = hermitian_part(hess, standard_j(2))
+    margin = float(np.linalg.eigvalsh(0.5 * hc)[0])
 
     # identity route: tangential trace of the hessian plus the mean
     # curvature derivative

@@ -66,14 +66,8 @@ class ReducedJet:
             raise SubequationError("jet components have mismatched dimension")
 
 
-def jet_to_flat(jet: ReducedJet) -> np.ndarray:
-    """Flat record: p then the upper triangle of A, row-major."""
-    d = jet.p.shape[0]
-    iu = np.triu_indices(d)
-    return np.concatenate([jet.p, jet.a[iu]])
-
-
 def jet_from_flat(flat, d: int) -> ReducedJet:
+    """Jet of a flat record: p then the upper triangle of A, row-major."""
     flat = np.asarray(flat, dtype=float)
     n_up = d * (d + 1) // 2
     if flat.shape != (d + n_up,):

@@ -35,7 +35,6 @@ from .psh import (
     SliceRestriction,
     family_verdict,
     margin_verdict,
-    psh_margin,
     restriction_verdict,
 )
 from .rng import CounterRng
@@ -54,16 +53,14 @@ class SuiteConfig:
     balls: int = 3
     quadratics: int = 50
     restriction_fields: int = 20
-    inject_failure: bool = False
 
     def __post_init__(self):
         if min(getattr(self, k) for k in SIZE_KEYS) <= 0:
             raise SuiteError("battery sizes must be positive")
 
 
-# the battery sizes: every field but the seed and the failure switch
-SIZE_KEYS = tuple(f.name for f in fields(SuiteConfig)
-                  if f.name not in ("seed", "inject_failure"))
+# the battery sizes: every field but the seed
+SIZE_KEYS = tuple(f.name for f in fields(SuiteConfig) if f.name != "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +251,6 @@ def run_equivalence_suite(config: SuiteConfig) -> dict:
         "blaplacian_agreement": blaplacian_agreement_battery(config),
         "regularization": regularization_case(),
     }
-    if config.inject_failure:
-        dom = LatticeDomain.box([-1, 1], 11, dim=2)
-        bad = ScalarField(dom, -(dom.node_coords ** 2).sum(axis=1))
-        sub = Subequation(make_structure("standard", n=1))
-        claimed_psh = True  # deliberately wrong label
-        actual = psh_margin(bad, sub).psh
-        out["injected"] = {"claimed": claimed_psh, "actual": actual,
-                           "all_pass": claimed_psh == actual}
     out["all_pass"] = all(
         section.get("all_pass", True) for key, section in out.items()
         if isinstance(section, dict))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from acx.cli import main
+from acx.cli import _problem_from, main
+from acx.dirichlet import SolveError
 from acx.lattice import LatticeDomain, ScalarField, export_csv, import_csv
 from acx.algebra import make_structure
 from acx.subeq import Subequation, constant_rhs
@@ -112,6 +113,19 @@ def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("scheme", [
+    {"tol_res": float("nan")}, {"tol_res": float("inf")}, {"tol_res": -1e-3},
+    {"max_iterations": -1}], ids=["nan-tol", "inf-tol", "negative-tol",
+                                  "negative-cap"])
+def test_out_of_range_scheme_is_a_precondition_error(solve_cfg, scheme):
+    # json reads NaN and Infinity literals; the problem is refused before
+    # any solve (a SolveError, which main maps to exit 1), so a NaN
+    # tolerance cannot reach the stage loop
+    text = json.dumps(dict(json.loads(open(solve_cfg).read()), scheme=scheme))
+    with pytest.raises(SolveError, match=next(iter(scheme))):
+        _problem_from(json.loads(text))
+
+
 def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
     cfg = json.loads(open(solve_cfg).read())
     out = ["--out", str(tmp_path / "x"), "--quiet"]
@@ -213,7 +227,7 @@ def test_dual_check(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
-def test_equivalence_suite_determinism_and_exits(tmp_path):
+def test_equivalence_suite_determinism_and_exits(tmp_path, monkeypatch):
     cfg = write_json(tmp_path / "suite.json", {
         "linear_fields": 4, "bumps": 2, "balls": 2, "quadratics": 6,
         "restriction_fields": 2})
@@ -228,11 +242,19 @@ def test_equivalence_suite_determinism_and_exits(tmp_path):
     empty = write_json(tmp_path / "empty.json", {"linear_fields": 0})
     assert main(["equivalence-suite", "--config", empty,
                  "--out", str(tmp_path / "c"), "--quiet"]) == 1
-    injected = write_json(tmp_path / "inj.json", {
-        "linear_fields": 2, "bumps": 2, "balls": 2, "quadratics": 2,
-        "restriction_fields": 2, "inject_failure": True})
-    assert main(["equivalence-suite", "--config", injected, "--seed", "9",
+    # an unknown key (a misspelt size, the retired failure switch) is an
+    # input error, not a silent default
+    for key in ("linear_feilds", "inject_failure"):
+        bad = write_json(tmp_path / "bad.json", {key: 1})
+        assert main(["equivalence-suite", "--config", bad,
+                     "--out", str(tmp_path / "c"), "--quiet"]) == 1
+    # a failed battery exits 3 and still writes its report
+    monkeypatch.setattr("acx.cli.run_equivalence_suite",
+                        lambda config: {"schema": "acx/1", "all_pass": False})
+    assert main(["equivalence-suite", "--config", cfg, "--seed", "9",
                  "--out", str(tmp_path / "d"), "--quiet"]) == 3
+    assert json.loads((tmp_path / "d" / "suite.json").read_text())[
+        "all_pass"] is False
 
 
 @pytest.mark.parametrize("key", SIZE_KEYS)

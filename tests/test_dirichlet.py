@@ -7,7 +7,6 @@ from acx.dirichlet import (
     DirichletProblem,
     SchemeOptions,
     SolveError,
-    bellman_residual,
     comparison_check,
     maximality_check,
     solve,
@@ -36,8 +35,9 @@ def disc_problem(f=1.0, nodes=17, phi=abs2, acx=None, **scheme):
 def test_residual_zero_at_exact_solution():
     prob = disc_problem(f=1.0)
     u = ScalarField.from_vectorized(prob.domain, abs2)
-    node = prob.domain.node_at(np.zeros(2))
-    assert bellman_residual(u, prob, node) == 0.0
+    op = BellmanOperator(prob)
+    theta, _ = op.residual(u.values)
+    assert theta[op.nodes == prob.domain.node_at(np.zeros(2))] == 0.0
 
 
 def test_residual_zero_at_exact_solution_n2():
@@ -45,8 +45,10 @@ def test_residual_zero_at_exact_solution_n2():
     sub = Subequation(make_structure("standard", n=2), rhs=constant_rhs(1.0))
     prob = DirichletProblem(dom, sub, abs2)
     u = ScalarField.from_vectorized(dom, abs2)
-    node = dom.node_at(np.zeros(4))
-    assert bellman_residual(u, prob, node) == pytest.approx(0.0, abs=1e-12)
+    op = BellmanOperator(prob)
+    theta, _ = op.residual(u.values, op.adapted_policy(u.values))
+    assert theta[op.nodes == dom.node_at(np.zeros(4))] == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def quadratic_n2(c):
@@ -101,16 +103,18 @@ def test_residual_vanishes_on_pluriharmonic_homogeneous():
     prob = disc_problem(f=None)
     u = ScalarField.from_vectorized(
         prob.domain, lambda X: X[:, 0] ** 2 - X[:, 1] ** 2)
-    node = prob.domain.node_at(np.zeros(2))
-    assert bellman_residual(u, prob, node) == 0.0
+    op = BellmanOperator(prob)
+    theta, _ = op.residual(u.values)
+    assert theta[op.nodes == prob.domain.node_at(np.zeros(2))] == 0.0
 
 
 def test_residual_positive_when_overcurved():
     # strictly psh with determinant above the right-hand side
     prob = disc_problem(f=1.0)
     u = ScalarField.from_vectorized(prob.domain, lambda X: 2 * abs2(X))
-    node = prob.domain.node_at(np.zeros(2))
-    assert bellman_residual(u, prob, node) > 0.5
+    op = BellmanOperator(prob)
+    theta, _ = op.residual(u.values)
+    assert theta[op.nodes == prob.domain.node_at(np.zeros(2))] > 0.5
 
 
 def test_scheme_monotone_in_neighbor_values():
@@ -312,6 +316,19 @@ def test_solve_rejects_bad_boundary():
     prob = disc_problem(f=1.0, phi=lambda X: np.full(X.shape[0], np.inf))
     with pytest.raises(SolveError):
         solve(prob)
+
+
+@pytest.mark.parametrize("scheme,hint", [
+    ({"tol_res": np.nan}, "tol_res"),
+    ({"tol_res": np.inf}, "tol_res"),
+    ({"tol_res": -1e-3}, "tol_res"),
+    ({"max_iterations": -1}, "max_iterations"),
+], ids=["nan-tol", "inf-tol", "negative-tol", "negative-cap"])
+def test_problem_rejects_out_of_range_scheme(scheme, hint):
+    # a NaN tolerance used to loop forever in solve, an infinite one to
+    # report convergence at the constant start
+    with pytest.raises(SolveError, match=hint):
+        disc_problem(f=1.0, **scheme)
 
 
 def test_mesh_refinement_errors_decrease():

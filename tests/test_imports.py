@@ -1,5 +1,7 @@
-"""Every imported name is used in the module that imports it, and every
-module-level private name of the package is read in its own module.
+"""Every imported name is used in the module that imports it, every
+module-level private name of the package is read in its own module, and
+every name the package exports is read by a program path or kept for a
+stated reason.
 
 The check parses each module of ``src/acx`` (the package ``__init__.py``
 re-exports by design and is left out of the import check), ``scripts/`` and
@@ -8,7 +10,9 @@ the module, including annotations and the head of an attribute chain.
 ``from __future__`` imports and import lines marked ``# noqa: F401`` are
 exempt.  A private name is one bound at module level (``_X = ...``,
 ``def _f``, ``class _C``) that starts with one underscore and is not a
-dunder.
+dunder.  An export counts as read when a package module other than
+``__init__.py``, a script or a benchmark module names it, as a name or as
+an attribute.
 """
 
 import ast
@@ -110,3 +114,47 @@ def test_the_check_sees_an_unread_private_name(tmp_path):
                       "    return _local\n")
     assert unread_private_names(module) == [
         "line 3: _CODES", "line 4: _A", "line 7: _Unused"]
+
+
+# exports that no program path reads, and why each stays public
+KEPT = {
+    "complexify": "pinned normalization: the complex form of a real one",
+    "pullback": "pinned normalization: g^T B g",
+    "real_hessian": "pinned normalization: the J-symmetrized A + E(p)",
+    "comparison_check": "certificate harness: sub/supersolution comparison",
+    "maximality_check": "certificate harness: homogeneous maximality",
+    "blaplacian": "the per-node snap oracle of the batched margins",
+    "positivity_closed": "subequation axiom: positivity",
+    "strict_contains": "subequation axiom: strict membership",
+    "hermitian_hessian": "the metric side of the paper's section 9",
+}
+
+
+def package_exports() -> list[str]:
+    tree = ast.parse((ROOT / "src" / "acx" / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def program_reads() -> set[str]:
+    paths = ([p for p in PACKAGE if p.name != "__init__.py"]
+             + list((ROOT / "scripts").glob("*.py"))
+             + list((ROOT / "perfbench").glob("*.py")))
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_export_is_read_or_kept():
+    exports = package_exports()
+    reads = program_reads()
+    assert [name for name in exports
+            if name not in reads and name not in KEPT] == []
+    # a kept name is still exported and still unread by the program
+    assert sorted(name for name in KEPT
+                  if name not in exports or name in reads) == []

@@ -19,7 +19,7 @@ from acx.lattice import (
     fd_jets,
     import_csv,
     read_boundary_csv,
-    restrict_to_slice,
+    slice_lattice,
     stencil_directions,
     upwind_first,
 )
@@ -273,7 +273,7 @@ def test_upwind_closed_form_for_half_square(box2):
 def test_restrict_squared_modulus():
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
     u = ScalarField.from_vectorized(dom, lambda X: X[:, 0] ** 2 + X[:, 1] ** 2)
-    s = restrict_to_slice(u, 1)
+    s = u.take(*slice_lattice(u.domain, 1))
     assert s.domain.dim == 2
     assert np.allclose(s.values, (s.domain.node_coords ** 2).sum(axis=1))
 
@@ -281,18 +281,19 @@ def test_restrict_squared_modulus():
 def test_restrict_constant_and_cross_term():
     dom = LatticeDomain.box([-1, 1], 9, dim=4)
     const = ScalarField(dom, np.full(dom.n_nodes, 2.5))
-    assert np.allclose(restrict_to_slice(const, 1).values, 2.5)
+    assert np.allclose(const.take(*slice_lattice(const.domain, 1)).values, 2.5)
     # Re(z1 z2) = x1 x2 - y1 y2 vanishes on the slice z2 = 0
     cross = ScalarField.from_vectorized(
         dom, lambda X: X[:, 0] * X[:, 2] - X[:, 1] * X[:, 3])
-    assert np.max(np.abs(restrict_to_slice(cross, 1).values)) == 0.0
+    on_slice = cross.take(*slice_lattice(cross.domain, 1))
+    assert np.max(np.abs(on_slice.values)) == 0.0
 
 
 def test_restrict_rejects_missing_slice():
     dom = LatticeDomain.box([[0.1, 1.1]] * 4, 9)
     u = ScalarField(dom, np.zeros(dom.n_nodes))
     with pytest.raises(LatticeError):
-        restrict_to_slice(u, 1)
+        u.take(*slice_lattice(u.domain, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,15 @@ def test_replacement_over_the_dense_budget_is_refused(monkeypatch):
         BallReplacement(laplacian(4), dom, np.zeros(4), 4 * dom.h)
 
 
+@pytest.mark.parametrize("radius", [0.26, 0.35, 0.3 + 1e-6],
+                         ids=["0.26", "0.35", "0.3+1e-6"])
+def test_ball_radius_off_the_grid_is_refused(box, lap, radius):
+    # h = 0.1: each of these used to round to the 3-step ball silently
+    with pytest.raises(LinpotError, match="whole number of grid steps"):
+        BallReplacement(lap, box, np.zeros(2), radius)
+    assert BallReplacement(lap, box, np.zeros(2), 0.3).ball.shape == (7, 7)
+
+
 # ---------------------------------------------------------------------------
 # classical route
 # ---------------------------------------------------------------------------

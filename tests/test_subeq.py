@@ -13,7 +13,6 @@ from acx.subeq import (
     dual_contains,
     hermitian_forms,
     jet_from_flat,
-    jet_to_flat,
     margins_for_jets,
     positivity_closed,
     radial_rhs,
@@ -243,10 +242,18 @@ def test_monotonicity_under_admissible_sums():
 # ---------------------------------------------------------------------------
 
 def test_jet_flat_round_trip():
-    jet = psh_jet(2, 33, 0.4)
-    flat = jet_to_flat(jet)
+    # p, then the upper triangle of A row by row
+    flat = np.array([1.0, -2.0, 0.5, 3.0,
+                     4.0, 0.1, 0.2, 0.3,
+                     5.0, 0.4, 0.5,
+                     6.0, 0.6,
+                     7.0])
     back = jet_from_flat(flat, 4)
-    assert np.allclose(back.p, jet.p) and np.allclose(back.a, jet.a)
+    assert np.array_equal(back.p, [1.0, -2.0, 0.5, 3.0])
+    assert np.array_equal(back.a, [[4.0, 0.1, 0.2, 0.3],
+                                   [0.1, 5.0, 0.4, 0.5],
+                                   [0.2, 0.4, 6.0, 0.6],
+                                   [0.3, 0.5, 0.6, 7.0]])
     with pytest.raises(SubequationError):
         jet_from_flat(flat[:-1], 4)
 
