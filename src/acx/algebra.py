@@ -21,7 +21,7 @@ pure function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -230,7 +230,6 @@ class AlmostComplexField:
     n: int
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     constant_identity: bool = False
 
     def __post_init__(self):
@@ -409,10 +408,7 @@ def _antilinear_linear_eps(n: int, eps: float = 0.1, generator: int = 0) -> Almo
         g = np.eye(d) + eps * pts[:, 0, None, None] * f
         return g, np.broadcast_to(dg, (pts.shape[0], d, d, d))
 
-    return AlmostComplexField(
-        n, evaluate, name="antilinear-linear-eps",
-        params={"eps": eps, "generator": generator},
-    )
+    return AlmostComplexField(n, evaluate, name="antilinear-linear-eps")
 
 
 def _antilinear_slice_compatible(n: int, m: int = 1, eps: float = 0.1) -> AlmostComplexField:
@@ -443,10 +439,7 @@ def _antilinear_slice_compatible(n: int, m: int = 1, eps: float = 0.1) -> Almost
         g = np.eye(d) + eps * rep_antilinear(mmat(pts))
         return g, np.broadcast_to(dg, (pts.shape[0], d, d, d))
 
-    return AlmostComplexField(
-        n, evaluate, name="antilinear-slice-compatible",
-        params={"eps": eps, "m": m},
-    )
+    return AlmostComplexField(n, evaluate, name="antilinear-slice-compatible")
 
 
 PRESETS = {

@@ -67,18 +67,34 @@ def _require(cfg: dict, command: str, keys) -> None:
             raise InputError(f"{command} config missing field '{key}'")
 
 
+def _whole(value, key: str) -> int:
+    """``value``, read under ``key``, as a JSON integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, key: str) -> float:
+    """``value``, read under ``key``, as a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _domain_from(cfg: dict) -> LatticeDomain:
     try:
         kind = cfg["kind"]
-        nodes = int(cfg["nodes_per_axis"])
-        rho = int(cfg.get("stencil_radius", 2))
+        nodes = _whole(cfg["nodes_per_axis"], "domain.nodes_per_axis")
+        rho = _whole(cfg.get("stencil_radius", 2), "domain.stencil_radius")
         if kind == "ball":
             return LatticeDomain.ball(np.asarray(cfg["center"], dtype=float),
-                                      float(cfg["radius"]), nodes,
-                                      stencil_radius=rho)
+                                      _real(cfg["radius"], "domain.radius"),
+                                      nodes, stencil_radius=rho)
         if kind == "box":
-            return LatticeDomain.box(cfg["bounds"], nodes,
-                                     dim=cfg.get("dim"), stencil_radius=rho)
+            dim = cfg.get("dim")
+            return LatticeDomain.box(
+                cfg["bounds"], nodes, stencil_radius=rho,
+                dim=None if dim is None else _whole(dim, "domain.dim"))
     except KeyError as exc:
         raise InputError(f"domain config missing field {exc}") from exc
     raise InputError(f"unknown domain kind {cfg.get('kind')!r}")
@@ -87,10 +103,13 @@ def _domain_from(cfg: dict) -> LatticeDomain:
 def _structure_from(cfg: dict):
     try:
         preset = cfg["preset"]
-        n = int(cfg["n"])
+        n = _whole(cfg["n"], "structure.n")
     except KeyError as exc:
         raise InputError(f"structure config missing field {exc}") from exc
     params = {k: v for k, v in cfg.items() if k not in ("preset", "n")}
+    for key, read in (("eps", _real), ("generator", _whole), ("m", _whole)):
+        if key in params:
+            params[key] = read(params[key], f"structure.{key}")
     try:
         return make_structure(preset, n, **params)
     except (TypeError, ValueError) as exc:
@@ -102,7 +121,7 @@ def _rhs_from(cfg):
         return None
     kind = cfg.get("kind")
     if kind == "constant":
-        return constant_rhs(float(cfg["value"]))
+        return constant_rhs(_real(cfg["value"], "rhs.value"))
     if kind == "radial-table":
         return radial_rhs(cfg["radii"], cfg["values"], cfg.get("center"))
     raise InputError(f"unknown rhs kind {kind!r}")
@@ -115,10 +134,11 @@ def _boundary_from(cfg: dict, domain: LatticeDomain):
         if ident == "abs2":
             return lambda pts: (np.atleast_2d(pts) ** 2).sum(axis=1)
         if ident == "constant":
-            c = float(cfg.get("value", 0.0))
+            c = _real(cfg.get("value", 0.0), "boundary.value")
             return lambda pts: np.full(np.atleast_2d(pts).shape[0], c)
         if ident == "harmonic-poly":
-            coeffs = [(int(k), float(a), float(b))
+            key = "boundary.coefficients"
+            coeffs = [(_whole(k, key), _real(a, key), _real(b, key))
                       for k, a, b in cfg["coefficients"]]
             if domain.dim != 2:
                 raise InputError("harmonic-poly data requires a planar domain")
@@ -141,20 +161,17 @@ def _boundary_from(cfg: dict, domain: LatticeDomain):
     raise InputError(f"unknown boundary kind {kind!r}")
 
 
-_SCHEME_KEYS = {"max_iterations": int, "tol_res": float}
+_SCHEME_KEYS = {"max_iterations": _whole, "tol_res": _real}
 
 
 def _scheme_from(cfg: dict | None) -> SchemeOptions:
     cfg = cfg or {}
-    if "stencil_radius" in cfg:
-        raise InputError("scheme.stencil_radius is not a scheme option; the "
-                         "stencil radius is the domain field "
-                         "domain.stencil_radius")
     unknown = sorted(set(cfg) - set(_SCHEME_KEYS))
     if unknown:
         raise InputError(f"unknown scheme option(s) {unknown}; known: "
                          f"{sorted(_SCHEME_KEYS)}")
-    return SchemeOptions(**{k: _SCHEME_KEYS[k](v) for k, v in cfg.items()})
+    return SchemeOptions(**{k: _SCHEME_KEYS[k](v, f"scheme.{k}")
+                            for k, v in cfg.items()})
 
 
 def _problem_from(cfg: dict) -> DirichletProblem:
@@ -224,7 +241,8 @@ def cmd_restrict_check(args) -> int:
     domain = _domain_from(cfg["domain"])
     field = import_csv(cfg["field_csv"], domain)
     acx = _structure_from(cfg["structure"])
-    report = restriction_check(field, Subequation(acx), int(cfg["slice_m"]))
+    report = restriction_check(field, Subequation(acx),
+                               _whole(cfg["slice_m"], "slice_m"))
     payload = {"schema": "acx/1", "command": "restrict-check",
                **asdict(report)}
     if args.out:
@@ -265,7 +283,7 @@ def cmd_equivalence_suite(args) -> int:
     if unknown:
         raise InputError(f"unknown suite option(s) {unknown}; known: "
                          f"{sorted(SIZE_KEYS)}")
-    sizes = {k: int(cfg[k]) for k in SIZE_KEYS if k in cfg}
+    sizes = {k: _whole(cfg[k], k) for k in SIZE_KEYS if k in cfg}
     config = SuiteConfig(seed=args.seed, **sizes)
     report = run_equivalence_suite(config)
     report["restriction"] = restriction_battery(config)

@@ -263,14 +263,17 @@ def comparison_check(u: ScalarField, w: ScalarField,
     candidate w must fail strict admissibility at every interior node (its
     negated jets must be dual-admissible), and u <= w + tol_cmp on the
     boundary nodes.  Passing means u <= w + tol_cmp at every node, with
-    tol_cmp = 10 (tol_res + h).
+    tol_cmp = 10 (tol_res + h).  Both fields must be on the problem's
+    domain.
     """
     dom = problem.domain
+    u.require_on(dom)
     tol_cmp = 10.0 * (problem.tol_res() + dom.h)
     # supersolution admissibility: w's jets must not be strictly interior,
     # i.e. at every node either the psh slack or the determinant slack is
-    # non-positive (within tolerance)
-    margins, _, _ = field_margins(w, MarginContext(problem.sub, w.domain))
+    # non-positive (within tolerance); the context on the problem's domain
+    # rejects a w on another domain
+    margins, _, _ = field_margins(w, MarginContext(problem.sub, dom))
     if float(np.max(margins)) > tol_cmp:
         return ComparisonVerdict(
             "inconclusive", float(np.max(margins)),
@@ -321,10 +324,12 @@ def maximality_check(u: ScalarField, problem: DirichletProblem,
     """No admissible competitor below u on the boundary may exceed u inside
     (the homogeneous-solution maximality property).  Competitors violating
     the boundary hypothesis or failing the admissibility margin are skipped
-    as inconclusive."""
+    as inconclusive.  u and every competitor must be on the problem's
+    domain."""
     if not problem.sub.homogeneous:
         raise SolveError("maximality check applies to the homogeneous equation")
     dom = problem.domain
+    u.require_on(dom)
     tol_cmp = 10.0 * (problem.tol_res() + dom.h)
     if competitors is None:
         competitors = default_competitors(u, problem)
@@ -332,6 +337,7 @@ def maximality_check(u: ScalarField, problem: DirichletProblem,
     checked = skipped = 0
     worst = -np.inf
     for v in competitors:
+        v.require_on(dom)   # before its boundary values are read
         bgap = float(np.max(v.values[dom.boundary_ids]
                             - u.values[dom.boundary_ids]))
         if bgap > 1e-12:

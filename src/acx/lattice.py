@@ -285,6 +285,12 @@ class ScalarField:
         return ScalarField(domain, self.values[ids],
                            None if self.mask is None else self.mask[ids])
 
+    def require_on(self, domain: LatticeDomain) -> None:
+        """Reject the field unless it lives on ``domain`` itself: a context
+        built on a domain reads only fields on that domain object."""
+        if self.domain is not domain:
+            raise LatticeError("the field is not on the context's domain")
+
     def _require_unmasked(self, ids: np.ndarray):
         if self.mask is not None and np.any(self.mask[ids]):
             raise LatticeError("operation touches a masked node")
@@ -344,7 +350,9 @@ class JetTable:
                               + [ids for pair in self.pairs for ids in pair[2:]])
 
     def check(self, u: ScalarField) -> None:
-        """Reject a field that is masked at a node the jets read."""
+        """Reject a field on another domain or masked at a node the jets
+        read."""
+        u.require_on(self.domain)
         if u.mask is not None:
             u._require_unmasked(self.used())
 

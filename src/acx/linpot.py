@@ -81,20 +81,6 @@ def operator_from_structure(sub: Subequation, b) -> LinearOperator:
         "derived-from-structure")
 
 
-def _require_region(u: ScalarField, domain: LatticeDomain, message: str):
-    """Raise unless ``u`` lives on the region of ``domain``: the same grid
-    and the same nodes, hence the same node numbering."""
-    dom = u.domain
-    same = dom is domain or (
-        dom.shape == domain.shape
-        and abs(dom.h - domain.h) < 1e-12
-        and np.max(np.abs(dom.origin - domain.origin)) < 1e-12
-        and np.array_equal(dom.node_multi, domain.node_multi)
-        and np.array_equal(dom.node_class, domain.node_class))
-    if not same:
-        raise LinpotError(message)
-
-
 # ---------------------------------------------------------------------------
 # Viscosity route
 # ---------------------------------------------------------------------------
@@ -119,7 +105,6 @@ class LinearVerdict:
 def viscosity_values(u: ScalarField, scheme: ViscosityScheme) -> np.ndarray:
     """<a, D^2u> + <b, Du> from centered jets at interior nodes."""
     table = scheme.table
-    _require_region(u, table.domain, "the field is not on the scheme's domain")
     table.check(u)
     p, a_jets = table.jets(u.values)
     out = np.einsum("nij,nij->n", scheme.a, a_jets)
@@ -163,11 +148,11 @@ def subfield_on(u: ScalarField, sub_domain: LatticeDomain) -> ScalarField:
 class BallReplacement:
     """The field-independent part of the harmonic replacement of L on a
     lattice ball of ``domain``, built once for every field on ``domain``:
-    the ball, the parent node of each of its nodes (``ids``), the monotone
-    scheme of L on it (``policy``) and the dense map from the ball's
-    boundary values to its interior values (``extension``).  A ball whose
-    dense system would exceed _DENSE_BYTES is refused before anything
-    dense is allocated."""
+    the ball, the parent node of each of its nodes (``ids``) and the dense
+    map from the ball's boundary values to its interior values
+    (``extension``), solved from the monotone scheme of L on the ball.  A
+    ball whose dense system would exceed _DENSE_BYTES is refused before
+    anything dense is allocated."""
 
     def __init__(self, op: LinearOperator, domain: LatticeDomain,
                  center, radius: float):
@@ -182,7 +167,7 @@ class BallReplacement:
                 f"over the {_DENSE_BYTES / 2 ** 20:.0f} MiB budget")
         self.ids = domain.nodes_at(ball.node_coords)
         st = Stencil(ball)
-        self.policy = pol = snap_policy(st, *op.at(ball.node_coords[st.nodes]))
+        pol = snap_policy(st, *op.at(ball.node_coords[st.nodes]))
         rows = np.arange(ni)
         amat = np.zeros((ni, n))
         np.add.at(amat, (rows[:, None], pol.plus), pol.wplus)
@@ -197,7 +182,7 @@ def harmonic_replacement(u: ScalarField, rep: BallReplacement) -> ScalarField:
     on the ball's boundary nodes: the replacement's dense extension map
     applied to those values.  The discrete maximum principle holds for the
     output.  A field masked on any ball node is rejected."""
-    _require_region(u, rep.domain, "the field is not on the ball's domain")
+    u.require_on(rep.domain)
     u._require_unmasked(rep.ids)
     values = u.values[rep.ids]
     ball = rep.ball
@@ -312,8 +297,8 @@ class TransposedBump:
 
 def distributional_pairing(u: ScalarField, lt: TransposedBump) -> float:
     """Quadrature pairing sum_x u . (L^t bump) h^d over interior nodes."""
+    u.require_on(lt.domain)
     dom = u.domain
-    _require_region(u, lt.domain, "bump must live on the field's domain")
     interior = dom.interior_ids
     u._require_unmasked(interior)
     return float(np.sum(u.values[interior] * lt.values) * dom.h ** dom.dim)

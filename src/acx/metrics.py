@@ -156,7 +156,6 @@ class ParamSurface:
 
     kind: str
     point: Callable[[float, float], np.ndarray]
-    params: dict
 
     def chart(self, w) -> np.ndarray:
         return np.asarray(self.point(float(w[0]), float(w[1])), dtype=float)
@@ -177,7 +176,7 @@ def sphere_through_origin(r: float) -> ParamSurface:
             2.0 * r * q / den,
         ])
 
-    return ParamSurface("sphere-through-origin", point, {"r": r})
+    return ParamSurface("sphere-through-origin", point)
 
 
 def vertical_plane(a: float) -> ParamSurface:
@@ -186,7 +185,7 @@ def vertical_plane(a: float) -> ParamSurface:
     def point(p, q):
         return np.array([a, 0.0, p, q])
 
-    return ParamSurface("vertical-plane", point, {"a": a})
+    return ParamSurface("vertical-plane", point)
 
 
 def coordinate_complex_line(offset=(0.0, 0.0)) -> ParamSurface:
@@ -196,7 +195,7 @@ def coordinate_complex_line(offset=(0.0, 0.0)) -> ParamSurface:
     def point(p, q):
         return np.array([p, q, c[0], c[1]])
 
-    return ParamSurface("complex-line", point, {"offset": tuple(c)})
+    return ParamSurface("complex-line", point)
 
 
 def mean_curvature(metric: HermitianMetric, surface: ParamSurface, w,

@@ -141,17 +141,11 @@ class MarginContext:
         self._kept = (np.array(values, dtype=float), ac)
         return ac
 
-    def check(self, u: ScalarField) -> None:
-        """Reject a field on another domain or masked where the jets read."""
-        if u.domain is not self.domain:
-            raise PshError("the field is not on the context's domain")
-        self.table.check(u)
-
 
 def field_margins(u: ScalarField, ctx: MarginContext):
     """Membership margins (margin, eig, det) of the finite-difference jets
     of ``u`` at the context's nodes."""
-    ctx.check(u)
+    ctx.table.check(u)
     return margins_for_forms(ctx.sub, ctx.frame, ctx.forms(u.values))
 
 
@@ -242,8 +236,7 @@ def induced_slice_structure(acx: AlmostComplexField, m: int) -> AlmostComplexFie
         df = (df1 - f[:, None] @ dh) @ np.linalg.inv(h)[:, None]
         return np.eye(ds) + f[:, :ds, :ds], df[..., :ds, :ds]
 
-    return AlmostComplexField(m, evaluate, name=f"{acx.name}|slice-{m}",
-                              params=dict(acx.params, m=m))
+    return AlmostComplexField(m, evaluate, name=f"{acx.name}|slice-{m}")
 
 
 @dataclass
@@ -272,7 +265,6 @@ def slice_compatible(acx: AlmostComplexField, m: int,
 
 @dataclass
 class RestrictionReport:
-    compatible: bool
     ambient_margin: float
     slice_margin: float
     ambient_psh: bool
@@ -315,7 +307,7 @@ def restriction_verdict(u: ScalarField,
     sli = margin_verdict(u.take(rc.slice.domain, rc.ids), rc.slice)
     slack = sli.tol_at_worst + u.domain.h
     implication = (not amb.psh) or (sli.worst_margin >= -slack)
-    return RestrictionReport(True, amb.worst_margin, sli.worst_margin,
+    return RestrictionReport(amb.worst_margin, sli.worst_margin,
                              amb.psh, sli.psh, bool(implication), slack)
 
 
@@ -337,11 +329,11 @@ class OperatorFamily:
     the members of the Bellman family: the identity (``identity``), which
     is the whole family for n = 1, where unit determinant forces B = 1,
     and gives tr A where the witness is clipped; and, for n > 1, per-node
-    adapted witnesses B* of fields (``adapted_policy``; ``bstar`` is the
-    last one).  The psh family test takes the minimum over the identity
-    and the witness of the field under test; the Dirichlet solver keeps
-    every witness it refreshes, so its minimum runs over the identity and
-    a list of snapped witnesses (:meth:`min_value`).  L_B has the
+    adapted witnesses B* of fields (``adapted_policy``).  The psh family
+    test takes the minimum over the identity and the witness of the field
+    under test; the Dirichlet solver keeps every witness it refreshes, so
+    its minimum runs over the identity and a list of snapped witnesses
+    (:meth:`min_value`).  L_B has the
     coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>; the
     structure is evaluated once for the node set, in the frame of the
     family's margin context ``margins``, whose jet table the adapted
@@ -353,7 +345,6 @@ class OperatorFamily:
         self.margins = MarginContext(sub, domain)
         self.frame = self.margins.frame
         self.identity = self._snap(np.eye(sub.n, dtype=complex)[None])
-        self.bstar = None       # adapted witness of the last adapted_policy
 
     @staticmethod
     def coefficients(frame: StructureFrame, br):
@@ -381,8 +372,7 @@ class OperatorFamily:
         the same values shares."""
         if self.sub.n == 1:
             return None
-        self.bstar = adapted_bstar(self.margins.forms(values))
-        return self._snap(self.bstar)
+        return self._snap(adapted_bstar(self.margins.forms(values)))
 
     def min_value(self, values: np.ndarray, *members):
         """Per-node minimum of the operators of the identity and the
@@ -454,10 +444,10 @@ def blap_min_field(u: ScalarField, ops: OperatorFamily):
     """Minimum of the discretized family operators over interior nodes.
 
     Returns (values, adapted): ``adapted`` is 1 where the per-node adapted
-    witness ``ops.bstar`` (n > 1) is the minimizer and 0 where the identity
+    witness B* of ``u`` (n > 1) is the minimizer and 0 where the identity
     is.
     """
-    ops.margins.check(u)
+    ops.margins.table.check(u)
     fresh = () if ops.sub.n == 1 else (ops.adapted_policy(u.values),)
     return ops.min_value(u.values, *fresh)
 
@@ -466,14 +456,15 @@ def family_verdict(u: ScalarField, ops: OperatorFamily,
                    tol: np.ndarray | float | None = None) -> PshReport:
     """psh iff both member operators of ``ops`` are nonnegative on ``u`` at
     every interior node, up to the node tolerance; a failing report carries
-    the minimizing member at the worst node, I or B*, as its witness."""
+    the minimizing member at the worst node, I or B*, as its witness; B*
+    is rebuilt there from the complex hessians the family kept."""
     best, adapted = blap_min_field(u, ops)
     nodes = ops.stencil.nodes
     verdict, worst, tols = _read(u, ops.margins, best, tol)
     wit = None
     if not verdict:
-        wit = (ops.bstar[worst] if adapted[worst]
-               else np.eye(ops.sub.n, dtype=complex))
+        wit = (adapted_bstar(ops.margins.forms(u.values)[worst:worst + 1])[0]
+               if adapted[worst] else np.eye(ops.sub.n, dtype=complex))
     return PshReport(verdict, float(best[worst]),
                      u.domain.node_coords[nodes[worst]],
                      float(tols[worst]), wit)

@@ -39,7 +39,6 @@ from .algebra import (
     check_symmetric,
     hermitian_min_eig,
     realify,
-    standard_j,
 )
 
 
@@ -92,7 +91,6 @@ class Subequation:
     def __post_init__(self):
         self.n = self.acx.n
         self.d = self.acx.d
-        self.j0 = standard_j(self.n)
 
     @property
     def homogeneous(self) -> bool:

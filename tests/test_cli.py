@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from acx.cli import _problem_from, main
+from acx.cli import InputError, _problem_from, main
 from acx.dirichlet import SolveError
 from acx.lattice import LatticeDomain, ScalarField, export_csv, import_csv
 from acx.algebra import make_structure
@@ -92,16 +92,20 @@ def test_solve_input_errors_exit_one(tmp_path):
 
 @pytest.mark.parametrize("change,hint", [
     ({"structure": {"preset": "standard", "n": 2}}, "dimension"),
-    ({"boundary": {"kind": "expression", "id": "constant", "value": "nan"}},
-     "finite"),
-    ({"scheme": {"tol_res": None}}, "NoneType"),
-    ({"domain": dict(DISC_DOMAIN, nodes_per_axis=None)}, "NoneType"),
-    ({"rhs": {"kind": "constant", "value": [1]}}, "list"),
-    ({"rhs": {"kind": "constant", "value": "nan"}}, "finite"),
+    # json writes and reads a float NaN as the NaN literal
+    ({"boundary": {"kind": "expression", "id": "constant",
+                   "value": float("nan")}}, "finite"),
+    ({"scheme": {"tol_res": None}}, "scheme.tol_res"),
+    ({"domain": dict(DISC_DOMAIN, nodes_per_axis=None)},
+     "domain.nodes_per_axis"),
+    ({"rhs": {"kind": "constant", "value": [1]}}, "rhs.value"),
+    ({"rhs": {"kind": "constant", "value": float("nan")}}, "finite"),
+    ({"rhs": {"kind": "constant", "value": "nan"}}, "rhs.value"),
     ({"rhs": {"kind": "radial-table", "radii": [1.0, 0.0],
               "values": [2.0, 0.0]}}, "strictly increase"),
 ], ids=["dimension", "non-finite-boundary", "null-tol-res", "null-nodes",
-        "list-rhs-value", "nan-rhs", "reversed-radial-table"])
+        "list-rhs-value", "nan-rhs", "string-rhs-value",
+        "reversed-radial-table"])
 def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
                                             change, hint):
     path = write_json(tmp_path / "p.json",
@@ -130,7 +134,7 @@ def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
     cfg = json.loads(open(solve_cfg).read())
     out = ["--out", str(tmp_path / "x"), "--quiet"]
     for scheme, hint in (({"tol_ress": 1e-3}, "tol_ress"),
-                         ({"stencil_radius": 1}, "domain.stencil_radius"),
+                         ({"stencil_radius": 1}, "stencil_radius"),
                          ({"safety": 0.9}, "safety"),
                          ({"policy_refresh": 8}, "policy_refresh"),
                          ({"b_unitaries": 1}, "b_unitaries")):
@@ -178,7 +182,7 @@ def test_check_psh_exit_codes(tmp_path, capsys):
     # f > 0 is false for NaN, so a NaN rhs would pass as f = 0
     cfg_nan = write_json(tmp_path / "cn.json", dict(
         base, field_csv=str(tmp_path / "good.csv"),
-        rhs={"kind": "constant", "value": "nan"}))
+        rhs={"kind": "constant", "value": float("nan")}))
     capsys.readouterr()
     assert main(["check-psh", "--config", cfg_nan, *out]) == 1
     assert "finite" in capsys.readouterr().err
@@ -255,6 +259,61 @@ def test_equivalence_suite_determinism_and_exits(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "d"), "--quiet"]) == 3
     assert json.loads((tmp_path / "d" / "suite.json").read_text())[
         "all_pass"] is False
+
+
+_POLY = {"kind": "expression", "id": "harmonic-poly",
+         "coefficients": [[2, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("key, change", [
+    ("domain.nodes_per_axis", {"domain": dict(DISC_DOMAIN, nodes_per_axis=17.9)}),
+    ("domain.nodes_per_axis", {"domain": dict(DISC_DOMAIN, nodes_per_axis=True)}),
+    ("domain.stencil_radius", {"domain": dict(DISC_DOMAIN, stencil_radius=2.0)}),
+    ("domain.radius", {"domain": dict(DISC_DOMAIN, radius="1")}),
+    ("domain.dim", {"domain": {"kind": "box", "bounds": [-1, 1],
+                               "nodes_per_axis": 17, "dim": True}}),
+    ("structure.n", {"structure": {"preset": "standard", "n": True}}),
+    ("structure.eps", {"structure": {"preset": "antilinear-linear-eps",
+                                     "n": 1, "eps": True}}),
+    ("structure.generator", {"structure": {"preset": "antilinear-linear-eps",
+                                           "n": 1, "generator": 1.5}}),
+    ("structure.m", {"structure": {"preset": "antilinear-slice-compatible",
+                                   "n": 2, "m": True}}),
+    ("scheme.max_iterations", {"scheme": {"max_iterations": 2.7}}),
+    ("scheme.tol_res", {"scheme": {"tol_res": True}}),
+    ("rhs.value", {"rhs": {"kind": "constant", "value": True}}),
+    ("boundary.value", {"boundary": {"kind": "expression", "id": "constant",
+                                     "value": "0"}}),
+    ("boundary.coefficients",
+     {"boundary": dict(_POLY, coefficients=[[2.5, 1.0, 0.0]])}),
+    ("boundary.coefficients",
+     {"boundary": dict(_POLY, coefficients=[[2, True, 0.0]])}),
+])
+def test_config_numbers_are_neither_truncated_nor_coerced(solve_cfg, key,
+                                                          change):
+    # a float where an integer belongs, or a bool where a number belongs,
+    # is an input error naming the key, not a truncated or coerced value
+    cfg = dict(json.loads(open(solve_cfg).read()), **change)
+    with pytest.raises(InputError, match=key):
+        _problem_from(cfg)
+
+
+def test_slice_and_suite_sizes_must_be_integers(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "x"), "--quiet"]
+    cfg = write_json(tmp_path / "r.json", {
+        "field_csv": str(tmp_path / "none.csv"), "slice_m": 1.0,
+        "domain": {"kind": "ball", "center": [0, 0, 0, 0], "radius": 0.8,
+                   "nodes_per_axis": 9},
+        "structure": {"preset": "antilinear-slice-compatible", "n": 2}})
+    export_csv(ScalarField.from_vectorized(
+        LatticeDomain.ball(np.zeros(4), 0.8, 9), abs2), tmp_path / "none.csv")
+    assert main(["restrict-check", "--config", cfg, *out]) == 1
+    assert "slice_m" in capsys.readouterr().err
+    for value in (2.5, True):
+        cfg = write_json(tmp_path / "s.json", {"balls": value})
+        assert main(["equivalence-suite", "--config", cfg, *out]) == 1
+        assert "balls must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("key", SIZE_KEYS)

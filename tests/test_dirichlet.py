@@ -11,7 +11,7 @@ from acx.dirichlet import (
     maximality_check,
     solve,
 )
-from acx.lattice import LatticeDomain, ScalarField
+from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.psh import MarginContext, field_margins
 from acx.rng import CounterRng
 from acx.subeq import Subequation, constant_rhs
@@ -401,6 +401,31 @@ def test_maximality_battery():
     high = ScalarField(prob.domain, u.values + 0.5)
     verdict2 = maximality_check(u, prob, competitors=[high])
     assert verdict2.status == "inconclusive" and verdict2.skipped == 1
+
+
+def shifted_disc():
+    """The 17-node disc shifted by 0.5: as many nodes as the problem's
+    disc, so its values line up with the problem's nodes."""
+    return LatticeDomain.ball(np.array([0.5, 0.0]), 1.0, 17)
+
+
+def test_comparison_rejects_a_supersolution_on_a_shifted_disc():
+    # read against the problem's nodes, |x|^2 sampled on the shifted disc
+    # stays within tol_cmp of u (gap 0.75 < 1.33) and used to pass
+    prob = disc_problem(f=1.0, nodes=17)
+    u = ScalarField.from_vectorized(prob.domain, abs2)
+    w = ScalarField.from_vectorized(shifted_disc(), abs2)
+    with pytest.raises(LatticeError, match="domain"):
+        comparison_check(u, w, prob)
+
+
+def test_maximality_rejects_a_field_on_a_shifted_disc():
+    # the default competitors are built on the problem's domain from u's
+    # values, so a u sampled elsewhere used to pass
+    prob = disc_problem(f=None, nodes=17)
+    u = ScalarField.from_vectorized(shifted_disc(), abs2)
+    with pytest.raises(LatticeError, match="domain"):
+        maximality_check(u, prob)
 
 
 def test_maximality_requires_homogeneous():

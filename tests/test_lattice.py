@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acx.algebra import make_structure
+from acx.dirichlet import DirichletProblem, comparison_check, maximality_check
 from acx.lattice import (
     BOUNDARY,
     EXTERIOR,
@@ -23,7 +25,26 @@ from acx.lattice import (
     stencil_directions,
     upwind_first,
 )
+from acx.linpot import (
+    BallReplacement,
+    TransposedBump,
+    ViscosityScheme,
+    bump_field,
+    classical_subharmonic,
+    distributional_pairing,
+    laplacian,
+    viscosity_subharmonic,
+)
+from acx.psh import (
+    MarginContext,
+    OperatorFamily,
+    SliceRestriction,
+    family_verdict,
+    margin_verdict,
+    restriction_verdict,
+)
 from acx.rng import CounterRng
+from acx.subeq import Subequation, constant_rhs
 
 
 @pytest.fixture
@@ -333,3 +354,68 @@ def test_boundary_csv(tmp_path, disc):
     table = read_boundary_csv(path, disc)
     bx = disc.node_coords[disc.boundary_ids]
     assert np.allclose(table[disc.boundary_ids], bx.sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# one domain rule for every build-once context
+# ---------------------------------------------------------------------------
+
+def _abs2(X):
+    return (X ** 2).sum(axis=1)
+
+
+def _apply_steps():
+    """Each context's apply step as (dim, build, apply): ``build(domain)``
+    makes the context on a ball of dimension ``dim`` and ``apply(field,
+    context)`` reads the field through it."""
+    flat = make_structure("standard", n=1)
+    sliced = Subequation(make_structure("antilinear-slice-compatible", n=2,
+                                        m=1, eps=0.1))
+    lap = laplacian(2)
+
+    def problem(f):
+        return lambda d: DirichletProblem(
+            d, Subequation(flat, rhs=None if f is None else constant_rhs(f)), _abs2)
+
+    def on_problem(p):
+        return ScalarField.from_vectorized(p.domain, _abs2)
+
+    return {
+        "margin_verdict": (
+            2, lambda d: MarginContext(Subequation(flat), d), margin_verdict),
+        "family_verdict": (
+            2, lambda d: OperatorFamily(Subequation(flat), d), family_verdict),
+        "restriction_verdict": (
+            4, lambda d: SliceRestriction(sliced, d, 1), restriction_verdict),
+        "viscosity_subharmonic": (
+            2, lambda d: ViscosityScheme(lap, d), viscosity_subharmonic),
+        "classical_subharmonic": (
+            2, lambda d: [BallReplacement(lap, d, np.zeros(2), 4 * d.h)],
+            classical_subharmonic),
+        "distributional_pairing": (
+            2, lambda d: TransposedBump(lap, bump_field(d, np.zeros(2), 0.4)),
+            distributional_pairing),
+        "comparison_check-u": (
+            2, problem(1.0),
+            lambda u, p: comparison_check(u, on_problem(p), p)),
+        "comparison_check-w": (
+            2, problem(1.0),
+            lambda w, p: comparison_check(on_problem(p), w, p)),
+        "maximality_check": (2, problem(None), maximality_check),
+        "maximality_check-competitor": (
+            2, problem(None),
+            lambda v, p: maximality_check(on_problem(p), p, [v])),
+    }
+
+
+@pytest.mark.parametrize("step", list(_apply_steps()))
+def test_every_context_rejects_a_field_on_a_twin_domain(step):
+    # a domain built again from the same arguments is equal to the
+    # context's domain but is not that domain object
+    dim, build, apply = _apply_steps()[step]
+    dom, twin = (LatticeDomain.ball(np.zeros(dim), 1.0, 17 if dim == 2 else 9)
+                 for _ in range(2))
+    ctx = build(dom)
+    with pytest.raises(LatticeError, match="context's domain"):
+        apply(ScalarField.from_vectorized(twin, _abs2), ctx)
+    apply(ScalarField.from_vectorized(dom, _abs2), ctx)
