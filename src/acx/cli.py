@@ -206,6 +206,8 @@ def cmd_solve(args) -> int:
     if not args.quiet:
         print(f"converged={report.converged} iterations={report.iterations} "
               f"residual={report.residual:.3e}")
+        if report.message:
+            print(report.message)
     return 0 if report.converged else 2
 
 

@@ -13,9 +13,10 @@ so the residual at an interior node is
 with the minimum running over a set of forms: the identity, which is the
 whole family for n = 1 and gives tr A where the witness is clipped, and,
 for n > 1, adapted equality witnesses.  Each L_B is discretized
-monotonically (axis second differences for the isotropic part of its
-coefficient, snapped eigenvector second differences for the rest,
-upwinded drift; see ``acx.discretize``).  For f = 0 the minimum
+monotonically: B's eigenpairs, pushed through the structure's frame g,
+write its coefficient g B_r g^T as rank-one terms, each a second
+difference along a snapped lattice direction, and the drift is upwinded
+(see ``psh.OperatorFamily`` and ``acx.discretize``).  For f = 0 the minimum
 does not reduce to the homogeneous cone equation lambda_min(A_C) = 0.
 Where A_C is degenerate the infimum over unit-determinant B is not
 attained, and the clipped adapted witness (``psh.adapted_bstar``) stops
@@ -172,13 +173,14 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     """Howard policy iteration to the discrete Perron solution, in stages
     over a control set that only grows (see the module docstring).
 
-    On convergence the output carries a subsolution certificate (membership
-    margin of every interior jet above -10 tol_res) and a supersolution
-    certificate (dual margin of the negated jets above -10 tol_res);
+    A solve is converged when its residual is at most tol_res and it
+    carries both certificates: a subsolution certificate (membership margin
+    of every interior jet at least -10 tol_res) and a supersolution
+    certificate (dual margin of the negated jets at least -10 tol_res);
     boundary nodes hold the datum exactly.  Non-convergence (the step cap,
-    or a linear solve that breaks down or misses its tolerance) is reported
-    in the flag and the message, never raised; NaN or overflow is a hard
-    error.
+    a linear solve that breaks down or misses its tolerance, or a failed
+    certificate, named with its margin) is reported in the flag and the
+    message, never raised; NaN or overflow is a hard error.
     """
     t0 = time.perf_counter()
     dom = problem.domain
@@ -229,6 +231,15 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     margins, _, _ = field_margins(out, op.family.margins)
     sub_margin = float(np.min(margins))
     dual_margin = float(-np.max(margins))
+    if converged:
+        band = 10.0 * tol_res
+        failed = [f"{name} certificate failed: margin {margin:.3e} below "
+                  f"-{band:.3e}"
+                  for name, margin in (("subsolution", sub_margin),
+                                       ("supersolution", dual_margin))
+                  if margin < -band]
+        converged = not failed
+        message = "; ".join(failed)
     report = SolveReport(
         converged=converged,
         iterations=it,

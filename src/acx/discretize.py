@@ -1,27 +1,27 @@
 """Monotone wide-stencil discretization of second-order linear operators,
 and the linear solve of a frozen discretization.
 
-An SPD coefficient field S(x) is split per node into its isotropic part
-lambda_min I and the remainder S - lambda_min I, after clipping the
-eigenvalues at zero.  The isotropic part weights the d axis second
-differences, which every interior node has.  The remainder's eigenvectors
-are snapped to the nearest available lattice direction (largest |cos|
-against the stencil's primitive directions, lowest index on a tie), and
-the corresponding normalized second differences are weighted by the
-remainder's eigenvalues lambda_k - lambda_min.  The snap's error therefore
-scales with the anisotropy lambda_max - lambda_min rather than with |S|,
-and it vanishes where S is isotropic, which is exactly where the
-eigenvectors are ill-defined.  Drift terms are discretized by monotone
-upwinding along the axis columns.  ``snap_eigen`` turns all of it into
-one nonnegative weight per neighbor x +- h w, which is the
+A coefficient field is written per node as a sum of rank-one terms
+lambda q q^T with lambda >= 0, and each term puts the weight lambda |q|^2
+on the normalized second difference along the available lattice direction
+w that q snaps to (largest |cos| against the stencil's primitive
+directions, lowest index on a tie, :func:`snap_units`): lambda |q|^2 /
+(h^2 |w|^2) on both neighbours x +- h w (:func:`term_policy`).  Drift terms
+are upwinded along the first d columns, by their coefficients in the
+basis of those columns' directions; on the axes they are the drift
+itself.  All of it is one nonnegative weight per neighbour, which is the
 degenerate-ellipticity (monotonicity) contract of every scheme built here
-(Barles & Souganidis 1991; Oberman 2006).  It reads the eigenpairs of S
-in ``np.linalg.eigh``'s layout, and ``snap_policy`` is it on the pairs
-``eigh`` computes.  A caller that knows them in closed form passes them
-to ``snap_eigen`` instead: a flat member's S = real_form(B) has every
-eigenvalue twice, so ``eigh`` would pick the basis of each doubled
-eigenplane by roundoff, while B's complex eigenvectors pick it by one
-rule (``psh.real_form_eigh``).
+(Barles & Souganidis 1991; Oberman 2006).
+
+``snap_policy`` builds the terms of a general SPD field S from its
+``np.linalg.eigh`` eigenpairs, after clipping the eigenvalues at zero: the
+isotropic part lambda_min I on the d axes, which every interior node has,
+and the remainder's eigenvectors with lambda_k - lambda_min.  The snap's
+error therefore scales with the anisotropy lambda_max - lambda_min rather
+than with |S|, and it vanishes where S is isotropic, which is exactly
+where the eigenvectors are ill-defined.  The operator family of
+``psh.OperatorFamily`` builds its terms from B's eigenpairs pushed through
+the structure's frame g instead, and runs no ``eigh`` of S.
 Near-boundary interior nodes auto-restrict to the directions whose full
 offsets stay inside the region (at worst the unit box, which is always
 available).
@@ -36,10 +36,10 @@ direction is available at the node, the chamber runner-up trails by more
 than 1e-12 and no two adjacent sorted |v| entries within 1e-12 meet
 unequal c entries.  Then every other direction scores at least
 1e-12 / |c| lower in exact arithmetic, far above the roundoff of the
-scores.  The other eigenvectors (near ties and unavailable directions)
-are scored against every available direction, lowest index on a tie, in
+scores.  The other vectors (near ties and unavailable directions) are
+scored against every available direction, lowest index on a tie, in
 blocks of at most _SCORE_BYTES of scores.  A constant field takes the same
-path with one eigendecomposition and one chamber snap shared by every node;
+path with one set of vectors and one chamber snap shared by every node;
 only the availability of the chosen direction is checked per node.
 
 A frozen policy is those weights: a matrix-free linear operator on the
@@ -148,60 +148,70 @@ def snap_policy(stencil: Stencil, s_field: np.ndarray,
     ``s_field`` has shape (Ni, d, d) or (1, d, d) for a constant coefficient;
     eigenvalues are clipped at zero so the policy stays monotone even for
     marginally indefinite input.  The policy's first d columns are the axes,
-    with second-order weight lambda_min; the other d - 1 are the snapped
-    eigenvectors of the remainder, with lambda_k - lambda_min.  A weight
-    lambda on the direction w puts lambda / (h^2 |w|^2) on both neighbors.
-    The upwinded drift ``drift`` (Ni, d) adds max(b_i, 0) / h to the
-    x + h e_i weight of axis column i and max(-b_i, 0) / h to its x - h e_i
-    weight.  The eigenpairs come from ``np.linalg.eigh``; a caller that
-    has them in closed form calls :func:`snap_eigen` directly.
+    with second-order weight lambda_min; the other d - 1 are the eigenvectors
+    of the remainder from ``np.linalg.eigh``, snapped by :func:`snap_units`,
+    with lambda_k - lambda_min.  The weights and the drift become neighbour
+    weights through :func:`term_policy`.
     """
-    return snap_eigen(stencil, *np.linalg.eigh(s_field), drift)
-
-
-def snap_eigen(stencil: Stencil, vals: np.ndarray, vecs: np.ndarray,
-               drift: np.ndarray | None = None) -> Policy:
-    """:func:`snap_policy` of the coefficient field with eigenvalues
-    ``vals`` (Ni or 1, d), ascending, and unit eigenvectors in the columns
-    of ``vecs`` (Ni or 1, d, d), the layout of ``np.linalg.eigh``."""
     st = stencil
-    ni = st.nodes.size
-    d = st.domain.dim
+    ni, d = st.nodes.size, st.domain.dim
+    vals, vecs = np.linalg.eigh(s_field)
     vals = np.clip(vals, 0.0, None)
     # ascending eigenvalues: lambda_min's eigenvector has no remainder weight
-    vecs = vecs[:, :, 1:]
-    lam = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
-                          vals[:, 1:] - vals[:, :1]], axis=1)
-    units_t = st.units.T.copy()
+    weights = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
+                              vals[:, 1:] - vals[:, :1]], axis=1)
+    dir_idx = np.concatenate([np.broadcast_to(st.axes, (ni, d)),
+                              snap_units(st, vecs[:, :, 1:])], axis=1)
+    return term_policy(st, dir_idx, weights, drift)
 
-    dir_idx, exact = _chamber_snap(st, vecs)
+
+def term_policy(stencil: Stencil, dir_idx: np.ndarray, weights: np.ndarray,
+                drift: np.ndarray | None = None) -> Policy:
+    """Policy of sum_k weights_k w_k^T D^2u w_k / |w_k|^2 + drift . Du with
+    w_k = dirs[dir_idx_k]: ``dir_idx`` (Ni, k), ``weights`` (Ni or 1, k)
+    nonnegative.  A weight lambda on the direction w puts lambda / (h^2 |w|^2)
+    on both neighbours x +- h w.  ``drift`` (Ni, d) holds the drift's
+    coefficients c in the basis of the first d columns' directions
+    (b = sum_i c_i w_i; on the axes c = b) and is upwinded along them:
+    max(c_i, 0) / h on x + h w_i and max(-c_i, 0) / h on x - h w_i."""
+    h = stencil.domain.h
+    wplus = wminus = weights / (h ** 2 * stencil.norms2[dir_idx])
+    if drift is not None:
+        up = np.pad(drift / h, ((0, 0), (0, dir_idx.shape[1] - drift.shape[1])))
+        wplus = wplus + np.maximum(up, 0.0)
+        wminus = wminus + np.maximum(-up, 0.0)
+    return Policy(stencil, dir_idx, wplus, wminus)
+
+
+def snap_units(stencil: Stencil, units: np.ndarray) -> np.ndarray:
+    """(Ni, k) indices into ``dirs`` of the best available direction (largest
+    |cos|, lowest index on a tie) for the k unit vectors in the columns of
+    ``units`` (Ni or 1, d, k), one row per interior node or one shared by
+    all: the chamber snap where it provably names that direction, scoring
+    every direction elsewhere (see the module docstring)."""
+    st = stencil
+    ni, d, k = st.nodes.size, st.domain.dim, units.shape[2]
+    dir_idx, exact = _chamber_snap(st, units)
     node, col = np.nonzero(~exact)
-    vecs = np.broadcast_to(vecs, (ni, d, d - 1))
+    units = np.broadcast_to(units, (ni, d, k))
+    units_t = st.units.T.copy()
     block = max(1, _SCORE_BYTES // (8 * units_t.shape[1]))
     for lo in range(0, node.size, block):
         rows, cols = node[lo:lo + block], col[lo:lo + block]
-        scores = _masked_scores(vecs[rows, :, cols] @ units_t,
+        scores = _masked_scores(units[rows, :, cols] @ units_t,
                                 st.allowed[rows])             # (c, T)
         dir_idx[rows, cols] = np.argmax(scores, axis=1)
-    dir_idx = np.concatenate([np.broadcast_to(st.axes, (ni, d)), dir_idx],
-                             axis=1)
-    h = st.domain.h
-    wplus = wminus = lam / (h ** 2 * st.norms2[dir_idx])
-    if drift is not None:
-        up = np.pad(drift / h, ((0, 0), (0, d - 1)))
-        wplus = wplus + np.maximum(up, 0.0)
-        wminus = wminus + np.maximum(-up, 0.0)
-    return Policy(st, dir_idx, wplus, wminus)
+    return dir_idx
 
 
-def _chamber_snap(st: Stencil, vecs: np.ndarray):
-    """(dir_idx, exact), both (Ni, k), for the k eigenvector columns of
-    ``vecs`` (Ni or 1, d, k), one row per interior node or one shared by
-    all: the best direction found through the chamber, and whether it is
-    provably the one scoring every direction available at the node gives
-    (see the module docstring)."""
-    n, d, k = vecs.shape
-    v = vecs.transpose(0, 2, 1).reshape(n * k, d)   # one eigenvector per row
+def _chamber_snap(st: Stencil, units: np.ndarray):
+    """(dir_idx, exact), both (Ni, k), for the k unit columns of ``units``
+    (Ni or 1, d, k), one row per interior node or one shared by all: the
+    best direction found through the chamber, and whether it is provably
+    the one scoring every direction available at the node gives (see the
+    module docstring)."""
+    n, d, k = units.shape
+    v = units.transpose(0, 2, 1).reshape(n * k, d)   # one unit vector per row
     order = np.argsort(-np.abs(v), axis=1, kind="stable")
     v = np.take_along_axis(v, order, axis=1)
     s = np.abs(v)                                   # sorted |v|, descending

@@ -390,28 +390,28 @@ def directional_second(u: ScalarField, node: int, w) -> float:
                  / (dom.h ** 2 * nrm2))
 
 
-def upwind_first(u: ScalarField, node: int, b) -> float:
-    """Monotone first-order term sum_i b_i D_i^{+-} u: forward difference for
-    b_i > 0, backward for b_i < 0.  Exact on affine fields."""
+def upwind_first(u: ScalarField, node: int, b, dirs=None) -> float:
+    """Monotone first-order term sum_i b_i D_i^{+-} u along the integer
+    directions w_i, the rows of ``dirs`` (the axes by default):
+    b_i (u(x + h w_i) - u(x)) / h for b_i > 0 and
+    b_i (u(x) - u(x - h w_i)) / h for b_i < 0.  Exact on affine fields,
+    where it is (sum_i b_i w_i) . Du."""
     dom = u.domain
     b = np.asarray(b, dtype=float)
     if dom.node_class[node] != INTERIOR:
         raise LatticeError("upwind term requires an interior node")
+    if dirs is None:
+        dirs = np.eye(dom.dim, dtype=np.int64)
     total = 0.0
     nodes = np.array([node])
-    for i in range(dom.dim):
-        if b[i] == 0.0:
+    for bi, w in zip(b, np.asarray(dirs, dtype=np.int64)):
+        if bi == 0.0:
             continue
-        e = np.zeros(dom.dim, dtype=np.int64)
-        e[i] = 1
-        if b[i] > 0:
-            nb = dom.neighbor_ids(nodes, e)[0]
-            diff = (u.values[nb] - u.values[node]) / dom.h
-        else:
-            nb = dom.neighbor_ids(nodes, -e)[0]
-            diff = (u.values[node] - u.values[nb]) / dom.h
+        nb = dom.neighbor_ids(nodes, w if bi > 0 else -w)[0]
+        if nb < 0:
+            raise LatticeError("upwind offset exits the domain")
         u._require_unmasked(np.array([nb]))
-        total += b[i] * diff
+        total += abs(bi) * (u.values[nb] - u.values[node]) / dom.h
     return float(total)
 
 

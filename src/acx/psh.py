@@ -24,7 +24,7 @@ from .algebra import (
     linear_antilinear_split,
     rep_complex,
 )
-from .discretize import Policy, Stencil, snap_eigen, snap_policy
+from .discretize import Policy, Stencil, snap_units, term_policy
 from .lattice import (
     INTERIOR,
     JetTable,
@@ -337,7 +337,9 @@ class OperatorFamily:
     coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>; the
     structure is evaluated once for the node set, in the frame of the
     family's margin context ``margins``, whose jet table the adapted
-    witness reads.  Build it once for every field on the domain."""
+    witness reads.  The d columns every member shares, the snapped vectors
+    g e_i (:attr:`columns`), are built with the family.  Build it once for
+    every field on the domain."""
 
     def __init__(self, sub: Subequation, domain: LatticeDomain):
         self.sub = sub
@@ -356,15 +358,64 @@ class OperatorFamily:
         s = g @ br @ g.transpose(0, 2, 1)
         return s, np.einsum("nkab,nab->nk", frame.e_tensor, s)
 
+    @cached_property
+    def columns(self):
+        """(dir_idx, norms2, basis) of the d columns every member shares:
+        per node the snapped directions w_i of the vectors g e_i, (N, d);
+        their squared lengths |g e_i|^2, (N, d); and the inverse of the
+        integer matrix W with columns w_i, which takes the drift to its
+        coefficients along them, (N, d, d), inverted only where W is not
+        I.  On a flat frame they are the axes, of length 1, and there is
+        no drift (basis None).  A singular W, two vectors g e_i snapped to
+        one direction, is an error."""
+        st = self.stencil
+        ni, d = st.nodes.size, st.domain.dim
+        if self.frame.flat:
+            return np.broadcast_to(st.axes, (ni, d)), np.ones((1, d)), None
+        g = self.frame.g
+        norms2 = (g ** 2).sum(axis=1)
+        dir_idx = snap_units(st, g / np.sqrt(norms2)[:, None])
+        w = np.swapaxes(st.dirs[dir_idx], 1, 2).astype(float)
+        basis = np.broadcast_to(np.eye(d), w.shape).copy()
+        off = np.any(w != basis, axis=(1, 2))     # nodes where W is not I
+        if np.any(np.abs(np.linalg.det(w[off])) < 0.5):   # integer dets
+            raise PshError("the structure's frame vectors g e_i snap to "
+                           "linearly dependent stencil directions")
+        basis[off] = np.linalg.inv(w[off])
+        return dir_idx, norms2, basis
+
     def _snap(self, b):
         """Policy of the member B, constant (1, n, n) or per node (N, n, n).
-        On a flat frame S = real_form(B), whose eigenpairs come from B's
-        (:func:`real_form_eigh`); elsewhere ``eigh`` diagonalizes
-        S = g B_r g^T."""
-        if self.frame.flat:
-            return snap_eigen(self.stencil, *real_form_eigh(b))
-        return snap_policy(self.stencil,
-                           *self.coefficients(self.frame, real_form(b)))
+        With (mu_j, r_j) the eigenpairs of B_r = real_form(B), ascending,
+        from :func:`real_form_eigh`,
+
+            S = mu_1 sum_i (g e_i)(g e_i)^T
+                + sum_{j >= 2} (mu_j - mu_1) (g r_j)(g r_j)^T,
+
+        and each term mu q q^T puts the weight mu |q|^2 on the direction
+        that q snaps to (:func:`snap_units`).  The d vectors g e_i are the
+        shared :attr:`columns`; a term whose weight is zero at every node
+        is skipped.  The drift <S, E(e_k)> comes from the exact S and is
+        upwinded along the shared columns."""
+        vals, vecs = real_form_eigh(b)
+        vals = np.clip(vals, 0.0, None)
+        rest = vals[:, 1:] - vals[:, :1]
+        q = vecs[:, :, 1:]
+        dir_idx, norms2, basis = self.columns
+        drift = None
+        if not self.frame.flat:
+            q = self.frame.g @ q
+            lengths2 = (q ** 2).sum(axis=1)
+            rest = rest * lengths2
+            q = q / np.sqrt(lengths2)[:, None]
+            _, drift = self.coefficients(self.frame, real_form(b))
+            drift = np.einsum("nij,nj->ni", basis, drift)
+        keep = np.any(rest > 0.0, axis=0)
+        if keep.any():
+            dir_idx = np.concatenate(
+                [dir_idx, snap_units(self.stencil, q[:, :, keep])], axis=1)
+        weights = np.concatenate([vals[:, :1] * norms2, rest[:, keep]], axis=1)
+        return term_policy(self.stencil, dir_idx, weights, drift)
 
     def adapted_policy(self, values: np.ndarray):
         """Policy of the adapted witness B* of ``values`` (None for n = 1),
@@ -389,26 +440,34 @@ class OperatorFamily:
 
     def active_policy(self, active: np.ndarray, *members) -> Policy:
         """One frozen policy taking at each node the columns of its active
-        member, indexed as by ``min_value``."""
+        member, indexed as by ``min_value``; a member narrower than the
+        widest is padded with zero-weight axis columns."""
         if not members:
             return self.identity
         rows = np.arange(active.size)
         pols = (self.identity, *members)
+        width = max(p.dir_idx.shape[1] for p in pols)
 
-        def pick(name):
-            return np.stack([getattr(p, name) for p in pols])[active, rows]
+        def pick(name, fill):
+            return np.stack([
+                np.pad(getattr(p, name),
+                       ((0, 0), (0, width - p.dir_idx.shape[1])),
+                       constant_values=fill)
+                for p in pols])[active, rows]
 
-        return Policy(self.stencil, pick("dir_idx"), pick("wplus"),
-                      pick("wminus"))
+        return Policy(self.stencil, pick("dir_idx", self.stencil.axes[0]),
+                      pick("wplus", 0.0), pick("wminus", 0.0))
 
 
 def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     """Monotone discretization of the linear operator attached to B, one
-    node at a time: with S = g B_r g^T (eigenvalues clipped at zero), the
-    axis second differences weighted by lambda_min, the directional second
-    differences along the (stencil-snapped) other eigendirections weighted
-    by lambda_k - lambda_min, and an upwinded drift.  On a flat frame the
-    eigenpairs are :func:`real_form_eigh`'s, as in :class:`OperatorFamily`."""
+    node at a time, from the terms :class:`OperatorFamily` builds: with
+    (mu_j, r_j) the eigenpairs of real_form(B) from :func:`real_form_eigh`
+    (clipped at zero), the second differences along the stencil-snapped
+    g e_i weighted by mu_1 |g e_i|^2 and along the snapped g r_j (j >= 2)
+    weighted by (mu_j - mu_1) |g r_j|^2, each direction chosen by scoring
+    every available one; and, off the flat frame, the drift
+    <S, E(e_k)> of S = g B_r g^T upwinded along the snapped g e_i."""
     from .lattice import directional_second, upwind_first
 
     bmat = check_b_matrix(b)
@@ -418,25 +477,32 @@ def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
     if dom.node_class[node] != INTERIOR:
         raise PshError("B-Laplacian requires an interior node")
     frame = sub.acx.at(dom.node_coords[node])
-    if frame.flat:
-        vals, vecs = (x[0] for x in real_form_eigh(bmat[None]))
-    else:
-        g = frame.g[0]
-        s = g @ real_form(bmat) @ g.T
-        vals, vecs = np.linalg.eigh(s)
-    st = Stencil(dom)
-    row = st.node_row(node)
+    g = frame.g[0]
+    vals, vecs = (x[0] for x in real_form_eigh(bmat[None]))
     vals = np.clip(vals, 0.0, None)
+    st = Stencil(dom)
+    allowed = st.allowed[st.node_row(node)]
+
+    def snapped(q):
+        scores = np.abs(st.units @ (q / np.linalg.norm(q)))
+        scores[~allowed] = -1.0
+        return st.dirs[int(np.argmax(scores))]
+
     total = 0.0
-    for e in np.eye(dom.dim, dtype=np.int64):
-        total += vals[0] * directional_second(u, node, e)
+    shared = []
+    for q in g.T:
+        shared.append(snapped(q))
+        total += vals[0] * (q @ q) * directional_second(u, node, shared[-1])
     for k in range(1, dom.dim):
-        scores = np.abs(st.units @ vecs[:, k])
-        scores[~st.allowed[row]] = -1.0
-        t = int(np.argmax(scores))
-        total += (vals[k] - vals[0]) * directional_second(u, node, st.dirs[t])
+        if vals[k] > vals[0]:
+            q = g @ vecs[:, k]
+            total += ((vals[k] - vals[0]) * (q @ q)
+                      * directional_second(u, node, snapped(q)))
     if not frame.flat:
-        total += upwind_first(u, node, np.einsum("kab,ab->k", frame.e_tensor[0], s))
+        s = g @ real_form(bmat) @ g.T
+        drift = np.einsum("kab,ab->k", frame.e_tensor[0], s)
+        w = np.array(shared)
+        total += upwind_first(u, node, np.linalg.solve(w.T, drift), w)
     return float(total)
 
 

@@ -7,6 +7,7 @@ from acx.cli import InputError, _problem_from, main
 from acx.dirichlet import SolveError
 from acx.lattice import LatticeDomain, ScalarField, export_csv, import_csv
 from acx.algebra import make_structure
+from acx.rng import CounterRng
 from acx.subeq import Subequation, constant_rhs
 from acx.suite import SIZE_KEYS, SuiteConfig, SuiteError
 
@@ -77,6 +78,38 @@ def test_solve_nonconvergence_exit_two(tmp_path, solve_cfg):
     path = write_json(tmp_path / "p1.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r1"),
                  "--quiet"]) == 2
+
+
+def test_solve_failed_certificate_exit_two(tmp_path, capsys):
+    # the rotated a = 2 quadratic on the flat 13^4 ball meets its residual
+    # but not its subsolution band: exit 2, and the message names the
+    # certificate and its margin
+    u = np.linalg.qr(CounterRng(11).complex_normals((2, 2)))[0]
+    hmat = u @ np.diag([2.0, 0.5]) @ u.conj().T
+
+    def phi(X):
+        z = np.stack([X[:, 0] + 1j * X[:, 1], X[:, 2] + 1j * X[:, 3]], axis=1)
+        return np.einsum("ni,ij,nj->n", z.conj(), hmat, z).real
+
+    domain = LatticeDomain.ball(np.zeros(4), 1.0, 13)
+    bnd = tmp_path / "bnd.csv"
+    export_csv(ScalarField.from_vectorized(domain, phi), bnd)
+    cfg = write_json(tmp_path / "rot.json", {
+        "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.0,
+                   "nodes_per_axis": 13},
+        "structure": {"preset": "standard", "n": 2},
+        "rhs": {"kind": "constant", "value": 1.0},
+        "boundary": {"kind": "csv", "path": str(bnd)},
+    })
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["residual"] <= report["tol_res"]
+    margin = f"{report['subsolution_margin']:.3e}"
+    assert report["message"].startswith("subsolution certificate failed: "
+                                        f"margin {margin} below")
+    assert report["message"] in capsys.readouterr().out
 
 
 def test_solve_input_errors_exit_one(tmp_path):

@@ -70,8 +70,9 @@ def anisotropic_n2(a):
     return phi
 
 
-def ball_n2(nodes, phi=abs2, preset="antilinear-linear-eps", **scheme):
-    kw = {"eps": 0.1, "generator": 3} if preset != "standard" else {}
+def ball_n2(nodes, phi=abs2, preset="antilinear-linear-eps", eps=0.1,
+            **scheme):
+    kw = {"eps": eps, "generator": 3} if preset != "standard" else {}
     sub = Subequation(make_structure(preset, n=2, **kw),
                       rhs=constant_rhs(1.0))
     dom = LatticeDomain.ball(np.zeros(4), 1.0, nodes)
@@ -263,6 +264,73 @@ def test_staged_solve_converges_with_certificates(phi):
     band = 10 * prob.tol_res()
     assert rep.converged
     assert rep.subsolution_margin >= -band and rep.dual_margin >= -band
+
+
+def hard_n2(X):
+    """2|z1|^2 + |z2|^2/2 + Re(0.4(1 - i) z1 conj(z2)) + 0.3 Re(z1^2)
+    + 0.2 x1^3: anisotropic, rotated and not quadratic, so a solve needs
+    several stages."""
+    z1, z2 = X[:, 0] + 1j * X[:, 1], X[:, 2] + 1j * X[:, 3]
+    return (2 * np.abs(z1) ** 2 + np.abs(z2) ** 2 / 2
+            + (0.4 * (1 - 1j) * z1 * np.conj(z2)).real
+            + 0.3 * (z1 ** 2).real + 0.2 * X[:, 0] ** 3)
+
+
+def rotated_n2(a):
+    """z^* H z with H = U diag(a, 1/a) U^*, U the unitary QR factor of a
+    seeded complex matrix: an exact solution of det = 1 on the flat n = 2
+    structure whose eigenvectors no lattice direction follows."""
+    u = np.linalg.qr(CounterRng(11).complex_normals((2, 2)))[0]
+    hmat = u @ np.diag([a, 1.0 / a]) @ u.conj().T
+
+    def phi(X):
+        z = np.stack([X[:, 0] + 1j * X[:, 1], X[:, 2] + 1j * X[:, 3]], axis=1)
+        return np.einsum("ni,ij,nj->n", z.conj(), hmat, z).real
+    return phi
+
+
+@pytest.mark.parametrize("nodes", [9, 13])
+def test_non_flat_path_at_eps_zero_gives_the_flat_solve(nodes):
+    # eps = 0 makes g = I and J = J0 through the non-flat code path: the
+    # pushed terms are then the flat ones, so the solve and its report are
+    # the standard structure's (the eigendecomposition of S took 70 steps
+    # and 45 members on 13^4, 9.2e-3 away)
+    flat_u, flat = solve(ball_n2(nodes, hard_n2, preset="standard"))
+    sub = Subequation(make_structure("antilinear-linear-eps", n=2, eps=0.0,
+                                     generator=3), rhs=constant_rhs(1.0))
+    prob = DirichletProblem(LatticeDomain.ball(np.zeros(4), 1.0, nodes), sub,
+                            hard_n2)
+    u, rep = solve(prob)
+    assert flat.converged and rep.converged and flat.members > 2
+    assert np.max(np.abs(u.values - flat_u.values)) <= 1e-12
+    for key in ("iterations", "refreshes", "members", "tol_res", "message"):
+        assert getattr(rep, key) == getattr(flat, key)
+    for key in ("residual", "subsolution_margin", "dual_margin"):
+        assert abs(getattr(rep, key) - getattr(flat, key)) <= 1e-12
+
+
+def test_hard_datum_certifies_on_a_perturbed_structure():
+    # eps = 0.02 on 13^4: 20 steps, 12 members and a subsolution margin of
+    # -0.785 against a band of 0.139 while S was diagonalized with eigh
+    prob = ball_n2(13, hard_n2, eps=0.02)
+    _, rep = solve(prob)
+    band = 10 * prob.tol_res()
+    assert rep.converged and rep.members <= 8
+    assert rep.subsolution_margin >= -band and rep.dual_margin >= -band
+
+
+def test_failed_certificate_is_not_converged():
+    # the rotated a = 2 quadratic on the flat 17^4 ball meets its residual
+    # but misses the subsolution band (-0.216 against 0.078): the snap of
+    # its anisotropic witness (ROADMAP item 1)
+    prob = ball_n2(17, rotated_n2(2.0), preset="standard")
+    _, rep = solve(prob)
+    band = 10 * prob.tol_res()
+    assert rep.residual <= rep.tol_res
+    assert rep.subsolution_margin < -band <= rep.dual_margin
+    assert not rep.converged
+    assert rep.message == (f"subsolution certificate failed: margin "
+                           f"{rep.subsolution_margin:.3e} below -{band:.3e}")
 
 
 @pytest.mark.parametrize("preset", ["standard", "antilinear-linear-eps"])

@@ -278,6 +278,21 @@ def test_upwind_exact_on_affine(box2):
     assert upwind_first(u, node, np.zeros(2)) == 0.0
 
 
+def test_upwind_along_integer_directions(disc):
+    # along the rows w_i of dirs the term is (sum_i b_i w_i) . p on an affine
+    # field; an upwind neighbour off the region is an error, not values[-1]
+    p = np.array([3.0, -2.0])
+    u = ScalarField.from_vectorized(disc, lambda X: 1.0 + X @ p)
+    node = disc.node_at(np.zeros(2))
+    b = np.array([1.5, -0.5])
+    dirs = np.array([[1, 2], [1, 1]])
+    assert upwind_first(u, node, b, dirs) == pytest.approx((b @ dirs) @ p)
+    edge = disc.nodes_at(np.array([[0.75, 0.0]]))[0]
+    assert disc.node_class[edge] == INTERIOR
+    with pytest.raises(LatticeError, match="exits the domain"):
+        upwind_first(u, int(edge), b, np.array([[3, 0], [0, 1]]))
+
+
 def test_upwind_closed_form_for_half_square(box2):
     # forward difference of x^2/2 at x1: x1 + h/2
     u = ScalarField.from_vectorized(box2, lambda X: 0.5 * (X ** 2).sum(axis=1))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from acx.algebra import make_structure, realify, standard_j
+from acx.algebra import (
+    AlmostComplexField,
+    make_structure,
+    realify,
+    standard_j,
+)
 from acx.lattice import LatticeDomain, LatticeError, ScalarField
 from acx.psh import (
     MarginContext,
@@ -375,15 +380,131 @@ def test_flat_n2_family_runs_no_eigh(monkeypatch):
     assert shapes == []
 
 
-def test_non_flat_refresh_runs_one_eigh(monkeypatch):
+def test_non_flat_family_runs_no_eigh_and_snaps_its_frame_once(monkeypatch):
+    # every member takes B's eigenpairs in closed form and pushes them
+    # through g; the d vectors g e_i do not depend on B, so they are
+    # snapped once, with the family, and every refresh snaps only its own
+    # g r_j (two of them: the partner of mu_1 has weight zero)
+    import acx.psh as psh_mod
+
+    shapes = count_eigh(monkeypatch)
+    snapped = []
+    snap = psh_mod.snap_units
+    monkeypatch.setattr(psh_mod, "snap_units", lambda st, units:
+                        snapped.append(units) or snap(st, units))
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
     sub = Subequation(make_structure("antilinear-linear-eps", n=2, eps=0.1,
                                      generator=3))
     ops = OperatorFamily(sub, dom)
-    u = ScalarField.from_vectorized(dom, abs2)
-    shapes = count_eigh(monkeypatch)
-    ops.adapted_policy(u.values)
-    assert shapes == [(dom.interior_ids.size, 4, 4)]
+    x = dom.node_coords
+    for c in (0.0, 0.3, -0.4):
+        u = ScalarField(dom, abs2(x) + c * x[:, 0] * x[:, 3] + x[:, 1] ** 2)
+        assert ops.adapted_policy(u.values).dir_idx.shape[1] == 6
+    assert shapes == []
+    g = ops.frame.g
+    np.testing.assert_allclose(
+        snapped[0], g / np.linalg.norm(g, axis=1)[:, None], rtol=1e-14)
+    assert [units.shape for units in snapped[1:]] == [(g.shape[0], 4, 2)] * 3
+    # on this frame every g e_i snaps to its own axis
+    np.testing.assert_array_equal(
+        ops.columns[0], np.broadcast_to(ops.stencil.axes, (g.shape[0], 4)))
+    assert ops.identity.dir_idx.shape[1] == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_identity_keeps_only_the_axes(n):
+    # every remainder term of the identity has weight zero, so it is skipped
+    dom = LatticeDomain.box([-1, 1], 5, dim=2 * n, stencil_radius=1)
+    ops = OperatorFamily(Subequation(make_structure("standard", n=n)), dom)
+    np.testing.assert_array_equal(
+        ops.identity.dir_idx,
+        np.broadcast_to(ops.stencil.axes, (dom.interior_ids.size, 2 * n)))
+
+
+def test_flat_adapted_member_skips_the_partner_of_its_lowest_eigenvalue():
+    # the i v partner of lambda_min's eigenvector v carries mu_2 - mu_1 = 0
+    # at every node: 2d - 2 columns, all with a positive weight somewhere
+    dom, sub, fields = battery_quadratics(2, 1)
+    ops = OperatorFamily(sub, dom)
+    pol = ops.adapted_policy(fields[0].values)
+    assert pol.dir_idx.shape[1] == 6
+    assert np.all(np.any(pol.wplus > 0.0, axis=0))
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("standard", {}),
+    ("antilinear-linear-eps", {"eps": 0.1, "generator": 3}),
+])
+def test_active_policy_pads_narrower_members(name, kwargs):
+    # the identity has 4 columns and each witness 6; at every node the
+    # frozen policy is the member it names, on any values
+    dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
+    ops = OperatorFamily(Subequation(make_structure(name, n=2, **kwargs)), dom)
+    x = dom.node_coords
+    members = [ops.adapted_policy(abs2(x) + c * x[:, 0] * x[:, 2]
+                                  + 0.5 * x[:, 3] ** 2)
+               for c in (0.6, -0.6)]
+    assert ops.identity.dir_idx.shape[1] == 4
+    assert {m.dir_idx.shape[1] for m in members} == {6}
+    active = np.arange(dom.interior_ids.size) % 3
+    values = CounterRng(5).normals((dom.n_nodes,))
+    frozen = ops.active_policy(active, *members).value(values)
+    own = np.stack([p.value(values) for p in (ops.identity, *members)])
+    np.testing.assert_array_equal(frozen, own[active, np.arange(active.size)])
+
+
+def test_family_rejects_frame_vectors_that_snap_together():
+    # g e_1 = (1, 0) and g e_2 = (0.9, 0.1) both snap to the first axis, so
+    # the shared columns span no basis for the drift
+    g = np.array([[1.0, 0.9], [0.0, 0.1]])
+    acx = AlmostComplexField(1, lambda pts: (
+        np.broadcast_to(g, (len(pts), 2, 2)),
+        np.zeros((len(pts), 2, 2, 2))), name="collapsed")
+    dom = LatticeDomain.ball(np.zeros(2), 1.0, 9)
+    with pytest.raises(PshError, match="linearly dependent"):
+        OperatorFamily(Subequation(acx), dom)
+
+
+def sheared_structure():
+    """n = 1 structure with g = [[1, 0.6 + 0.2 x1], [0, 1]]: g e_2 snaps
+    off the axes, and the x1-dependence gives a drift."""
+    def evaluate(pts):
+        g = np.zeros((len(pts), 2, 2))
+        g[:, 0, 0] = g[:, 1, 1] = 1.0
+        g[:, 0, 1] = 0.6 + 0.2 * pts[:, 0]
+        dg = np.zeros((len(pts), 2, 2, 2))
+        dg[:, 0, 0, 1] = 0.2
+        return g, dg
+    return AlmostComplexField(1, evaluate, name="sheared")
+
+
+def test_drift_is_upwinded_along_the_snapped_frame_columns():
+    # the drift b = sum_i c_i w_i goes on the shared columns w_i with
+    # c = W^{-1} b: on an affine field the operator is b . p, and the
+    # per-node reference agrees
+    dom = LatticeDomain.ball(np.zeros(2), 1.0, 17)
+    sub = Subequation(sheared_structure())
+    ops = OperatorFamily(sub, dom)
+    dir_idx, _, _ = ops.columns
+    st = ops.stencil
+    assert np.all(dir_idx[:, 0] == st.axes[0])
+    # (0.6 + 0.2 x1, 1) snaps to (1, 2) or, where x1 is large, to (1, 1)
+    assert np.unique(st.dirs[dir_idx[:, 1]], axis=0).tolist() == [[1, 1],
+                                                                   [1, 2]]
+    _, drift = ops.coefficients(ops.frame, real_form(np.eye(1, dtype=complex)))
+    assert np.all(drift[:, 0] != 0.0)
+    grad = np.array([0.7, -1.3])
+    affine = 0.4 + dom.node_coords @ grad
+    np.testing.assert_allclose(ops.identity.value(affine), drift @ grad,
+                               rtol=0, atol=1e-12)
+    u = ScalarField.from_vectorized(
+        dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 1] + 0.2 * X[:, 1] ** 3)
+    value = ops.identity.value(u.values)
+    rng = CounterRng(14)
+    for _ in range(8):
+        row = int(rng.uniform(0, value.size - 1e-9))
+        ref = blaplacian(u, sub, int(st.nodes[row]), np.eye(1, dtype=complex))
+        assert abs(value[row] - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
