@@ -29,7 +29,8 @@ import numpy as np
 
 TOL_ALG = 1e-9
 
-_COMPLEXIFY_SCALE = 0.25
+# the 1/4 of A_C; shared with psh.real_form, it pins L_B u = tr_C(A_C B)
+COMPLEXIFY_SCALE = 0.25
 
 
 class AlgebraError(ValueError):
@@ -132,14 +133,14 @@ def complexify(b: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     check_symmetric(b, tol)
     if np.max(np.abs(j0.T @ b @ j0 - b)) > max(tol, tol * np.max(np.abs(b))):
         raise AlgebraError("form is not J0-hermitian; complexification undefined")
-    out = _COMPLEXIFY_SCALE * (b[0::2, 0::2] + 1j * b[0::2, 1::2])
+    out = COMPLEXIFY_SCALE * (b[0::2, 0::2] + 1j * b[0::2, 1::2])
     return 0.5 * (out + np.conj(out.T))
 
 
 def realify(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`complexify`: the J0-hermitian real form of M, for
     one matrix or a stack."""
-    return rep_complex(np.asarray(m, dtype=complex).conj()) / _COMPLEXIFY_SCALE
+    return rep_complex(np.asarray(m, dtype=complex).conj()) / COMPLEXIFY_SCALE
 
 
 def _hermitian2_parts(a: np.ndarray):

@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import KrylovError, Policy, Stencil, snap_policy, solve_frozen  # noqa: F401 (re-export)
+from .discretize import KrylovError, Policy, solve_frozen
 from .lattice import LatticeDomain, ScalarField
 from .psh import MarginContext, OperatorFamily, default_field_tol, field_margins
 from .subeq import Subequation

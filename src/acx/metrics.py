@@ -14,7 +14,6 @@ parametrization step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +35,6 @@ class HermitianMetric:
     dim: int
     metric: Callable[[np.ndarray], np.ndarray]
     christoffel: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
 
     def m_at(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -69,8 +67,7 @@ def euclidean_metric(dim: int) -> HermitianMetric:
     return HermitianMetric(
         dim,
         lambda pts: np.eye(dim),
-        lambda pts: np.zeros((np.atleast_2d(pts).shape[0], dim, dim, dim)),
-        name="euclidean")
+        lambda pts: np.zeros((np.atleast_2d(pts).shape[0], dim, dim, dim)))
 
 
 def spherical_metric_r4() -> HermitianMetric:
@@ -96,20 +93,25 @@ def spherical_metric_r4() -> HermitianMetric:
                - np.einsum("ij,nk->nkij", eye, psi_grad))
         return gam.reshape(nn, dim, dim, dim)
 
-    return HermitianMetric(dim, metric, christoffel, name="spherical-r4")
+    return HermitianMetric(dim, metric, christoffel)
 
 
 # ---------------------------------------------------------------------------
 # Hessians under the metric
 # ---------------------------------------------------------------------------
 
+def _covariant(metric: HermitianMetric, x: np.ndarray, a: np.ndarray,
+               p: np.ndarray) -> np.ndarray:
+    """Covariant hessian a_ij - Gamma^k_ij p_k of the jet (p, a) at x."""
+    gam = metric.gamma_at(x[None])[0]
+    return a - np.einsum("kij,k->ij", gam, p)
+
+
 def riemannian_hessian(metric: HermitianMetric, u: ScalarField,
                        node: int) -> np.ndarray:
     """(Hess u)_ij = D_ij u - Gamma^k_ij D_k u from the centered jet."""
     jet = fd_jet(u, node)
-    x = u.domain.node_coords[node]
-    gam = metric.gamma_at(x[None])[0]
-    return jet.a - np.einsum("kij,k->ij", gam, jet.p)
+    return _covariant(metric, u.domain.node_coords[node], jet.a, jet.p)
 
 
 def hermitian_hessian(metric: HermitianMetric, j: np.ndarray, u: ScalarField,
@@ -154,7 +156,6 @@ def _centered(f, x, step: float):
 class ParamSurface:
     """Conformally parametrized 2-surface w = (p, q) -> R^4."""
 
-    kind: str
     point: Callable[[float, float], np.ndarray]
 
     def chart(self, w) -> np.ndarray:
@@ -176,7 +177,7 @@ def sphere_through_origin(r: float) -> ParamSurface:
             2.0 * r * q / den,
         ])
 
-    return ParamSurface("sphere-through-origin", point)
+    return ParamSurface(point)
 
 
 def vertical_plane(a: float) -> ParamSurface:
@@ -185,17 +186,7 @@ def vertical_plane(a: float) -> ParamSurface:
     def point(p, q):
         return np.array([a, 0.0, p, q])
 
-    return ParamSurface("vertical-plane", point)
-
-
-def coordinate_complex_line(offset=(0.0, 0.0)) -> ParamSurface:
-    """The first-coordinate complex line C x {c} inside C^2."""
-    c = np.asarray(offset, dtype=float)
-
-    def point(p, q):
-        return np.array([p, q, c[0], c[1]])
-
-    return ParamSurface("complex-line", point)
+    return ParamSurface(point)
 
 
 def mean_curvature(metric: HermitianMetric, surface: ParamSurface, w,
@@ -244,54 +235,9 @@ def laplace_beltrami(metric: HermitianMetric, surface: ParamSurface,
     return float(np.trace(hess)) / mu_p
 
 
-def _hessian_of_callable(metric: HermitianMetric, phi, x: np.ndarray,
-                         step: float) -> np.ndarray:
-    _, grad, a = _centered(phi, x, step)
-    gam = metric.gamma_at(x[None])[0]
-    return a - np.einsum("kij,k->ij", gam, grad), grad
-
-
 # ---------------------------------------------------------------------------
-# The curve identity and the separation report
+# The separation report
 # ---------------------------------------------------------------------------
-
-def curve_identity_residual(metric: HermitianMetric, acx, phi, surface:
-                          ParamSurface, w, step: float = 1e-3) -> float:
-    """Residual of the holomorphic-curve identity
-
-        H(phi)(v, v) = Hess^C(phi)(v, v) + |v|^2 H_Sigma . phi
-
-    with the three terms computed by independent numerical routes.  Only the
-    preset holomorphic cases are accepted: coordinate complex lines under
-    the flat structure (any point), and the origin-tangency point of the
-    shifted sphere, where the left side is evaluated as the intrinsic curve
-    hessian |v|^2 Delta_Sigma(phi|_Sigma)."""
-    w = np.asarray(w, dtype=float)
-    x0, (tp, _), _ = _centered(surface.chart, w, step)
-    m = metric.m_at(x0[None])[0]
-    v = tp / math.sqrt(tp @ m @ tp)      # metric-unit tangent
-    vnorm2 = float(v @ m @ v)
-
-    if surface.kind == "complex-line":
-        if not acx.constant_identity:
-            raise MetricError("complex-line case requires the flat structure")
-        hess_amb, _ = _hessian_of_callable(euclidean_metric(4), phi, x0, step)
-        lhs = float(v @ hermitian_part(hess_amb, standard_j(2)) @ v) / 2.0
-    elif surface.kind == "sphere-through-origin":
-        if np.max(np.abs(w)) > 1e-12:
-            raise MetricError(
-                "sphere case is validated at the origin tangency only")
-        lhs = 0.5 * vnorm2 * laplace_beltrami(metric, surface, phi, w, step)
-    else:
-        raise MetricError("surface is not a preset holomorphic curve")
-
-    hess, grad = _hessian_of_callable(metric, phi, x0, step)
-    hc = hermitian_part(hess, standard_j(metric.dim // 2))
-    term1 = 0.5 * float(v @ hc @ v)
-    hvec = mean_curvature(metric, surface, w, step)
-    term2 = 0.5 * vnorm2 * float(hvec @ grad)
-    return abs(lhs - term1 - term2)
-
 
 @dataclass
 class Example95Report:
@@ -323,7 +269,8 @@ def example95_report(c: float, r: float) -> Example95Report:
         return 0.5 * float((x ** 2).sum()) - c * float(x[0])
 
     origin = np.zeros(4)
-    hess, grad = _hessian_of_callable(metric, phi, origin, step)
+    _, grad, a = _centered(phi, origin, step)
+    hess = _covariant(metric, origin, a, grad)
     # smallest eigenvalue of the averaged hermitian part, the normalization
     # of the intrinsic membership margins
     hc = hermitian_part(hess, standard_j(2))

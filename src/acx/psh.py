@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
+    COMPLEXIFY_SCALE,
     AlmostComplexField,
     StructureFrame,
     antilinear_normalize_matrix,
@@ -46,7 +47,6 @@ class PshError(ValueError):
 
 _BSTAR_FLOOR = 1e-8
 _BSTAR_CLIP = 4.0   # anisotropy bound around the geometric mean
-_REAL_FORM_SCALE = 0.25  # pins L_B u = tr_C(A_C B) on exact jets
 
 
 def real_form(b: np.ndarray) -> np.ndarray:
@@ -54,7 +54,7 @@ def real_form(b: np.ndarray) -> np.ndarray:
     normalized so the associated operator pairs with the complexified
     hessian without extra factors: rep_complex(conj B) / 4, which is
     ``realify(B) / 16``."""
-    return _REAL_FORM_SCALE * rep_complex(np.conj(b))
+    return COMPLEXIFY_SCALE * rep_complex(np.conj(b))
 
 
 def real_form_eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +66,7 @@ def real_form_eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns of rep_complex(V); for n = 2 the closed form's phase rule
     fixes the basis of every doubled eigenplane."""
     vals, vecs = hermitian_eigh(np.conj(b))
-    return np.repeat(_REAL_FORM_SCALE * vals, 2, axis=1), rep_complex(vecs)
+    return np.repeat(COMPLEXIFY_SCALE * vals, 2, axis=1), rep_complex(vecs)
 
 
 def check_b_matrix(b: np.ndarray) -> np.ndarray:
@@ -276,20 +276,19 @@ class RestrictionReport:
 class SliceRestriction:
     """The field-independent part of the restriction check of ``sub`` on
     ``domain`` to the slice C^m x {0}: the ambient node of each slice node
-    (``ids``), the slice compatibility verdict and the margin contexts of
-    the homogeneous ambient equation and of the induced slice structure on
-    the slice domain.  Incompatible slices are rejected; use
+    (``ids``) and the margin contexts of the homogeneous ambient equation
+    and of the induced slice structure on the slice domain.  Incompatible slices are rejected; use
     :func:`slice_compatible` to diagnose."""
 
     def __init__(self, sub: Subequation, domain: LatticeDomain, m: int):
         acx = sub.acx
         slice_domain, self.ids = slice_lattice(domain, m)
-        self.compatibility = slice_compatible(acx, m, slice_domain.node_coords)
-        if not self.compatibility.compatible:
+        compat = slice_compatible(acx, m, slice_domain.node_coords)
+        if not compat.compatible:
             raise PshError(
                 f"slice C^{m} x {{0}} is not an almost complex submanifold: "
                 "the antilinear factor has f21 residual "
-                f"{self.compatibility.f21_residual:.3e} on the slice")
+                f"{compat.f21_residual:.3e} on the slice")
         self.ambient = MarginContext(Subequation(acx), domain)
         self.slice = MarginContext(
             Subequation(induced_slice_structure(acx, m)), slice_domain)

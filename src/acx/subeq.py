@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    COMPLEXIFY_SCALE,
     AlmostComplexField,
     StructureFrame,
     check_symmetric,
@@ -163,8 +164,8 @@ def hermitian_forms(frame: StructureFrame, ps, as_) -> np.ndarray:
         e = frame.e(np.atleast_2d(ps))
         m = np.matmul(np.matmul(frame.g.transpose(0, 2, 1), m + e), frame.g)
     mx, my = m[:, 0::2], m[:, 1::2]
-    out = 0.25 * ((mx[..., 0::2] + my[..., 1::2])
-                  + 1j * (mx[..., 1::2] - my[..., 0::2]))
+    out = COMPLEXIFY_SCALE * ((mx[..., 0::2] + my[..., 1::2])
+                              + 1j * (mx[..., 1::2] - my[..., 0::2]))
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 

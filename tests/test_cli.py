@@ -221,6 +221,31 @@ def test_check_psh_exit_codes(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_check_psh_blaplacian_writes_its_witness(tmp_path):
+    # |z1|^2 - |z2|^2 / 2 is not psh; the adapted member B* at the worst
+    # node is the witness, written as its real and imaginary parts
+    domain = LatticeDomain.ball(np.zeros(4), 0.8, 9)
+    field = ScalarField.from_vectorized(
+        domain, lambda X: abs2(X[:, :2]) - 0.5 * abs2(X[:, 2:]))
+    export_csv(field, tmp_path / "mixed.csv")
+    cfg = write_json(tmp_path / "blap.json", {
+        "field_csv": str(tmp_path / "mixed.csv"), "mode": "blaplacian",
+        "domain": {"kind": "ball", "center": [0, 0, 0, 0], "radius": 0.8,
+                   "nodes_per_axis": 9},
+        "structure": {"preset": "standard", "n": 2}})
+    out = tmp_path / "out"
+    assert main(["check-psh", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 3
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["verdict"] == "not-psh" and verdict["mode"] == "blaplacian"
+    b = (np.array(verdict["witness_b_real"])
+         + 1j * np.array(verdict["witness_b_imag"]))
+    assert b.shape == (2, 2)
+    np.testing.assert_allclose(b, b.conj().T, atol=1e-12)
+    assert np.linalg.det(b).real == pytest.approx(1.0)
+    assert not np.allclose(b, np.eye(2))     # the adapted member, not I
+
+
 def test_restrict_check_exit_codes(tmp_path, capsys):
     domain = LatticeDomain.ball(np.zeros(4), 0.8, 9)
     u = ScalarField.from_vectorized(domain, abs2)

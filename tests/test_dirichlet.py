@@ -458,6 +458,24 @@ def test_comparison_rejects_subsolution_candidate():
     assert comparison_check(u, w, prob).status == "inconclusive"
 
 
+def test_comparison_fails_when_the_candidate_rises_above_w():
+    # w = |x|^2 + 0.1 is a supersolution of f = 1; the candidate adds a bump
+    # of height a inside |x| < 0.5, so the interior gap is a - 0.1 against
+    # tol_cmp = 10 (tol_res + h), about 0.645 at h = 1/16
+    prob = disc_problem(f=1.0, nodes=33)
+    dom = prob.domain
+    u = ScalarField.from_vectorized(dom, abs2)
+    w = ScalarField(dom, u.values + 0.1)
+    bump = np.maximum(0.0, 1.0 - abs2(dom.node_coords) / 0.25)
+    tol_cmp = 10.0 * (prob.tol_res() + dom.h)
+    for a, status in ((0.7, "pass"), (1.0, "fail")):
+        verdict = comparison_check(ScalarField(dom, u.values + a * bump), w,
+                                   prob)
+        assert verdict.status == status
+        assert verdict.max_violation == pytest.approx(a - 0.1)
+        assert (verdict.max_violation <= tol_cmp) == (status == "pass")
+
+
 def test_maximality_battery():
     prob = disc_problem(f=None, nodes=17)
     u, rep = solve(prob)
@@ -469,6 +487,13 @@ def test_maximality_battery():
     high = ScalarField(prob.domain, u.values + 0.5)
     verdict2 = maximality_check(u, prob, competitors=[high])
     assert verdict2.status == "inconclusive" and verdict2.skipped == 1
+    # below u on the boundary but strictly superharmonic: skipped as well
+    r2 = abs2(prob.domain.node_coords)
+    r2_bnd = float(np.min(r2[prob.domain.boundary_ids]))
+    concave = ScalarField(prob.domain, u.values - 0.1 - 2.0 * (r2 - r2_bnd))
+    verdict3 = maximality_check(u, prob, competitors=[concave])
+    assert (verdict3.status, verdict3.checked, verdict3.skipped) == (
+        "inconclusive", 0, 1)
 
 
 def shifted_disc():

@@ -167,6 +167,16 @@ def test_classical_verdicts(box, lap):
     assert v.subharmonic and abs(v.max_violation) < 1e-9
 
 
+def test_ball_battery_on_a_ball_domain():
+    # on a ball domain the clearance is measured from the domain's center
+    # and radius, not from a bounding box
+    dom = LatticeDomain.ball(np.array([0.2, -0.1]), 0.9, 33)
+    balls = default_ball_battery(dom, count=4)
+    assert len(balls) == 4
+    for c, r in balls:
+        assert np.linalg.norm(c - dom.center) + r < dom.radius - 1.5 * dom.h
+
+
 def test_classical_requires_battery(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
     with pytest.raises(LinpotError):

@@ -5,11 +5,9 @@ from acx.algebra import make_structure, standard_j
 from acx.lattice import LatticeDomain, ScalarField
 from acx.metrics import (
     MetricError,
-    coordinate_complex_line,
     euclidean_metric,
     example95_report,
     hermitian_hessian,
-    curve_identity_residual,
     mean_curvature,
     riemannian_hessian,
     sphere_through_origin,
@@ -164,43 +162,6 @@ def test_degenerate_frame_rejected(sph):
     bad.point = lambda p, q: np.array([0.3, 0.0, p, p])  # rank-1 chart
     with pytest.raises(MetricError):
         mean_curvature(sph, bad, (0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# curve identity
-# ---------------------------------------------------------------------------
-
-def test_identity_residual_on_complex_line():
-    eu = euclidean_metric(4)
-    acx = make_structure("standard", n=2)
-    phi = lambda x: float((x ** 2).sum())
-    step = 1 / 64
-    res = curve_identity_residual(eu, acx, phi,
-                                coordinate_complex_line((0.2, -0.1)),
-                                (0.3, 0.2), step=step)
-    assert res <= 10 * step ** 2
-    const = lambda x: 42.0
-    assert curve_identity_residual(eu, acx, const, coordinate_complex_line(),
-                                 (0.1, 0.1), step=step) == 0.0
-
-
-def test_identity_residual_at_sphere_origin():
-    sph = spherical_metric_r4()
-    acx = make_structure("standard", n=2)
-    phi = lambda x: 0.5 * float((x ** 2).sum()) - 2.0 * float(x[0])
-    res = curve_identity_residual(sph, acx, phi, sphere_through_origin(1.0),
-                                (0.0, 0.0), step=1 / 64)
-    assert res <= 1e-2
-
-
-def test_identity_rejects_off_origin_sphere_and_unknown_surface(sph):
-    acx = make_structure("standard", n=2)
-    phi = lambda x: float((x ** 2).sum())
-    with pytest.raises(MetricError):
-        curve_identity_residual(sph, acx, phi, sphere_through_origin(1.0),
-                              (0.3, 0.0))
-    with pytest.raises(MetricError):
-        curve_identity_residual(sph, acx, phi, vertical_plane(0.5), (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
