@@ -1,27 +1,21 @@
 """Monotone wide-stencil discretization of second-order linear operators,
 and the linear solve of a frozen discretization.
 
-A coefficient field is written per node as a sum of rank-one terms
-lambda q q^T with lambda >= 0, and each term puts the weight lambda |q|^2
-on the normalized second difference along the available lattice direction
-w that q snaps to (largest |cos| against the stencil's primitive
-directions, lowest index on a tie, :func:`snap_units`): lambda |q|^2 /
-(h^2 |w|^2) on both neighbours x +- h w (:func:`term_policy`).  Drift terms
-are upwinded along the first d columns, by their coefficients in the
-basis of those columns' directions; on the axes they are the drift
-itself.  All of it is one nonnegative weight per neighbour, which is the
-degenerate-ellipticity (monotonicity) contract of every scheme built here
-(Barles & Souganidis 1991; Oberman 2006).
-
-``snap_policy`` builds the terms of a general SPD field S from its
-``np.linalg.eigh`` eigenpairs, after clipping the eigenvalues at zero: the
-isotropic part lambda_min I on the d axes, which every interior node has,
-and the remainder's eigenvectors with lambda_k - lambda_min.  The snap's
-error therefore scales with the anisotropy lambda_max - lambda_min rather
-than with |S|, and it vanishes where S is isotropic, which is exactly
-where the eigenvectors are ill-defined.  The operator family of
-``psh.OperatorFamily`` builds its terms from B's eigenpairs pushed through
-the structure's frame g instead, and runs no ``eigh`` of S.
+``snap_policy`` is the one builder of every monotone policy.  A coefficient
+field with ascending eigenpairs (lambda_j, v_j), clipped at zero, and a
+frame g (the identity when absent) is written per node as
+S = lambda_1 sum_i (g e_i)(g e_i)^T + sum_{j >= 2} (lambda_j - lambda_1)
+(g v_j)(g v_j)^T, so the snap's error scales with the anisotropy, not with
+|S|.  Each term mu q q^T puts the weight mu |q|^2 on the normalized second
+difference along the available lattice direction w that q snaps to
+(largest |cos| against the stencil's primitive directions, lowest index on
+a tie, :func:`snap_units`): mu |q|^2 / (h^2 |w|^2) on both neighbours
+x +- h w.  The d columns g e_i come snapped with the frame (the axes
+without one), a term whose weight is zero at every node is skipped, and
+the drift, given by its coefficients along the columns' directions, is
+upwinded along them.  All of it is one nonnegative weight per neighbour,
+which is the degenerate-ellipticity (monotonicity) contract of every
+scheme built here (Barles & Souganidis 1991; Oberman 2006).
 Near-boundary interior nodes auto-restrict to the directions whose full
 offsets stay inside the region (at worst the unit box, which is always
 available).
@@ -141,46 +135,44 @@ class Policy:
                 + self.wminus * (values[self.minus] - center)).sum(axis=1)
 
 
-def snap_policy(stencil: Stencil, s_field: np.ndarray,
+def snap_policy(stencil: Stencil, vals: np.ndarray, vecs: np.ndarray,
+                frame: tuple | None = None,
                 drift: np.ndarray | None = None) -> Policy:
-    """Monotone scheme of the operator tr(S D^2 u) + drift . Du.
-
-    ``s_field`` has shape (Ni, d, d) or (1, d, d) for a constant coefficient;
-    eigenvalues are clipped at zero so the policy stays monotone even for
-    marginally indefinite input.  The policy's first d columns are the axes,
-    with second-order weight lambda_min; the other d - 1 are the eigenvectors
-    of the remainder from ``np.linalg.eigh``, snapped by :func:`snap_units`,
-    with lambda_k - lambda_min.  The weights and the drift become neighbour
-    weights through :func:`term_policy`.
-    """
-    st = stencil
-    ni, d = st.nodes.size, st.domain.dim
-    vals, vecs = np.linalg.eigh(s_field)
-    vals = np.clip(vals, 0.0, None)
-    # ascending eigenvalues: lambda_min's eigenvector has no remainder weight
-    weights = np.concatenate([np.repeat(vals[:, :1], d, axis=1),
-                              vals[:, 1:] - vals[:, :1]], axis=1)
-    dir_idx = np.concatenate([np.broadcast_to(st.axes, (ni, d)),
-                              snap_units(st, vecs[:, :, 1:])], axis=1)
-    return term_policy(st, dir_idx, weights, drift)
-
-
-def term_policy(stencil: Stencil, dir_idx: np.ndarray, weights: np.ndarray,
-                drift: np.ndarray | None = None) -> Policy:
-    """Policy of sum_k weights_k w_k^T D^2u w_k / |w_k|^2 + drift . Du with
-    w_k = dirs[dir_idx_k]: ``dir_idx`` (Ni, k), ``weights`` (Ni or 1, k)
-    nonnegative.  A weight lambda on the direction w puts lambda / (h^2 |w|^2)
-    on both neighbours x +- h w.  ``drift`` (Ni, d) holds the drift's
-    coefficients c in the basis of the first d columns' directions
-    (b = sum_i c_i w_i; on the axes c = b) and is upwinded along them:
+    """Policy of the field S with the ascending eigenpairs ``vals`` (Ni or
+    1, d) and ``vecs`` (Ni or 1, d, d), in ``np.linalg.eigh``'s layout,
+    pushed through ``frame`` (see the module docstring).  ``frame`` is
+    (g, dir_idx, norms2): g (Ni, d, d), the snapped directions of its
+    columns (Ni, d) and their squared lengths |g e_i|^2 (Ni, d); without it
+    g = I and the columns are the axes.  The eigenvalues are clipped at zero
+    so the policy stays monotone even for marginally indefinite input.
+    ``drift`` (Ni, d) holds the drift's coefficients c along the columns'
+    directions w_i (b = sum_i c_i w_i; on the axes c = b), upwinded as
     max(c_i, 0) / h on x + h w_i and max(-c_i, 0) / h on x - h w_i."""
-    h = stencil.domain.h
-    wplus = wminus = weights / (h ** 2 * stencil.norms2[dir_idx])
+    st = stencil
+    vals = np.clip(vals, 0.0, None)
+    rest = vals[:, 1:] - vals[:, :1]
+    q = vecs[:, :, 1:]
+    if frame is None:
+        ni, d = st.nodes.size, st.domain.dim
+        dir_idx, norms2 = np.broadcast_to(st.axes, (ni, d)), np.ones((1, d))
+    else:
+        g, dir_idx, norms2 = frame
+        q = g @ q
+        lengths2 = (q ** 2).sum(axis=1)
+        rest = rest * lengths2
+        q = q / np.sqrt(lengths2)[:, None]
+    keep = np.any(rest > 0.0, axis=0)
+    if keep.any():
+        dir_idx = np.concatenate([dir_idx, snap_units(st, q[:, :, keep])],
+                                 axis=1)
+    weights = np.concatenate([vals[:, :1] * norms2, rest[:, keep]], axis=1)
+    h = st.domain.h
+    wplus = wminus = weights / (h ** 2 * st.norms2[dir_idx])
     if drift is not None:
         up = np.pad(drift / h, ((0, 0), (0, dir_idx.shape[1] - drift.shape[1])))
         wplus = wplus + np.maximum(up, 0.0)
         wminus = wminus + np.maximum(-up, 0.0)
-    return Policy(stencil, dir_idx, wplus, wminus)
+    return Policy(st, dir_idx, wplus, wminus)
 
 
 def snap_units(stencil: Stencil, units: np.ndarray) -> np.ndarray:

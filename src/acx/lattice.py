@@ -70,6 +70,13 @@ class LatticeDomain:
     stencil_radius: int = 2
 
     def __post_init__(self):
+        geometry = [("origin", self.origin), ("spacing h", self.h)]
+        if self.kind == "ball":
+            geometry[:0] = [("center", self.center), ("radius", self.radius)]
+        for name, value in geometry:
+            if not np.all(np.isfinite(value)):
+                raise LatticeError(f"domain {name} must be finite, got "
+                                   f"{np.asarray(value).tolist()}")
         if self.h <= 0:
             raise LatticeError("spacing must be positive")
         if self.stencil_radius < 1:
@@ -91,7 +98,9 @@ class LatticeDomain:
         if nodes_per_axis < 5:
             raise LatticeError("need at least 5 nodes per axis")
         h = widths[0] / (nodes_per_axis - 1)
-        if np.max(np.abs(widths - widths[0])) > 1e-12:
+        # non-finite widths pass here and are named by __post_init__
+        if not np.allclose(widths, widths[0], rtol=0.0, atol=1e-12,
+                           equal_nan=True):
             raise LatticeError("box must have equal axis widths (uniform h)")
         return LatticeDomain(d, h, bounds[:, 0].copy(), (nodes_per_axis,) * d,
                              "box", stencil_radius=stencil_radius)

@@ -45,14 +45,19 @@ class LinearOperator:
     provenance: str = "generic"
 
     def at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(a, b) broadcast to the points, a checked positive definite."""
+        """(a, b) broadcast to the points, both checked finite and a
+        positive definite."""
         a, b = self.coefficients(pts)
         n = pts.shape[0]
         a = np.broadcast_to(np.asarray(a, dtype=float), (n, self.dim, self.dim))
+        if not np.all(np.isfinite(a)):
+            raise LinpotError("coefficient a(x) must be finite")
         if np.any(np.linalg.eigvalsh(a)[:, 0] <= 0):
             raise LinpotError("coefficient a(x) must be positive definite")
         if b is not None:
             b = np.broadcast_to(np.asarray(b, dtype=float), (n, self.dim))
+            if not np.all(np.isfinite(b)):
+                raise LinpotError("drift b(x) must be finite")
         return a, b
 
 
@@ -167,7 +172,8 @@ class BallReplacement:
                 f"over the {_DENSE_BYTES / 2 ** 20:.0f} MiB budget")
         self.ids = domain.nodes_at(ball.node_coords)
         st = Stencil(ball)
-        pol = snap_policy(st, *op.at(ball.node_coords[st.nodes]))
+        a, b = op.at(ball.node_coords[st.nodes])
+        pol = snap_policy(st, *np.linalg.eigh(a), drift=b)
         rows = np.arange(ni)
         amat = np.zeros((ni, n))
         np.add.at(amat, (rows[:, None], pol.plus), pol.wplus)

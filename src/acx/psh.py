@@ -25,7 +25,7 @@ from .algebra import (
     linear_antilinear_split,
     rep_complex,
 )
-from .discretize import Policy, Stencil, snap_units, term_policy
+from .discretize import Policy, Stencil, snap_policy, snap_units
 from .lattice import (
     INTERIOR,
     JetTable,
@@ -71,6 +71,8 @@ def real_form_eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_b_matrix(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
+    if not np.all(np.isfinite(b)):
+        raise PshError("B must have finite entries")
     if np.max(np.abs(b - b.conj().T)) > 1e-8:
         raise PshError("B must be hermitian")
     w = np.linalg.eigvalsh(b)
@@ -336,9 +338,9 @@ class OperatorFamily:
     coefficient field S = g B_r g^T and the drift b_k = <S, E(e_k)>; the
     structure is evaluated once for the node set, in the frame of the
     family's margin context ``margins``, whose jet table the adapted
-    witness reads.  The d columns every member shares, the snapped vectors
-    g e_i (:attr:`columns`), are built with the family.  Build it once for
-    every field on the domain."""
+    witness reads.  Off the flat frame, the d columns every member shares,
+    the snapped vectors g e_i (:attr:`columns`), are built with the
+    family.  Build it once for every field on the domain."""
 
     def __init__(self, sub: Subequation, domain: LatticeDomain):
         self.sub = sub
@@ -359,23 +361,19 @@ class OperatorFamily:
 
     @cached_property
     def columns(self):
-        """(dir_idx, norms2, basis) of the d columns every member shares:
-        per node the snapped directions w_i of the vectors g e_i, (N, d);
-        their squared lengths |g e_i|^2, (N, d); and the inverse of the
-        integer matrix W with columns w_i, which takes the drift to its
-        coefficients along them, (N, d, d), inverted only where W is not
-        I.  On a flat frame they are the axes, of length 1, and there is
-        no drift (basis None).  A singular W, two vectors g e_i snapped to
-        one direction, is an error."""
+        """(dir_idx, norms2, basis) of the d columns every member of a
+        non-flat family shares: per node the snapped directions w_i of the
+        vectors g e_i, (N, d); their squared lengths |g e_i|^2, (N, d); and
+        the inverse of the integer matrix W with columns w_i, which takes
+        the drift to its coefficients along them, (N, d, d), inverted only
+        where W is not I.  A singular W, two vectors g e_i snapped to one
+        direction, is an error."""
         st = self.stencil
-        ni, d = st.nodes.size, st.domain.dim
-        if self.frame.flat:
-            return np.broadcast_to(st.axes, (ni, d)), np.ones((1, d)), None
         g = self.frame.g
         norms2 = (g ** 2).sum(axis=1)
         dir_idx = snap_units(st, g / np.sqrt(norms2)[:, None])
         w = np.swapaxes(st.dirs[dir_idx], 1, 2).astype(float)
-        basis = np.broadcast_to(np.eye(d), w.shape).copy()
+        basis = np.broadcast_to(np.eye(st.domain.dim), w.shape).copy()
         off = np.any(w != basis, axis=(1, 2))     # nodes where W is not I
         if np.any(np.abs(np.linalg.det(w[off])) < 0.5):   # integer dets
             raise PshError("the structure's frame vectors g e_i snap to "
@@ -384,37 +382,19 @@ class OperatorFamily:
         return dir_idx, norms2, basis
 
     def _snap(self, b):
-        """Policy of the member B, constant (1, n, n) or per node (N, n, n).
-        With (mu_j, r_j) the eigenpairs of B_r = real_form(B), ascending,
-        from :func:`real_form_eigh`,
-
-            S = mu_1 sum_i (g e_i)(g e_i)^T
-                + sum_{j >= 2} (mu_j - mu_1) (g r_j)(g r_j)^T,
-
-        and each term mu q q^T puts the weight mu |q|^2 on the direction
-        that q snaps to (:func:`snap_units`).  The d vectors g e_i are the
-        shared :attr:`columns`; a term whose weight is zero at every node
-        is skipped.  The drift <S, E(e_k)> comes from the exact S and is
-        upwinded along the shared columns."""
+        """Policy of the member B, constant (1, n, n) or per node (N, n, n):
+        :func:`snap_policy` of the eigenpairs of B_r = real_form(B) from
+        :func:`real_form_eigh`, pushed through g with the shared
+        :attr:`columns` off the flat frame, and the drift <S, E(e_k)> of the
+        exact S by its coefficients W^{-1} b along those columns."""
         vals, vecs = real_form_eigh(b)
-        vals = np.clip(vals, 0.0, None)
-        rest = vals[:, 1:] - vals[:, :1]
-        q = vecs[:, :, 1:]
+        if self.frame.flat:
+            return snap_policy(self.stencil, vals, vecs)
         dir_idx, norms2, basis = self.columns
-        drift = None
-        if not self.frame.flat:
-            q = self.frame.g @ q
-            lengths2 = (q ** 2).sum(axis=1)
-            rest = rest * lengths2
-            q = q / np.sqrt(lengths2)[:, None]
-            _, drift = self.coefficients(self.frame, real_form(b))
-            drift = np.einsum("nij,nj->ni", basis, drift)
-        keep = np.any(rest > 0.0, axis=0)
-        if keep.any():
-            dir_idx = np.concatenate(
-                [dir_idx, snap_units(self.stencil, q[:, :, keep])], axis=1)
-        weights = np.concatenate([vals[:, :1] * norms2, rest[:, keep]], axis=1)
-        return term_policy(self.stencil, dir_idx, weights, drift)
+        _, drift = self.coefficients(self.frame, real_form(b))
+        return snap_policy(self.stencil, vals, vecs,
+                           (self.frame.g, dir_idx, norms2),
+                           np.einsum("nij,nj->ni", basis, drift))
 
     def adapted_policy(self, values: np.ndarray):
         """Policy of the adapted witness B* of ``values`` (None for n = 1),

@@ -150,6 +150,34 @@ def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("domain,hint", [
+    ({"kind": "box", "bounds": [float("nan"), 1.0], "dim": 2},
+     "domain origin must be finite, got [nan, nan]"),
+    ({"kind": "box", "bounds": [float("-inf"), 1.0], "dim": 2},
+     "domain origin must be finite, got [-inf, -inf]"),
+    (dict(DISC_DOMAIN, radius=float("nan")),
+     "domain radius must be finite, got nan"),
+    (dict(DISC_DOMAIN, radius=float("inf")),
+     "domain radius must be finite, got inf"),
+    (dict(DISC_DOMAIN, center=[float("nan"), 0.0]),
+     "domain center must be finite, got [nan, 0.0]"),
+], ids=["nan-bound", "inf-bound", "nan-radius", "inf-radius", "nan-center"])
+def test_non_finite_domain_geometry_exits_one(tmp_path, capsys, domain, hint):
+    # json writes and reads NaN and Infinity literals; the domain names the
+    # bad value before any grid is built
+    path = write_json(tmp_path / "p.json", {
+        "domain": dict(domain, nodes_per_axis=9),
+        "structure": {"preset": "standard", "n": 1},
+        "rhs": {"kind": "constant", "value": 1.0},
+        "boundary": {"kind": "expression", "id": "abs2"},
+    })
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "x"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and hint in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("scheme", [
     {"tol_res": float("nan")}, {"tol_res": float("inf")}, {"tol_res": -1e-3},
     {"max_iterations": -1}], ids=["nan-tol", "inf-tol", "negative-tol",

@@ -122,11 +122,17 @@ def test_snap_matches_brute_force_scoring(name):
     np.testing.assert_array_equal(st.dirs[st.axes], np.eye(d))
     for s_field in fields:
         want = brute_dir_idx(st, s_field)
-        pol = snap_policy(st, s_field)
+        pol = snap_policy(st, *np.linalg.eigh(s_field))
         # the axes carry lambda_min, the snapped remainder lambda_k - lambda_min,
-        # each as lambda / (h^2 |w|^2) on both neighbors
+        # each as lambda / (h^2 |w|^2) on both neighbors; a remainder term
+        # whose weight is zero at every node is skipped
         lam = np.broadcast_to(np.clip(np.linalg.eigh(s_field)[0], 0, None),
                               (st.nodes.size, d))
+        rest = lam[:, 1:] - lam[:, :1]
+        keep = np.any(rest > 0.0, axis=0)
+        assert pol.dir_idx.shape[1] == d + keep.sum()
+        if s_field is fields[0]:        # the identity keeps only the axes
+            assert not keep.any()
         np.testing.assert_array_equal(pol.dir_idx[:, :d],
                                       np.broadcast_to(st.axes, (st.nodes.size, d)))
         np.testing.assert_array_equal(pol.wplus, pol.wminus)
@@ -135,9 +141,9 @@ def test_snap_matches_brute_force_scoring(name):
                                       np.repeat(lam[:, :1], d, axis=1)
                                       / scale[:, :d])
         np.testing.assert_allclose(pol.wplus[:, d:] * scale[:, d:],
-                                   lam[:, 1:] - lam[:, :1], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(pol.dir_idx[:, d:], want)
-        full = np.concatenate([pol.dir_idx[:, :d], want], axis=1)
+                                   rest[:, keep], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pol.dir_idx[:, d:], want[:, keep])
+        full = np.concatenate([pol.dir_idx[:, :d], want[:, keep]], axis=1)
         ref = Policy(st, full, pol.wplus, pol.wminus)
         np.testing.assert_array_equal(pol.plus, ref.plus)
         np.testing.assert_array_equal(pol.minus, ref.minus)
@@ -223,14 +229,15 @@ def test_fallback_scores_stay_within_the_byte_cap(monkeypatch):
         return scores(products, allowed)
 
     monkeypatch.setattr(disc_mod, "_masked_scores", record)
-    pol = snap_policy(st, s_field)
+    pol = snap_policy(st, *np.linalg.eigh(s_field))
     rows = sum(shape[0] for shape in blocks)
     assert len(blocks) > 1 and rows > 200
     assert max(r * t * 8 for r, t in blocks) <= 8 << 20
     assert all(t == st.dirs.shape[0] for _, t in blocks)
     # the blocks change no direction: one block of every row gives the same
     monkeypatch.setattr(disc_mod, "_SCORE_BYTES", 1 << 40)
-    np.testing.assert_array_equal(snap_policy(st, s_field).dir_idx, pol.dir_idx)
+    np.testing.assert_array_equal(
+        snap_policy(st, *np.linalg.eigh(s_field)).dir_idx, pol.dir_idx)
     assert len(blocks) == 5
 
 
@@ -298,8 +305,8 @@ def test_drift_is_upwinded_into_the_axis_weights():
     ni, d, h = st.nodes.size, dom.dim, dom.h
     field = np.stack([rng.spd(d) for _ in range(ni)])
     drift = rng.uniforms((ni, d), -2.0, 2.0)
-    pol = snap_policy(st, field, drift)
-    plain = snap_policy(st, field)
+    pol = snap_policy(st, *np.linalg.eigh(field), drift=drift)
+    plain = snap_policy(st, *np.linalg.eigh(field))
     assert np.all(pol.wplus >= 0.0) and np.all(pol.wminus >= 0.0)
     np.testing.assert_allclose(pol.ucoeff, (pol.wplus + pol.wminus).sum(axis=1),
                                rtol=1e-14)
@@ -337,7 +344,7 @@ def test_solve_frozen_matches_dense_solve(name):
     ni, d = st.nodes.size, dom.dim
     field = np.stack([rng.spd(d) for _ in range(ni)])
     drift = rng.uniforms((ni, d), -2.0, 2.0)
-    pol = snap_policy(st, field, drift)
+    pol = snap_policy(st, *np.linalg.eigh(field), drift=drift)
     values = rng.normals((dom.n_nodes,))
     rhs = rng.normals((ni,))
     amat, c = dense_system(pol, values)
@@ -358,8 +365,9 @@ def test_solve_frozen_fails_instead_of_hanging():
     values = np.zeros(dom.n_nodes)
     values[dom.boundary_ids] = 1.0
     with pytest.raises(KrylovError, match="singular"):
-        solve_frozen(snap_policy(st, np.zeros((1, 2, 2))), values, 0.0, 1e-8)
-    pol = snap_policy(st, np.eye(2)[None])
+        solve_frozen(snap_policy(st, *np.linalg.eigh(np.zeros((1, 2, 2)))),
+                     values, 0.0, 1e-8)
+    pol = snap_policy(st, *np.linalg.eigh(np.eye(2)[None]))
     # a zero residual is out of reach in floating point; the cap stops it
     with pytest.raises(KrylovError, match="missed its tolerance"):
         solve_frozen(pol, values, 1.0, 0.0)

@@ -1,8 +1,8 @@
 """Every imported name is used in the module that imports it, every
 module-level private name of the package is read in its own module, and
-every name the package exports, and every public function and class a
-package module defines, is read by a program path or kept for a stated
-reason.
+every name the package exports, and every public function, class and
+method of a class a package module defines, is read by a program path or
+kept for a stated reason.
 
 The check parses each module of ``src/acx`` (the package ``__init__.py``
 re-exports by design and is left out of the import check), ``scripts/`` and
@@ -133,6 +133,9 @@ KEPT = {
     "bump_mass": "oracle: the quadrature mass of the battery bump",
     "euclidean_metric": "test geometry: the flat metric",
     "vertical_plane": "test geometry: a holomorphic plane off the origin",
+    "from_vectorized": "test fixture: a field sampled from a function",
+    "uniforms": "test fixture: seeded uniform arrays",
+    "spd": "test fixture: seeded SPD matrices",
 }
 
 
@@ -149,10 +152,18 @@ def public_definitions(path: Path) -> list[str]:
             and not node.name.startswith("_")]
 
 
+def public_methods(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [item.name for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
 def public_names() -> list[str]:
     out = package_exports()
     for path in PACKAGE:
-        out += [name for name in public_definitions(path) if name not in out]
+        out += [name for name in public_definitions(path) + public_methods(path)
+                if name not in out]
     return out
 
 
@@ -183,6 +194,30 @@ def test_the_check_sees_public_definitions(tmp_path):
                       "    def method(self):\n"
                       "        return 2\n")
     assert public_definitions(module) == ["f", "C"]
+
+
+def test_the_check_sees_methods(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(x):\n"
+                      "    def inner():\n"
+                      "        return x\n"
+                      "    return inner\n"
+                      "class C:\n"
+                      "    LIMIT = 3\n"
+                      "    def __init__(self):\n"
+                      "        self.x = 1\n"
+                      "    @property\n"
+                      "    def size(self):\n"
+                      "        return 2\n"
+                      "    def _helper(self):\n"
+                      "        return 3\n"
+                      "    @staticmethod\n"
+                      "    def build():\n"
+                      "        return C()\n"
+                      "    class Inner:\n"
+                      "        def hidden(self):\n"
+                      "            return 4\n")
+    assert public_methods(module) == ["size", "build"]
 
 
 def test_every_export_is_read_or_kept():

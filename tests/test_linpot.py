@@ -24,7 +24,7 @@ from acx.linpot import (
     viscosity_subharmonic,
     viscosity_values,
 )
-from acx.psh import blaplacian, real_form
+from acx.psh import PshError, blaplacian, real_form
 from acx.rng import CounterRng
 from acx.subeq import Subequation
 from acx.suite import _triangle_operators
@@ -52,6 +52,20 @@ def test_viscosity_margin_of_square(box, lap):
     u = ScalarField.from_vectorized(box, abs2)
     v = viscosity_subharmonic(u, ViscosityScheme(lap, box))
     assert v.subharmonic and v.margin == pytest.approx(4.0)   # 2 * dim
+
+
+def test_non_finite_coefficients_are_rejected(box):
+    # a NaN passes every comparison-based check and would come out as a NaN
+    # verdict; each coefficient is refused when it is read
+    nan_a = LinearOperator(2, lambda pts: (np.diag([1.0, np.nan]), None))
+    nan_b = LinearOperator(2, lambda pts: (np.eye(2), np.array([0.0, np.nan])))
+    with pytest.raises(LinpotError, match=r"a\(x\) must be finite"):
+        ViscosityScheme(nan_a, box)
+    with pytest.raises(LinpotError, match=r"b\(x\) must be finite"):
+        ViscosityScheme(nan_b, box)
+    sub = Subequation(make_structure("standard", n=1))
+    with pytest.raises(PshError, match="finite"):
+        operator_from_structure(sub, np.array([[np.nan + 0j]]))
 
 
 def test_viscosity_affine_reports_drift_pairing(box):
@@ -94,7 +108,8 @@ def test_replacement_dominates_subharmonic_and_matches_linear_solve(box, op):
     # matrix probed column by column through Policy.value
     ball = h.domain
     st = Stencil(ball)
-    pol = snap_policy(st, *op.at(ball.node_coords[st.nodes]))
+    a, b = op.at(ball.node_coords[st.nodes])
+    pol = snap_policy(st, *np.linalg.eigh(a), drift=b)
     ni = st.nodes.size
     col = {int(n): k for k, n in enumerate(st.nodes)}
     amat = np.zeros((ni, ni))
@@ -315,7 +330,8 @@ def test_operator_from_structure_matches_blaplacian(box):
         box, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 1])
     st = Stencil(box)
     pts = box.node_coords[st.nodes]
-    pol = snap_policy(st, *op.at(pts))
+    a, drift = op.at(pts)
+    pol = snap_policy(st, *np.linalg.eigh(a), drift=drift)
     vals = pol.value(u.values)
     rng = CounterRng(9)
     for _ in range(10):
@@ -445,7 +461,7 @@ def test_triangle_battery_snaps_each_ball_policy_once(monkeypatch):
     calls = []
     snap = linpot_mod.snap_policy
     monkeypatch.setattr(linpot_mod, "snap_policy",
-                        lambda *a: calls.append(1) or snap(*a))
+                        lambda *a, **kw: calls.append(1) or snap(*a, **kw))
     out = linear_triangle_battery(SuiteConfig(linear_fields=4))
     assert out["all_pass"] and len(out["cases"]) == 12
     assert len(calls) == 9      # 3 operators x 3 balls

@@ -236,6 +236,17 @@ def test_blaplacian_rejections(disc, flat1):
                    np.array([[1.0 + 0j]]))                          # boundary
 
 
+def test_non_finite_b_is_rejected(disc, flat1):
+    # every comparison against NaN is false, so hermiticity, positivity and
+    # the determinant alone would let a NaN B through
+    nan = np.array([[np.nan + 0j]])
+    with pytest.raises(PshError, match="finite"):
+        check_b_matrix(nan)
+    u = ScalarField.from_vectorized(disc, abs2)
+    with pytest.raises(PshError, match="finite"):
+        blaplacian(u, flat1, disc.node_at(np.zeros(2)), nan)
+
+
 @pytest.mark.parametrize("name,kwargs", [
     ("standard", {}),
     ("antilinear-linear-eps", {"eps": 0.1, "generator": 3}),
@@ -385,13 +396,20 @@ def test_non_flat_family_runs_no_eigh_and_snaps_its_frame_once(monkeypatch):
     # through g; the d vectors g e_i do not depend on B, so they are
     # snapped once, with the family, and every refresh snaps only its own
     # g r_j (two of them: the partner of mu_1 has weight zero)
+    import acx.discretize as disc_mod
     import acx.psh as psh_mod
 
     shapes = count_eigh(monkeypatch)
     snapped = []
-    snap = psh_mod.snap_units
-    monkeypatch.setattr(psh_mod, "snap_units", lambda st, units:
-                        snapped.append(units) or snap(st, units))
+    snap = disc_mod.snap_units
+
+    def record(st, units):
+        snapped.append(units)
+        return snap(st, units)
+
+    # the family snaps its frame itself and its members through snap_policy
+    monkeypatch.setattr(psh_mod, "snap_units", record)
+    monkeypatch.setattr(disc_mod, "snap_units", record)
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
     sub = Subequation(make_structure("antilinear-linear-eps", n=2, eps=0.1,
                                      generator=3))
