@@ -23,11 +23,9 @@ from .dirichlet import (
 from .lattice import (
     LatticeDomain,
     ScalarField,
-    directional_second,
     export_csv,
     fd_jet,
     import_csv,
-    upwind_first,
 )
 from .linpot import (
     BallReplacement,
@@ -51,7 +49,6 @@ from .psh import (
     MarginContext,
     OperatorFamily,
     SliceRestriction,
-    blaplacian,
     family_verdict,
     margin_verdict,
     psh_margin,

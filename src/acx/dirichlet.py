@@ -22,8 +22,10 @@ Where A_C is degenerate the infimum over unit-determinant B is not
 attained, and the clipped adapted witness (``psh.adapted_bstar``) stops
 short of it: for n = 2 and A_C of rank one it gives
 lambda_max(A_C) / _BSTAR_CLIP, so the residual at the exact solution
-|z1|^2 + Re(z1 z2) is 0.25 on every lattice, and homogeneous solves for
-n >= 2 stall.  The open fix is the rank-one witness on the eigenvector of
+|z1|^2 + Re(z1 z2) is 0.25 on every lattice.  Yet its flat 9^4 and 13^4
+solves report converged after 4 Howard steps with 3 members, with sup
+errors of 3.0e-2 and 3.8e-2 that do not fall with h: a wrong answer
+certifies.  The open fix is the rank-one witness on the eigenvector of
 lambda_min(A_C) (ROADMAP item 3).
 
 The discrete equation is solved in stages.  Within a stage the control
@@ -97,15 +99,20 @@ class DirichletProblem:
             raise SolveError("scheme.max_iterations must be >= 0, got "
                              f"{self.scheme.max_iterations}")
 
-    def tol_res(self) -> float:
-        """Consistency-matched default: second order for flat structures,
-        first order once the upwinded drift term is present."""
-        if self.scheme.tol_res is not None:
-            return self.scheme.tol_res
+    def consistency_tol(self) -> float:
+        """Consistency-matched tolerance, the default ``tol_res``: second
+        order for flat structures, first order once the upwinded drift term
+        is present; ten times it is every solve's certificate band."""
         h = self.domain.h
         if self.sub.acx.constant_identity:
             return 0.5 * h ** 2
         return max(0.5 * h ** 2, 0.05 * h)
+
+    def tol_res(self) -> float:
+        """``scheme.tol_res``, by default :meth:`consistency_tol`."""
+        if self.scheme.tol_res is not None:
+            return self.scheme.tol_res
+        return self.consistency_tol()
 
     def boundary_values(self) -> np.ndarray:
         vals = np.asarray(
@@ -175,12 +182,14 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
 
     A solve is converged when its residual is at most tol_res and it
     carries both certificates: a subsolution certificate (membership margin
-    of every interior jet at least -10 tol_res) and a supersolution
-    certificate (dual margin of the negated jets at least -10 tol_res);
-    boundary nodes hold the datum exactly.  Non-convergence (the step cap,
-    a linear solve that breaks down or misses its tolerance, or a failed
-    certificate, named with its margin) is reported in the flag and the
-    message, never raised; NaN or overflow is a hard error.
+    of every interior jet at least -10 tol_c) and a supersolution
+    certificate (dual margin of the negated jets at least -10 tol_c), for
+    tol_c = problem.consistency_tol() whatever tol_res is, as the jets
+    differ from the scheme by its consistency error; boundary nodes hold
+    the datum exactly.  Non-convergence (the step cap, a linear solve that
+    breaks down or misses its tolerance, or a failed certificate, named
+    with its margin) is reported in the flag and the message, never raised;
+    NaN or overflow is a hard error.
     """
     t0 = time.perf_counter()
     dom = problem.domain
@@ -232,7 +241,7 @@ def solve(problem: DirichletProblem) -> tuple[ScalarField, SolveReport]:
     sub_margin = float(np.min(margins))
     dual_margin = float(-np.max(margins))
     if converged:
-        band = 10.0 * tol_res
+        band = 10.0 * problem.consistency_tol()
         failed = [f"{name} certificate failed: margin {margin:.3e} below "
                   f"-{band:.3e}"
                   for name, margin in (("subsolution", sub_margin),

@@ -16,9 +16,9 @@ the drift, given by its coefficients along the columns' directions, is
 upwinded along them.  All of it is one nonnegative weight per neighbour,
 which is the degenerate-ellipticity (monotonicity) contract of every
 scheme built here (Barles & Souganidis 1991; Oberman 2006).
-Near-boundary interior nodes auto-restrict to the directions whose full
-offsets stay inside the region (at worst the unit box, which is always
-available).
+Near-boundary interior nodes auto-restrict to the available directions,
+whose full offsets x +- h w stay inside the region (at worst the unit box,
+which is always available), gathered on demand (:meth:`Stencil.available`).
 
 The direction set is closed under signed permutations, so by the
 rearrangement inequality the best direction for a unit v is the best
@@ -32,9 +32,11 @@ unequal c entries.  Then every other direction scores at least
 1e-12 / |c| lower in exact arithmetic, far above the roundoff of the
 scores.  The other vectors (near ties and unavailable directions) are
 scored against every available direction, lowest index on a tie, in
-blocks of at most _SCORE_BYTES of scores.  A constant field takes the same
-path with one set of vectors and one chamber snap shared by every node;
-only the availability of the chosen direction is checked per node.
+blocks of at most _SCORE_BYTES of scores (availability is gathered only
+where a direction scores at least the best one of the unit box).  A
+constant field takes the same path with one set of vectors and one
+chamber snap shared by every node; only the availability of the chosen
+direction is checked per node.
 
 A frozen policy is those weights: a matrix-free linear operator on the
 interior values with nonnegative off-diagonal entries and diagonal
@@ -53,29 +55,33 @@ import numpy as np
 
 from .lattice import LatticeDomain
 
-# bytes of one block of fallback scores (rows x directions, float64)
+# bytes of one block of fallback scores (float64) or gathered ordinals
 _SCORE_BYTES = 8 << 20
 _TIE = 1e-12
 
 
 class Stencil:
-    """Direction set + per-interior-node availability for one domain."""
+    """Direction set of one domain; availability is gathered on demand."""
 
     def __init__(self, domain: LatticeDomain):
         self.domain = domain
         self.rho = domain.stencil_radius
-        dirs, allowed = domain.stencil_table()
-        self.dirs = dirs
-        self.norms2 = (dirs.astype(float) ** 2).sum(axis=1)
-        self.units = dirs / np.sqrt(self.norms2)[:, None]
-        self.allowed = allowed
+        self.dirs = domain.stencil_table()
+        self.norms2 = (self.dirs.astype(float) ** 2).sum(axis=1)
+        self.units = self.dirs / np.sqrt(self.norms2)[:, None]
         self.nodes = domain.interior_ids
 
-    def node_row(self, node: int) -> int:
-        rows = np.flatnonzero(self.nodes == node)
-        if rows.size != 1:
-            raise ValueError("node is not interior")
-        return int(rows[0])
+    def available(self, rows: np.ndarray, dir_idx: np.ndarray) -> np.ndarray:
+        """Whether both x +- h w lie on the region at x = nodes[rows] for
+        w = dirs[dir_idx], two (M,) arrays: the policies' neighbor gather,
+        in blocks of at most _SCORE_BYTES of ordinals per side."""
+        out = np.empty(rows.size, dtype=bool)
+        for lo in range(0, rows.size, _SCORE_BYTES // 8):
+            part = slice(lo, lo + _SCORE_BYTES // 8)
+            plus, minus = self.domain.stencil_neighbors(rows[part],
+                                                        dir_idx[part])
+            out[part] = (plus >= 0) & (minus >= 0)
+        return out
 
     @cached_property
     def chamber(self):
@@ -124,7 +130,7 @@ class Policy:
 
     def __post_init__(self):
         self.plus, self.minus = self.stencil.domain.stencil_neighbors(
-            self.dir_idx)
+            np.arange(self.dir_idx.shape[0])[:, None], self.dir_idx)
         if np.any(self.plus < 0) or np.any(self.minus < 0):
             raise ValueError("policy selected an unavailable direction")
         self.ucoeff = (self.wplus + self.wminus).sum(axis=1)
@@ -190,8 +196,7 @@ def snap_units(stencil: Stencil, units: np.ndarray) -> np.ndarray:
     block = max(1, _SCORE_BYTES // (8 * units_t.shape[1]))
     for lo in range(0, node.size, block):
         rows, cols = node[lo:lo + block], col[lo:lo + block]
-        scores = _masked_scores(units[rows, :, cols] @ units_t,
-                                st.allowed[rows])             # (c, T)
+        scores = _masked_scores(st, rows, units[rows, :, cols] @ units_t)
         dir_idx[rows, cols] = np.argmax(scores, axis=1)
     return dir_idx
 
@@ -224,17 +229,27 @@ def _chamber_snap(st: Stencil, units: np.ndarray):
                      & (c[:, :-1] != c[:, 1:]), axis=1)
     w = np.empty_like(c)
     np.put_along_axis(w, order, np.where(v < 0, -c, c), axis=1)
-    idx = st.index_of(w).reshape(n, k)
-    exact = exact.reshape(n, k) & st.allowed[
-        np.arange(st.nodes.size)[:, None], idx]
-    return np.broadcast_to(idx, exact.shape).copy(), exact
+    ni = st.nodes.size
+    idx = np.broadcast_to(st.index_of(w).reshape(n, k), (ni, k)).copy()
+    exact = exact.reshape(n, k) & st.available(
+        np.repeat(np.arange(ni), k), idx.ravel()).reshape(ni, k)
+    return idx, exact
 
 
-def _masked_scores(products: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """|cos| scores from the products with the unit directions, -1 where a
-    direction is unavailable; in place, so one score block is alive."""
+def _masked_scores(st: Stencil, rows: np.ndarray,
+                   products: np.ndarray) -> np.ndarray:
+    """|cos| scores from the products (c, T) with the unit directions, in
+    place so one score block is alive, -1 where an unavailable direction
+    could win at the node of its row: the unit box, available at every
+    interior node, bounds the winner's score from below, so availability is
+    gathered only for the directions scoring at least its best."""
     np.abs(products, out=products)
-    np.copyto(products, -1.0, where=~allowed)
+    box = np.abs(st.dirs).max(axis=1) == 1
+    floor = products[:, box].max(axis=1)
+    r, t = np.divmod(np.flatnonzero(~(products < floor[:, None])),
+                     products.shape[1])         # every entry of a NaN row
+    off = ~st.available(rows[r], t)
+    products[r[off], t[off]] = -1.0
     return products
 
 

@@ -4,7 +4,7 @@ A domain is a box [a, b]^d or a ball masked inside its bounding box, with
 nodes classified exterior / boundary / interior.  Boundary nodes are region
 nodes with an exterior (or off-grid) neighbor in the unit sup-norm box, so
 every interior node owns its full 3^d neighborhood; wide-stencil users fall
-back to shorter offsets near the boundary through the validity masks.
+back to shorter offsets near the boundary, where longer ones read -1.
 Each domain keeps one grid of region ordinals, padded by the stencil
 radius; every neighbor lookup reads it.
 """
@@ -20,9 +20,6 @@ from typing import Callable
 import numpy as np
 
 EXTERIOR, BOUNDARY, INTERIOR = 0, 1, 2
-
-# entries per block of the interior-by-direction availability gathers
-_GATHER_BLOCK = 1 << 20
 
 _CLASS_NAMES = {EXTERIOR: "exterior", BOUNDARY: "boundary", INTERIOR: "interior"}
 
@@ -94,13 +91,16 @@ class LatticeDomain:
                 raise LatticeError("box with scalar bounds needs dim")
             bounds = np.tile(bounds, (dim, 1))
         d = bounds.shape[0]
+        for name, value in (("origin", bounds[:, 0]),
+                            ("upper bounds", bounds[:, 1])):
+            if not np.all(np.isfinite(value)):
+                raise LatticeError(f"domain {name} must be finite, got "
+                                   f"{value.tolist()}")
         widths = bounds[:, 1] - bounds[:, 0]
         if nodes_per_axis < 5:
             raise LatticeError("need at least 5 nodes per axis")
         h = widths[0] / (nodes_per_axis - 1)
-        # non-finite widths pass here and are named by __post_init__
-        if not np.allclose(widths, widths[0], rtol=0.0, atol=1e-12,
-                           equal_nan=True):
+        if not np.allclose(widths, widths[0], rtol=0.0, atol=1e-12):
             raise LatticeError("box must have equal axis widths (uniform h)")
         return LatticeDomain(d, h, bounds[:, 0].copy(), (nodes_per_axis,) * d,
                              "box", stencil_radius=stencil_radius)
@@ -217,35 +217,26 @@ class LatticeDomain:
                                   + offset @ self._strides].astype(np.int64)
         return self._ordinals_at(self.node_multi[nodes] + offset)
 
-    def stencil_table(self):
-        """(dirs, allowed): the primitive directions of sup-norm at most the
-        stencil radius, and per interior node whether both x + w and x - w
-        lie on the region; built on first use, in row blocks of at most
-        _GATHER_BLOCK entries, together with each direction's flat step on
-        the padded grid."""
+    def stencil_table(self) -> np.ndarray:
+        """The primitive directions of sup-norm at most the stencil radius,
+        built on first use with what ``stencil_neighbors`` reads: each
+        direction's flat step on the padded grid and the interior cells."""
         if self._stencil is None:
             dirs = stencil_directions(self.dim, self.stencil_radius)
-            steps = dirs @ self._strides
-            pos = self._pos[self.interior_ids]
-            allowed = np.empty((pos.size, steps.size), dtype=bool)
-            rows = max(1, _GATHER_BLOCK // steps.size)
-            for lo in range(0, pos.size, rows):
-                at = pos[lo:lo + rows, None]
-                allowed[lo:lo + rows] = ((self._ordinals[at + steps] >= 0)
-                                         & (self._ordinals[at - steps] >= 0))
-            self._stencil = (dirs, allowed, pos, steps)
-        return self._stencil[:2]
+            self._stencil = (dirs, self._pos[self.interior_ids],
+                             dirs @ self._strides)
+        return self._stencil[0]
 
-    def stencil_neighbors(self, dir_idx: np.ndarray):
-        """(plus, minus): region ordinals of x + w and x - w for w =
-        dirs[dir_idx] of ``stencil_table``, with one row of direction indices
-        per interior node x (in ``interior_ids`` order); -1 where the target
-        is off the region.  A direction's sup-norm is at most the pad, so
-        each side is one gather of the padded grid at x's cell plus the
-        direction's flat step."""
+    def stencil_neighbors(self, rows: np.ndarray, dir_idx: np.ndarray):
+        """(plus, minus): region ordinals of x + w and x - w for the interior
+        nodes x = interior_ids[rows] and w = dirs[dir_idx] of
+        ``stencil_table``, ``rows`` broadcast against ``dir_idx``; -1 where
+        the target is off the region.  A direction's sup-norm is at most the
+        pad, so each side is one gather of the padded grid at x's cell plus
+        the direction's flat step."""
         self.stencil_table()
-        _, _, pos, steps = self._stencil
-        at, step = pos[:, None], steps[dir_idx]
+        _, pos, steps = self._stencil
+        at, step = pos[rows], steps[dir_idx]
         return (self._ordinals[at + step].astype(np.int64),
                 self._ordinals[at - step].astype(np.int64))
 
@@ -379,49 +370,6 @@ class JetTable:
             a[:, i, j] = a[:, j, i] = (
                 values[pp] - values[pm] - values[mp] + values[mm]) / (4 * h ** 2)
         return p, a
-
-
-def directional_second(u: ScalarField, node: int, w) -> float:
-    """[u(x + hw) - 2u(x) + u(x - hw)] / (h^2 |w|^2) for an integer direction;
-    approximates w^T D^2u w / |w|^2 and is exact on quadratics."""
-    dom = u.domain
-    w = np.asarray(w, dtype=np.int64)
-    if not w.any():
-        raise LatticeError("direction must be nonzero")
-    nodes = np.array([node])
-    ip = dom.neighbor_ids(nodes, w)[0]
-    im = dom.neighbor_ids(nodes, -w)[0]
-    if ip < 0 or im < 0:
-        raise LatticeError("directional offset exits the domain")
-    u._require_unmasked(np.array([node, ip, im]))
-    nrm2 = float(w @ w)
-    return float((u.values[ip] + u.values[im] - 2 * u.values[node])
-                 / (dom.h ** 2 * nrm2))
-
-
-def upwind_first(u: ScalarField, node: int, b, dirs=None) -> float:
-    """Monotone first-order term sum_i b_i D_i^{+-} u along the integer
-    directions w_i, the rows of ``dirs`` (the axes by default):
-    b_i (u(x + h w_i) - u(x)) / h for b_i > 0 and
-    b_i (u(x) - u(x - h w_i)) / h for b_i < 0.  Exact on affine fields,
-    where it is (sum_i b_i w_i) . Du."""
-    dom = u.domain
-    b = np.asarray(b, dtype=float)
-    if dom.node_class[node] != INTERIOR:
-        raise LatticeError("upwind term requires an interior node")
-    if dirs is None:
-        dirs = np.eye(dom.dim, dtype=np.int64)
-    total = 0.0
-    nodes = np.array([node])
-    for bi, w in zip(b, np.asarray(dirs, dtype=np.int64)):
-        if bi == 0.0:
-            continue
-        nb = dom.neighbor_ids(nodes, w if bi > 0 else -w)[0]
-        if nb < 0:
-            raise LatticeError("upwind offset exits the domain")
-        u._require_unmasked(np.array([nb]))
-        total += abs(bi) * (u.values[nb] - u.values[node]) / dom.h
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

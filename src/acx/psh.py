@@ -27,7 +27,6 @@ from .algebra import (
 )
 from .discretize import Policy, Stencil, snap_policy, snap_units
 from .lattice import (
-    INTERIOR,
     JetTable,
     LatticeDomain,
     ScalarField,
@@ -436,53 +435,6 @@ class OperatorFamily:
 
         return Policy(self.stencil, pick("dir_idx", self.stencil.axes[0]),
                       pick("wplus", 0.0), pick("wminus", 0.0))
-
-
-def blaplacian(u: ScalarField, sub: Subequation, node: int, b) -> float:
-    """Monotone discretization of the linear operator attached to B, one
-    node at a time, from the terms :class:`OperatorFamily` builds: with
-    (mu_j, r_j) the eigenpairs of real_form(B) from :func:`real_form_eigh`
-    (clipped at zero), the second differences along the stencil-snapped
-    g e_i weighted by mu_1 |g e_i|^2 and along the snapped g r_j (j >= 2)
-    weighted by (mu_j - mu_1) |g r_j|^2, each direction chosen by scoring
-    every available one; and, off the flat frame, the drift
-    <S, E(e_k)> of S = g B_r g^T upwinded along the snapped g e_i."""
-    from .lattice import directional_second, upwind_first
-
-    bmat = check_b_matrix(b)
-    if 2 * bmat.shape[0] != sub.d:
-        raise PshError("B has the wrong dimension for the structure")
-    dom = u.domain
-    if dom.node_class[node] != INTERIOR:
-        raise PshError("B-Laplacian requires an interior node")
-    frame = sub.acx.at(dom.node_coords[node])
-    g = frame.g[0]
-    vals, vecs = (x[0] for x in real_form_eigh(bmat[None]))
-    vals = np.clip(vals, 0.0, None)
-    st = Stencil(dom)
-    allowed = st.allowed[st.node_row(node)]
-
-    def snapped(q):
-        scores = np.abs(st.units @ (q / np.linalg.norm(q)))
-        scores[~allowed] = -1.0
-        return st.dirs[int(np.argmax(scores))]
-
-    total = 0.0
-    shared = []
-    for q in g.T:
-        shared.append(snapped(q))
-        total += vals[0] * (q @ q) * directional_second(u, node, shared[-1])
-    for k in range(1, dom.dim):
-        if vals[k] > vals[0]:
-            q = g @ vecs[:, k]
-            total += ((vals[k] - vals[0]) * (q @ q)
-                      * directional_second(u, node, snapped(q)))
-    if not frame.flat:
-        s = g @ real_form(bmat) @ g.T
-        drift = np.einsum("kab,ab->k", frame.e_tensor[0], s)
-        w = np.array(shared)
-        total += upwind_first(u, node, np.linalg.solve(w.T, drift), w)
-    return float(total)
 
 
 def blap_min_field(u: ScalarField, ops: OperatorFamily):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_solve_counts_go_to_the_meta_sidecar(tmp_path):
 
 
 def test_solve_nonconvergence_exit_two(tmp_path, solve_cfg):
-    cfg = json.loads(open(solve_cfg).read())
+    cfg = json.loads(Path(solve_cfg).read_text())
     # n = 1 is linear and converges in one Howard step; a cap of 0 stops it
     cfg["scheme"] = {"max_iterations": 0}
     path = write_json(tmp_path / "p1.json", cfg)
@@ -142,7 +143,7 @@ def test_solve_input_errors_exit_one(tmp_path):
 def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
                                             change, hint):
     path = write_json(tmp_path / "p.json",
-                      dict(json.loads(open(solve_cfg).read()), **change))
+                      dict(json.loads(Path(solve_cfg).read_text()), **change))
     assert main(["solve", "--config", path, "--out", str(tmp_path / "x"),
                  "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -161,7 +162,12 @@ def test_solve_precondition_errors_exit_one(tmp_path, solve_cfg, capsys,
      "domain radius must be finite, got inf"),
     (dict(DISC_DOMAIN, center=[float("nan"), 0.0]),
      "domain center must be finite, got [nan, 0.0]"),
-], ids=["nan-bound", "inf-bound", "nan-radius", "inf-radius", "nan-center"])
+    ({"kind": "box", "bounds": [[float("nan"), 1.0], [0.0, 1.0]]},
+     "domain origin must be finite, got [nan, 0.0]"),
+    ({"kind": "box", "bounds": [[0.0, 1.0], [0.0, float("inf")]]},
+     "domain upper bounds must be finite, got [1.0, inf]"),
+], ids=["nan-bound", "inf-bound", "nan-radius", "inf-radius", "nan-center",
+        "nan-axis-bound", "inf-axis-bound"])
 def test_non_finite_domain_geometry_exits_one(tmp_path, capsys, domain, hint):
     # json writes and reads NaN and Infinity literals; the domain names the
     # bad value before any grid is built
@@ -186,13 +192,13 @@ def test_out_of_range_scheme_is_a_precondition_error(solve_cfg, scheme):
     # json reads NaN and Infinity literals; the problem is refused before
     # any solve (a SolveError, which main maps to exit 1), so a NaN
     # tolerance cannot reach the stage loop
-    text = json.dumps(dict(json.loads(open(solve_cfg).read()), scheme=scheme))
+    text = json.dumps(dict(json.loads(Path(solve_cfg).read_text()), scheme=scheme))
     with pytest.raises(SolveError, match=next(iter(scheme))):
         _problem_from(json.loads(text))
 
 
 def test_solve_rejects_unknown_scheme_options(tmp_path, solve_cfg, capsys):
-    cfg = json.loads(open(solve_cfg).read())
+    cfg = json.loads(Path(solve_cfg).read_text())
     out = ["--out", str(tmp_path / "x"), "--quiet"]
     for scheme, hint in (({"tol_ress": 1e-3}, "tol_ress"),
                          ({"stencil_radius": 1}, "stencil_radius"),
@@ -379,7 +385,7 @@ def test_config_numbers_are_neither_truncated_nor_coerced(solve_cfg, key,
                                                           change):
     # a float where an integer belongs, or a bool where a number belongs,
     # is an input error naming the key, not a truncated or coerced value
-    cfg = dict(json.loads(open(solve_cfg).read()), **change)
+    cfg = dict(json.loads(Path(solve_cfg).read_text()), **change)
     with pytest.raises(InputError, match=key):
         _problem_from(cfg)
 

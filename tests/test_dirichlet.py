@@ -333,6 +333,31 @@ def test_failed_certificate_is_not_converged():
                            f"{rep.subsolution_margin:.3e} below -{band:.3e}")
 
 
+def test_tight_tol_res_keeps_the_consistency_band():
+    # the certificates read centered jets, a consistency error away from the
+    # scheme; a tight tol_res must not shrink their band to 1e-8 (the
+    # subsolution margin is -3.9e-3 against a band of 3.1e-2)
+    acx = make_structure("antilinear-linear-eps", n=1, eps=0.1, generator=0)
+    prob = disc_problem(f=1.0, nodes=33, acx=acx, tol_res=1e-9)
+    _, rep = solve(prob)
+    assert rep.residual <= 1e-9 and rep.tol_res == 1e-9
+    assert rep.subsolution_margin < -10 * rep.tol_res
+    assert rep.converged and rep.message == ""
+
+
+def test_loose_tol_res_does_not_widen_the_band():
+    # at tol_res = 0.1 the band stays 10 x the consistency tolerance, 0.078,
+    # so the rotated a = 2 quadratic's subsolution margin of -0.333 fails
+    prob = ball_n2(17, rotated_n2(2.0), preset="standard", tol_res=0.1)
+    _, rep = solve(prob)
+    assert rep.residual <= 0.1 and not rep.converged
+    band = 10 * prob.consistency_tol()
+    assert rep.subsolution_margin < -band < -0.07
+    assert rep.message.startswith(
+        f"subsolution certificate failed: margin {rep.subsolution_margin:.3e} "
+        f"below -{band:.3e}")
+
+
 @pytest.mark.parametrize("preset", ["standard", "antilinear-linear-eps"])
 @pytest.mark.parametrize("field", ["converged-13", "noisy-9"])
 def test_stage_residual_is_monotone(preset, field):

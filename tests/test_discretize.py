@@ -1,7 +1,9 @@
-"""The isotropic split, the chamber snap, the availability table, the
+"""The isotropic split, the chamber snap, the availability gather, the
 padded neighbor lookup and the frozen-policy solve against brute-force
 references: scoring every stencil direction (the definition of the snap),
 walking the grid one node at a time and a dense linear solve."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,25 +13,23 @@ from acx.lattice import LatticeDomain
 from acx.rng import CounterRng
 
 
-def brute_dir_idx(st: Stencil, s_field: np.ndarray) -> np.ndarray:
+def available_table(st: Stencil) -> np.ndarray:
+    """(Ni, T): whether both x + h w and x - h w lie on the region, for every
+    interior node x and direction w, from the policies' neighbor gather."""
+    plus, minus = st.domain.stencil_neighbors(
+        np.arange(st.nodes.size)[:, None], np.arange(st.dirs.shape[0])[None])
+    return (plus >= 0) & (minus >= 0)
+
+
+def brute_dir_idx(st: Stencil, s_field: np.ndarray,
+                  allowed: np.ndarray) -> np.ndarray:
     """Per node and eigenvector of the remainder S - lambda_min I (all but
-    the first of eigh's), the first available direction of largest |cos|,
-    scoring all of them."""
-    ni, d = st.nodes.size, st.domain.dim
+    the first of eigh's), the first direction of largest |cos| among those
+    ``allowed`` (Ni, T), scoring all of them."""
     _, vecs = np.linalg.eigh(s_field)
-    vecs = vecs[:, :, 1:]
-    units_t = st.units.T.copy()
-    if s_field.shape[0] == 1:
-        scores = np.abs(vecs[0].T @ units_t)
-        return np.stack([np.argmax(np.where(st.allowed, sc, -1.0), axis=1)
-                         for sc in scores], axis=1)
-    out = np.empty((ni, d - 1), dtype=np.int64)
-    for lo in range(0, ni, 4096):
-        hi = min(lo + 4096, ni)
-        scores = np.abs(vecs[lo:hi].transpose(0, 2, 1) @ units_t)
-        scores = np.where(st.allowed[lo:hi, None, :], scores, -1.0)
-        out[lo:hi] = np.argmax(scores, axis=2)
-    return out
+    return np.stack([np.argmax(np.where(allowed, np.abs(v @ st.units.T), -1.0),
+                               axis=1)
+                     for v in np.moveaxis(vecs[:, :, 1:], 2, 0)], axis=1)
 
 
 def naive_neighbors(dom: LatticeDomain, nodes, offsets) -> np.ndarray:
@@ -118,10 +118,10 @@ def test_snap_matches_brute_force_scoring(name):
     constants = ([np.eye(d)] + [with_vectors(q) for q in tie_frames(d)]
                  + [rng.spd(d) for _ in range(4)])
     fields = [c[None] for c in constants] + per_node_fields(st, 5)
-    restricted = ~st.allowed.all(axis=1)
+    allowed = available_table(st)
     np.testing.assert_array_equal(st.dirs[st.axes], np.eye(d))
     for s_field in fields:
-        want = brute_dir_idx(st, s_field)
+        want = brute_dir_idx(st, s_field, allowed)
         pol = snap_policy(st, *np.linalg.eigh(s_field))
         # the axes carry lambda_min, the snapped remainder lambda_k - lambda_min,
         # each as lambda / (h^2 |w|^2) on both neighbors; a remainder term
@@ -151,7 +151,7 @@ def test_snap_matches_brute_force_scoring(name):
         np.testing.assert_array_equal(
             pol.minus, naive_neighbors(dom, st.nodes[:, None], -offs))
     if name.startswith("ball"):
-        assert restricted.any()
+        assert not allowed.all()
 
 
 def test_chamber_is_one_direction_per_signed_permutation_orbit():
@@ -170,9 +170,10 @@ def test_chamber_is_one_direction_per_signed_permutation_orbit():
 def test_policy_rejects_unavailable_direction():
     dom = DOMAINS["ball4"]()
     st = Stencil(dom)
-    row, t = np.argwhere(~st.allowed)[0]
+    allowed = available_table(st)
+    row, t = np.argwhere(~allowed)[0]
     dir_idx = np.zeros((st.nodes.size, 4), dtype=np.int64)
-    dir_idx[:] = np.flatnonzero(st.allowed.all(axis=0))[:4]
+    dir_idx[:] = np.flatnonzero(allowed.all(axis=0))[:4]
     dir_idx[row, 0] = t
     ones = np.ones((st.nodes.size, 4))
     with pytest.raises(ValueError, match="unavailable direction"):
@@ -187,28 +188,32 @@ GATHER_DOMAINS = [
 @pytest.mark.parametrize("kind,d,rho", GATHER_DOMAINS)
 def test_policy_neighbors_are_the_offset_gather(kind, d, rho):
     # every direction at every interior node: the gather and neighbor_ids
-    # agree (-1 on the same entries), and a policy over all the available
-    # directions reads the same neighbors
+    # agree (-1 on the same entries), the stencil's availability is both
+    # sides on the region, and a policy over all the available directions
+    # reads the same neighbors
     nodes_per_axis = {2: 13, 4: 7, 6: 5}[d]
     dom = (LatticeDomain.box([-1, 1], nodes_per_axis, dim=d, stencil_radius=rho)
            if kind == "box" else
            LatticeDomain.ball(np.zeros(d), 1.0, nodes_per_axis, stencil_radius=rho))
     st = Stencil(dom)
-    every = np.broadcast_to(np.arange(st.dirs.shape[0]), st.allowed.shape)
+    rows = np.broadcast_to(np.arange(st.nodes.size)[:, None],
+                           (st.nodes.size, st.dirs.shape[0]))
+    every = np.broadcast_to(np.arange(st.dirs.shape[0]), rows.shape)
     offs = st.dirs[every]
     nodes = st.nodes[:, None]
-    plus, minus = dom.stencil_neighbors(every)
+    plus, minus = dom.stencil_neighbors(rows, every)
     np.testing.assert_array_equal(plus, dom.neighbor_ids(nodes, offs))
     np.testing.assert_array_equal(minus, dom.neighbor_ids(nodes, -offs))
-    np.testing.assert_array_equal((plus >= 0) & (minus >= 0), st.allowed)
+    allowed = st.available(rows.ravel(), every.ravel()).reshape(rows.shape)
+    np.testing.assert_array_equal((plus >= 0) & (minus >= 0), allowed)
     # unavailable entries take the first axis, which every node has
-    dir_idx = np.where(st.allowed, every, st.axes[0])
+    dir_idx = np.where(allowed, every, st.axes[0])
     zeros = np.zeros(dir_idx.shape)
     pol = Policy(st, dir_idx, zeros, zeros)
-    np.testing.assert_array_equal(pol.plus[st.allowed], plus[st.allowed])
-    np.testing.assert_array_equal(pol.minus[st.allowed], minus[st.allowed])
+    np.testing.assert_array_equal(pol.plus[allowed], plus[allowed])
+    np.testing.assert_array_equal(pol.minus[allowed], minus[allowed])
     if rho > 1:
-        assert not st.allowed.all()
+        assert not allowed.all()
 
 
 def test_fallback_scores_stay_within_the_byte_cap(monkeypatch):
@@ -224,9 +229,9 @@ def test_fallback_scores_stay_within_the_byte_cap(monkeypatch):
     blocks = []
     scores = disc_mod._masked_scores
 
-    def record(products, allowed):
+    def record(stencil, rows, products):
         blocks.append(products.shape)
-        return scores(products, allowed)
+        return scores(stencil, rows, products)
 
     monkeypatch.setattr(disc_mod, "_masked_scores", record)
     pol = snap_policy(st, *np.linalg.eigh(s_field))
@@ -242,21 +247,47 @@ def test_fallback_scores_stay_within_the_byte_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
-def test_allowed_matches_naive_walk(name):
-    # the brute-force snap above reads st.allowed, so the table is checked
-    # here on its own: every row, and evenly spaced directions up to about
-    # 60,000 entries (every direction on the small domains)
+def test_allowed_matches_naive_walk(name, monkeypatch):
+    # the brute-force snap above reads the policies' neighbor gather, so the
+    # stencil's availability is checked here against a walk of the grid:
+    # every row, and evenly spaced directions up to about 60,000 entries
+    # (every direction on the small domains); gathered in blocks of 8
+    # entries it is the same
+    import acx.discretize as disc_mod
+
     dom = DOMAINS[name]()
     st = Stencil(dom)
-    step = max(1, st.allowed.size // 60_000)
+    step = max(1, st.nodes.size * st.dirs.shape[0] // 60_000)
     dirs = st.dirs[::step]
     nodes = st.nodes[:, None]
     offs = np.broadcast_to(dirs, (nodes.size, *dirs.shape))
     want = ((naive_neighbors(dom, nodes, offs) >= 0)
             & (naive_neighbors(dom, nodes, -offs) >= 0))
-    np.testing.assert_array_equal(st.allowed[:, ::step], want)
+    rows, cols = np.nonzero(np.ones(want.shape, dtype=bool))
+    np.testing.assert_array_equal(
+        st.available(rows, cols * step).reshape(want.shape), want)
+    monkeypatch.setattr(disc_mod, "_SCORE_BYTES", 64)
+    np.testing.assert_array_equal(
+        st.available(rows, cols * step).reshape(want.shape), want)
     if name.startswith("ball"):
         assert not want.all()
+
+
+def test_ball6_stencil_and_snap_stay_in_bounded_memory():
+    # no (interior nodes x directions) table: the 13^6 ball's 19,093 interior
+    # nodes and 7,448 directions would make it 136 MiB; one snap of a
+    # constant field gathers availability on demand and scores about 10,000
+    # vectors, in blocks of at most 8 MiB
+    dom = LatticeDomain.ball(np.zeros(6), 1.0, 13)
+    s_field = CounterRng(3).spd(6)[None]
+    tracemalloc.start()
+    try:
+        pol = snap_policy(Stencil(dom), *np.linalg.eigh(s_field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pol.dir_idx.shape == (19_093, 11)
+    assert peak <= 32 << 20
 
 
 @pytest.mark.parametrize("name", ["box2", "ball2", "ball4"])

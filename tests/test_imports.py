@@ -124,7 +124,6 @@ KEPT = {
     "real_hessian": "pinned normalization: the J-symmetrized A + E(p)",
     "comparison_check": "certificate harness: sub/supersolution comparison",
     "maximality_check": "certificate harness: homogeneous maximality",
-    "blaplacian": "the per-node snap oracle of the batched margins",
     "positivity_closed": "subequation axiom: positivity",
     "strict_contains": "subequation axiom: strict membership",
     "hermitian_hessian": "the metric side of the paper's section 9",

@@ -15,7 +15,6 @@ from acx.lattice import (
     LatticeDomain,
     LatticeError,
     ScalarField,
-    directional_second,
     export_csv,
     fd_jet,
     fd_jets,
@@ -23,7 +22,6 @@ from acx.lattice import (
     read_boundary_csv,
     slice_lattice,
     stencil_directions,
-    upwind_first,
 )
 from acx.linpot import (
     BallReplacement,
@@ -237,69 +235,6 @@ def test_jet_table_matches_fd_jets(box2):
     assert np.array_equal(p1[:, 0], p0.ravel())
     assert np.array_equal(a1[:, 0, 0], a00.ravel())
     assert np.array_equal(a1[:, 0, 1], a01.ravel())
-
-
-# ---------------------------------------------------------------------------
-# directional second differences and upwinding
-# ---------------------------------------------------------------------------
-
-def test_directional_second_quadratic_exact(box2):
-    rng = CounterRng(4)
-    q = rng.symmetric(2)
-    u = quad_field(box2, q)
-    node = box2.node_at(np.zeros(2))
-    for w in ([1, 0], [1, 1], [2, 1], [1, -2]):
-        w = np.array(w)
-        expect = (w @ q @ w) / (w @ w)
-        assert directional_second(u, node, w) == pytest.approx(expect)
-        assert directional_second(u, node, -w) == pytest.approx(expect)
-
-
-def test_directional_second_of_squared_norm_is_two(disc):
-    u = quad_field(disc, 2 * np.eye(2))
-    node = disc.node_at(np.zeros(2))
-    for w in ([1, 0], [2, 1], [1, 1]):
-        assert directional_second(u, node, w) == pytest.approx(2.0)
-
-
-def test_directional_second_rejects_domain_exit(disc):
-    u = quad_field(disc, np.eye(2))
-    edge = disc.interior_ids[0]
-    with pytest.raises(LatticeError):
-        directional_second(u, int(edge), [5, 5])
-
-
-def test_upwind_exact_on_affine(box2):
-    p = np.array([3.0, -2.0])
-    u = quad_field(box2, np.zeros((2, 2)), p=p, c=1.0)
-    node = box2.node_at(np.zeros(2))
-    b = np.array([1.5, 0.5])
-    assert upwind_first(u, node, b) == pytest.approx(b @ p)
-    assert upwind_first(u, node, np.zeros(2)) == 0.0
-
-
-def test_upwind_along_integer_directions(disc):
-    # along the rows w_i of dirs the term is (sum_i b_i w_i) . p on an affine
-    # field; an upwind neighbour off the region is an error, not values[-1]
-    p = np.array([3.0, -2.0])
-    u = ScalarField.from_vectorized(disc, lambda X: 1.0 + X @ p)
-    node = disc.node_at(np.zeros(2))
-    b = np.array([1.5, -0.5])
-    dirs = np.array([[1, 2], [1, 1]])
-    assert upwind_first(u, node, b, dirs) == pytest.approx((b @ dirs) @ p)
-    edge = disc.nodes_at(np.array([[0.75, 0.0]]))[0]
-    assert disc.node_class[edge] == INTERIOR
-    with pytest.raises(LatticeError, match="exits the domain"):
-        upwind_first(u, int(edge), b, np.array([[3, 0], [0, 1]]))
-
-
-def test_upwind_closed_form_for_half_square(box2):
-    # forward difference of x^2/2 at x1: x1 + h/2
-    u = ScalarField.from_vectorized(box2, lambda X: 0.5 * (X ** 2).sum(axis=1))
-    node = box2.node_at(np.array([0.25, 0.0]))
-    h = box2.h
-    assert upwind_first(u, node, np.array([1.0, 0.0])) == pytest.approx(
-        0.25 + h / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from acx.linpot import (
     viscosity_subharmonic,
     viscosity_values,
 )
-from acx.psh import PshError, blaplacian, real_form
+from acx.psh import OperatorFamily, PshError, real_form
 from acx.rng import CounterRng
 from acx.subeq import Subequation
 from acx.suite import _triangle_operators
@@ -322,22 +322,23 @@ def test_regularize_rejects_fully_masked(box):
 # ---------------------------------------------------------------------------
 
 def test_operator_from_structure_matches_blaplacian(box):
+    # the operator's coefficients are the family's (S, drift) for the same
+    # B, and its policy on the axes applies that drift: its first moment
+    # h sum (w+ - w-) w is the drift, on every node
     acx = make_structure("antilinear-linear-eps", n=1, eps=0.1, generator=0)
     sub = Subequation(acx)
     b = np.array([[1.0 + 0j]])
-    op = operator_from_structure(sub, b)
-    u = ScalarField.from_vectorized(
-        box, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 1])
     st = Stencil(box)
-    pts = box.node_coords[st.nodes]
-    a, drift = op.at(pts)
+    a, drift = operator_from_structure(sub, b).at(box.node_coords[st.nodes])
+    ops = OperatorFamily(sub, box)
+    s, family_drift = ops.coefficients(ops.frame, real_form(b))
+    np.testing.assert_array_equal(a, s)
+    np.testing.assert_array_equal(drift, family_drift)
+    assert np.all(drift[:, 0] != 0.0)
     pol = snap_policy(st, *np.linalg.eigh(a), drift=drift)
-    vals = pol.value(u.values)
-    rng = CounterRng(9)
-    for _ in range(10):
-        row = int(rng.uniform(0, st.nodes.size - 1e-9))
-        node = int(st.nodes[row])
-        assert abs(vals[row] - blaplacian(u, sub, node, b)) <= 1e-12
+    first = box.h * np.einsum("nk,nki->ni", pol.wplus - pol.wminus,
+                              st.dirs[pol.dir_idx])
+    np.testing.assert_allclose(first, drift, rtol=0, atol=1e-14)
 
 
 def test_flat_operator_from_structure_is_the_real_form():

@@ -14,7 +14,7 @@ from acx.psh import (
     PshError,
     SliceRestriction,
     adapted_bstar,
-    blaplacian,
+    blap_min_field,
     check_b_matrix,
     family_verdict,
     field_margins,
@@ -206,45 +206,38 @@ def test_restriction_rejects_incompatible_slice():
 # ---------------------------------------------------------------------------
 
 def test_blaplacian_flat_oracle(disc, flat1):
-    # oracle: S = real_form(B) and the value on a quadratic is tr(S Q)
-    u = ScalarField.from_vectorized(disc, abs2)
-    node = disc.node_at(np.zeros(2))
-    b = np.array([[1.0 + 0j]])
-    s = real_form(b)
+    # oracle: S = real_form(B), no drift, and the value on a quadratic is
+    # tr(S Q), 1 for |z|^2 and B = 1
+    ops = OperatorFamily(flat1, disc)
+    s = real_form(np.eye(1, dtype=complex))
     expect = float(np.trace(s @ (2 * np.eye(2))))
-    assert blaplacian(u, flat1, node, b) == pytest.approx(expect)
     assert expect == pytest.approx(1.0)
+    np.testing.assert_allclose(ops.identity.value(abs2(disc.node_coords)),
+                               expect, rtol=0, atol=1e-12)
 
 
 def test_blaplacian_vanishes_on_pluriharmonic(disc, flat1):
-    u = ScalarField.from_vectorized(disc, lambda X: X[:, 0] ** 2 - X[:, 1] ** 2)
-    node = disc.node_at(np.zeros(2))
-    assert blaplacian(u, flat1, node, np.array([[1.0 + 0j]])) == 0.0
-    const = ScalarField(disc, np.full(disc.n_nodes, 3.3))
-    assert blaplacian(const, flat1, node, np.array([[1.0 + 0j]])) == 0.0
+    ops = OperatorFamily(flat1, disc)
+    x = disc.node_coords
+    np.testing.assert_allclose(ops.identity.value(x[:, 0] ** 2 - x[:, 1] ** 2),
+                               0.0, rtol=0, atol=1e-12)
+    assert np.all(ops.identity.value(np.full(disc.n_nodes, 3.3)) == 0.0)
 
 
-def test_blaplacian_rejections(disc, flat1):
-    u = ScalarField.from_vectorized(disc, abs2)
-    node = disc.node_at(np.zeros(2))
-    with pytest.raises(PshError):
-        blaplacian(u, flat1, node, np.array([[2.0 + 0j]]))          # det != 1
-    with pytest.raises(PshError):
-        blaplacian(u, flat1, node, np.array([[-1.0 + 0j]]))         # not > 0
-    with pytest.raises(PshError):
-        blaplacian(u, flat1, int(disc.boundary_ids[0]),
-                   np.array([[1.0 + 0j]]))                          # boundary
+def test_blaplacian_rejections():
+    with pytest.raises(PshError, match="unit determinant"):
+        check_b_matrix(np.array([[2.0 + 0j]]))
+    with pytest.raises(PshError, match="positive definite"):
+        check_b_matrix(np.array([[-1.0 + 0j]]))
+    with pytest.raises(PshError, match="hermitian"):
+        check_b_matrix(np.array([[1.0, 1.0], [0.0, 1.0 + 0j]]))
 
 
-def test_non_finite_b_is_rejected(disc, flat1):
+def test_non_finite_b_is_rejected():
     # every comparison against NaN is false, so hermiticity, positivity and
     # the determinant alone would let a NaN B through
-    nan = np.array([[np.nan + 0j]])
     with pytest.raises(PshError, match="finite"):
-        check_b_matrix(nan)
-    u = ScalarField.from_vectorized(disc, abs2)
-    with pytest.raises(PshError, match="finite"):
-        blaplacian(u, flat1, disc.node_at(np.zeros(2)), nan)
+        check_b_matrix(np.array([[np.nan + 0j]]))
 
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -266,10 +259,16 @@ def test_via_blaplacians_n2_witness(name, kwargs, field, identity):
     assert not rep.psh
     check_b_matrix(rep.witness_b)
     assert np.allclose(rep.witness_b, np.eye(2)) == identity
-    node = dom.node_at(rep.worst_node)
-    ref = blaplacian(v, sub, node, rep.witness_b)
-    assert abs(ref - rep.worst_margin) <= 1e-12
-    assert ref < 0
+    row = int(np.flatnonzero(dom.interior_ids == dom.node_at(rep.worst_node))[0])
+    ops = OperatorFamily(sub, dom)
+    if identity:
+        own = ops.identity
+    else:
+        own = ops.adapted_policy(v.values)
+        bstar = adapted_bstar(ops.margins.forms(v.values))
+        np.testing.assert_array_equal(rep.witness_b, bstar[row])
+    ref = own.value(v.values)[row]
+    assert ref == rep.worst_margin < 0
 
 
 def test_adapted_bstar_unit_determinant_and_floor():
@@ -365,7 +364,10 @@ def test_flat_adapted_snap_does_not_follow_roundoff():
     u = ScalarField(dom, 0.5 * np.einsum("ni,ij,nj->n", x, q, x))
     ops = OperatorFamily(Subequation(make_structure("standard", n=2)), dom)
     pol = ops.adapted_policy(u.values)
-    full = ops.stencil.allowed.all(axis=1)
+    st = ops.stencil
+    plus, minus = dom.stencil_neighbors(np.arange(st.nodes.size)[:, None],
+                                        np.arange(st.dirs.shape[0])[None])
+    full = np.all((plus >= 0) & (minus >= 0), axis=1)
     assert np.count_nonzero(full) == 625
     ac = ops.margins.forms(u.values)[full]
     assert 0.0 < np.abs(ac - ac[0]).max() <= 1e-13
@@ -499,7 +501,7 @@ def sheared_structure():
 def test_drift_is_upwinded_along_the_snapped_frame_columns():
     # the drift b = sum_i c_i w_i goes on the shared columns w_i with
     # c = W^{-1} b: on an affine field the operator is b . p, and the
-    # per-node reference agrees
+    # identity meets its moments where W is not I
     dom = LatticeDomain.ball(np.zeros(2), 1.0, 17)
     sub = Subequation(sheared_structure())
     ops = OperatorFamily(sub, dom)
@@ -515,14 +517,8 @@ def test_drift_is_upwinded_along_the_snapped_frame_columns():
     affine = 0.4 + dom.node_coords @ grad
     np.testing.assert_allclose(ops.identity.value(affine), drift @ grad,
                                rtol=0, atol=1e-12)
-    u = ScalarField.from_vectorized(
-        dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 1] + 0.2 * X[:, 1] ** 3)
-    value = ops.identity.value(u.values)
-    rng = CounterRng(14)
-    for _ in range(8):
-        row = int(rng.uniform(0, value.size - 1e-9))
-        ref = blaplacian(u, sub, int(st.nodes[row]), np.eye(1, dtype=complex))
-        assert abs(value[row] - ref) <= 1e-12
+    check_moments(ops, ops.identity, np.eye(1, dtype=complex)[None],
+                  exact=False)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -568,51 +564,158 @@ def test_via_blaplacians_verdicts(disc, flat1):
     un = ScalarField(disc, -u.values)
     rep = psh_via_blaplacians(un, flat1)
     assert not rep.psh
-    assert rep.witness_b is not None
-    # the reported witness certifies the failure through its own operator
-    node = disc.node_at(rep.worst_node)
-    assert blaplacian(un, flat1, node, rep.witness_b) < 0
+    # the reported witness, the identity for n = 1, certifies the failure
+    # through its own operator
+    np.testing.assert_array_equal(rep.witness_b, np.eye(1))
+    ops = OperatorFamily(flat1, disc)
+    row = np.flatnonzero(disc.interior_ids == disc.node_at(rep.worst_node))
+    assert ops.identity.value(un.values)[row] == rep.worst_margin < 0
+
+
+def policy_moments(pol):
+    """(M1, M2, S2) per node of a policy with directions w_k and weights
+    w+_k, w-_k: its first moment M1 = h sum (w+ - w-) w, its second moment
+    M2 = (h^2 / 2) sum (w+ + w-) w w^T and M2's part S2 =
+    h^2 sum min(w+, w-) w w^T without the upwinded drift's diffusion."""
+    h = pol.stencil.domain.h
+    w = pol.stencil.dirs[pol.dir_idx].astype(float)         # (N, k, d)
+    ww = np.einsum("nki,nkj->nkij", w, w)
+    return (h * np.einsum("nk,nki->ni", pol.wplus - pol.wminus, w),
+            0.5 * h ** 2 * np.einsum("nk,nkij->nij", pol.wplus + pol.wminus, ww),
+            h ** 2 * np.einsum("nk,nkij->nij", np.minimum(pol.wplus, pol.wminus),
+                               ww))
+
+
+def check_moments(ops, pol, b, exact):
+    """The local-consistency conditions of a monotone scheme (Kushner &
+    Dupuis 2001) for the member policy ``pol`` of the forms ``b`` of
+    ``ops``, (1, n, n) or one per node, against the exact coefficients
+    (S, drift) of ``OperatorFamily.coefficients``, per node:
+    - M1 is the drift;
+    - S2 has the trace of S, on which the weights mu |q|^2 of the rank-one
+      terms mu q q^T of S sum, and S2 = S when ``exact`` (every term vector
+      a lattice direction); else S2 is within the snap's angle bound: each
+      term goes on the available direction of largest |cos| with its
+      vector, at least 1 / sqrt(d) on an axis, so
+      |S2 - S|_2 <= sqrt(1 - 1 / d) tr S;
+    - without a drift M2 = S2;
+    - on a quadratic u = x^T Q x / 2 + p . x, the policy's value is
+      tr(M2 Q) + M1 . (Q x + p).
+    Returns |S2 - S|_2 / tr S per node."""
+    st = pol.stencil
+    dom = st.domain
+    d = dom.dim
+    s, drift = ops.coefficients(ops.frame, real_form(b))
+    s = np.broadcast_to(s, (st.nodes.size, d, d))
+    m1, m2, s2 = policy_moments(pol)
+    np.testing.assert_allclose(m1, 0.0 if drift is None else drift,
+                               rtol=0, atol=1e-14)
+    trace = np.trace(s, axis1=1, axis2=2)
+    np.testing.assert_allclose(np.trace(s2, axis1=1, axis2=2), trace,
+                               rtol=1e-13)
+    gap = np.linalg.norm(s2 - s, ord=2, axis=(1, 2)) / trace
+    if exact:
+        np.testing.assert_allclose(s2, s, rtol=0, atol=1e-13)
+    else:
+        assert np.all(gap <= np.sqrt(1.0 - 1.0 / d))
+    if drift is None or not drift.any():
+        np.testing.assert_array_equal(m2, s2)
+    rng = CounterRng(53)
+    q, p = rng.symmetric(d), rng.uniforms((d,), -1.0, 1.0)
+    x = dom.node_coords
+    u = 0.5 * np.einsum("ni,ij,nj->n", x, q, x) + x @ p
+    grad = x[st.nodes] @ q + p
+    np.testing.assert_allclose(
+        pol.value(u), np.einsum("nij,ij->n", m2, q) + (m1 * grad).sum(axis=1),
+        rtol=0, atol=1e-12)
+    return gap
+
+
+MOMENT_DOMAINS = {
+    1: lambda: LatticeDomain.ball(np.zeros(2), 1.0, 17),
+    2: lambda: LatticeDomain.ball(np.zeros(4), 1.0, 9),
+    3: lambda: LatticeDomain.box([-0.5, 0.5], 5, dim=6, stencil_radius=1),
+}
+
+
+@pytest.mark.parametrize("name,n,kwargs,member,exact", [
+    ("standard", 1, {}, "identity", True),
+    ("standard", 2, {}, "identity", True),
+    ("standard", 2, {}, "isotropic", True),
+    ("standard", 3, {}, "identity", True),
+    ("standard", 3, {}, "adapted", False),
+    ("antilinear-linear-eps", 2, {"eps": 0.0}, "identity", True),
+    ("antilinear-linear-eps", 2, {"eps": 0.0}, "adapted", False),
+    ("antilinear-linear-eps", 1, {"eps": 0.1, "generator": 0}, "identity",
+     True),
+    ("antilinear-linear-eps", 2, {"eps": 0.1, "generator": 3}, "identity",
+     False),
+    ("antilinear-linear-eps", 2, {"eps": 0.1, "generator": 3}, "adapted",
+     False),
+    ("antilinear-slice-compatible", 3, {"m": 1, "eps": 0.05}, "identity",
+     False),
+    ("antilinear-slice-compatible", 3, {"m": 1, "eps": 0.05}, "adapted",
+     False),
+])
+def test_member_moments(name, n, kwargs, member, exact):
+    # the identity and the adapted witness of a field, flat and not, for
+    # n = 1, 2, 3 (flat n = 2 adapted: the test below); every term lies on a lattice direction for the identity
+    # where g is diagonal (flat, eps 0, and n = 1 with generator 0) and for
+    # the witness of |z|^2, which is the identity
+    dom = MOMENT_DOMAINS[n]()
+    ops = OperatorFamily(Subequation(make_structure(name, n=n, **kwargs)), dom)
+    x = dom.node_coords
+    if member == "identity":
+        pol, b = ops.identity, np.eye(n, dtype=complex)[None]
+    else:
+        field = abs2(x)
+        if member == "adapted":
+            field = field + 0.3 * x[:, 0] * x[:, -1] + 0.2 * x[:, 1] ** 3
+        pol = ops.adapted_policy(field)
+        b = adapted_bstar(ops.margins.forms(field))
+        assert np.allclose(b, np.eye(n)) == (member == "isotropic")
+    gap = check_moments(ops, pol, b, exact)
+    assert (gap.max() <= 1e-13) == exact
 
 
 def test_blap_min_field_matches_per_node_blaplacian_with_drift():
-    # the batched family against the independent per-node reference, on a
-    # non-flat structure where every member carries a drift
+    # on a quadratic the batched minimum over the identity and the adapted
+    # witness is the least of the members' per-node values from their
+    # moments, tr(M2 Q) + M1 . Du, and the active index names it; non-flat,
+    # so every member carries a drift
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
     sub = Subequation(make_structure("antilinear-linear-eps", n=2, eps=0.1,
                                      generator=3))
-    u = ScalarField.from_vectorized(
-        dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
     ops = OperatorFamily(sub, dom)
-    best, adapted = ops.min_value(u.values, ops.adapted_policy(u.values))
-    bstar = adapted_bstar(ops.margins.forms(u.values))
     assert np.any(ops.frame.e_tensor != 0.0)
-    rng = CounterRng(12)
-    for _ in range(8):
-        row = int(rng.uniform(0, best.size - 1e-9))
-        node = int(dom.interior_ids[row])
-        ref = [blaplacian(u, sub, node, b)
-               for b in (np.eye(2, dtype=complex), bstar[row])]
-        assert abs(best[row] - min(ref)) <= 1e-12
-        assert adapted[row] == int(np.argmin(ref))
+    x = dom.node_coords
+    q = np.array([[2.0, 0.0, 0.3, 0.0], [0.0, 0.5, 0.0, 0.2],
+                  [0.3, 0.0, 1.0, 0.0], [0.0, 0.2, 0.0, 3.0]])
+    u = ScalarField(dom, 0.5 * np.einsum("ni,ij,nj->n", x, q, x))
+    best, adapted = blap_min_field(u, ops)
+    grad = x[dom.interior_ids] @ q
+    oracle = np.stack([np.einsum("nij,ij->n", m2, q) + (m1 * grad).sum(axis=1)
+                       for m1, m2, _ in map(policy_moments, (
+                           ops.identity, ops.adapted_policy(u.values)))])
+    np.testing.assert_allclose(best, oracle.min(axis=0), rtol=0, atol=1e-12)
+    clear = np.abs(oracle[0] - oracle[1]) > 1e-9
+    assert np.any(adapted[clear] == 1)
+    np.testing.assert_array_equal(adapted[clear],
+                                  np.argmin(oracle, axis=0)[clear])
 
 
 def test_flat_adapted_policy_matches_per_node_blaplacian():
-    # the flat n = 2 adapted member against the per-node reference, which
-    # reads the same closed-form eigenpairs
+    # the flat n = 2 adapted member meets its moments at every node: no
+    # drift, the trace of S, the snap's angle bound, and the per-node value
+    # tr(M2 Q) + M1 . Du on a quadratic
     dom = LatticeDomain.ball(np.zeros(4), 1.0, 9)
-    sub = Subequation(make_structure("standard", n=2))
-    u = ScalarField.from_vectorized(
-        dom, lambda X: abs2(X) + 0.3 * X[:, 0] * X[:, 3] + 0.2 * X[:, 1] ** 3)
-    ops = OperatorFamily(sub, dom)
-    value = ops.adapted_policy(u.values).value(u.values)
-    bstar = adapted_bstar(ops.margins.forms(u.values))
-    rng = CounterRng(13)
-    for _ in range(5):
-        row = int(rng.uniform(0, value.size - 1e-9))
-        node = int(dom.interior_ids[row])
-        assert not np.allclose(bstar[row], np.eye(2))
-        ref = blaplacian(u, sub, node, bstar[row])
-        assert abs(value[row] - ref) <= 1e-12
+    ops = OperatorFamily(Subequation(make_structure("standard", n=2)), dom)
+    x = dom.node_coords
+    field = abs2(x) + 0.3 * x[:, 0] * x[:, 3] + 0.2 * x[:, 1] ** 3
+    bstar = adapted_bstar(ops.margins.forms(field))
+    assert not np.any(np.all(np.isclose(bstar, np.eye(2)), axis=(1, 2)))
+    gap = check_moments(ops, ops.adapted_policy(field), bstar, exact=False)
+    assert gap.max() > 1e-3
 
 
 def test_via_blaplacians_rejects_masked_stencil(disc, flat1):
